@@ -60,6 +60,7 @@ from .errors import (
 from .fock import (
     Operator,
     TruncatedFockSpace,
+    creation_basis_map,
     creation_operator,
     creation_word_map,
 )
@@ -89,7 +90,6 @@ from .odometer import (
     RepresentationCheck,
     Symbol,
     adjoint_isometric,
-    apply_odometer,
     build_odometer,
     constant_symbol,
     e1_coefficient_tensor,

@@ -6,6 +6,12 @@ surjectivity), so they scale to truncations far beyond the dense-matrix
 limit. Dense cross-checks (adjoint relation, per-level blocks) run only when
 the space is small enough to materialize operators and are skipped with a
 NaN residual otherwise.
+
+`classify` is a single pass: it computes the structural isometry data of
+the symbol once and decides isometry from it. Only an isometric symbol goes
+on, with W built once (when dense operators are feasible) and shared by the
+Nica and unitary verdicts. `check_nica` and `check_unitary` run the same
+steps for one verdict each. Creation operators enter only as index maps.
 """
 
 from __future__ import annotations
@@ -14,18 +20,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .config import MAX_DENSE_DIM, resolve_tol
 from .errors import NotIsometricError
-from .fock import creation_operator
+from .fock import TruncatedFockSpace, creation_basis_map
 from .linalg import op_norm, orthonormal_complement
 from .odometer import (
+    OdometerMap,
+    StructuralIsometry,
     Symbol,
-    adjoint_isometric,
-    apply_odometer,
+    _closed_form_adjoint,
+    _odometer_columns,
     build_odometer,
-    e1_coefficient_tensor,
-    gram_sums,
+    frobenius_mass,
+    structural_isometry,
 )
 
 
@@ -89,45 +98,19 @@ def compute_E_L(symbol: Symbol, tol: float | None = None) -> np.ndarray:
     tol = resolve_tol(tol)
     space = symbol.space
     space.require_dense()
-    d = space.coeff_dim
-    top = space.max_level
+    offsets = space.level_offsets()
 
-    within = np.zeros((space.dim, (top + 1) * d), dtype=complex)
-    for m in range(top + 1):
-        base = space.all_ones_index(m) * d
-        for s in range(d):
-            within[base + s, m * d + s] = 1.0
+    ones = space.basis_indices(offsets[:-1])
+    within = np.zeros((space.dim, ones.size), dtype=complex)
+    within[ones, np.arange(ones.size)] = 1.0
 
-    pmax = top - symbol.support_degree
-    shifted = np.zeros((space.dim, max(pmax, 0) * d), dtype=complex)
-    coo = symbol.matrix.tocoo()
-    for p in range(1, pmax + 1):
-        for r, q, v in zip(coo.row, coo.col, coo.data):
-            word_idx, s = divmod(int(r), d)
-            target = space.shift_word_index(word_idx, p)
-            if target is not None:
-                shifted[target * d + s, (p - 1) * d + q] += v
+    # W on the all-n words of lengths p = 1..pmax holds exactly these shifts
+    pmax = space.max_level - symbol.support_degree
+    basis_cols = space.basis_indices(offsets[2 : pmax + 2] - 1)
+    shifted = np.zeros((space.dim, basis_cols.size), dtype=complex)
+    rows, cols, vals = _odometer_columns(symbol, basis_cols)
+    np.add.at(shifted, (rows, cols), vals)
     return orthonormal_complement(shifted, within, tol)
-
-
-def _window_gram(symbol: Symbol, basis_cols: np.ndarray) -> np.ndarray:
-    """Gram matrix of the odometer-map images of selected window basis vectors."""
-    from scipy import sparse
-
-    rows: list[int] = []
-    cols_: list[int] = []
-    vals: list[complex] = []
-    for j, b in enumerate(basis_cols):
-        for r, v in apply_odometer(symbol, {int(b): 1.0}).items():
-            rows.append(r)
-            cols_.append(j)
-            vals.append(v)
-    dim = max(rows) + 1 if rows else 1
-    ws = sparse.csc_array(
-        (np.array(vals, dtype=complex), (np.array(rows), np.array(cols_))),
-        shape=(dim, basis_cols.size),
-    )
-    return (ws.conj().T @ ws).toarray()
 
 
 def _probe_window_vectors(
@@ -135,8 +118,9 @@ def _probe_window_vectors(
 ) -> float:
     """Max norm deviation of the odometer action on random window vectors.
 
-    Uses the matrix-free action, so it works at truncations far beyond the
-    dense limit; very large windows fall back to sparse random supports.
+    Builds only the selected columns of W, so it works at truncations far
+    beyond the dense limit; very large windows fall back to sparse random
+    supports.
     """
     if probes <= 0:
         return 0.0
@@ -147,7 +131,11 @@ def _probe_window_vectors(
     colset = np.asarray(cols, dtype=np.int64)
 
     def deviation(basis_cols: np.ndarray, samples: int) -> float:
-        gram = _window_gram(symbol, basis_cols)
+        rows, js, vals = _odometer_columns(symbol, basis_cols)
+        # renumber the rows in order so no index array spans the whole space
+        _, rows = np.unique(rows, return_inverse=True)
+        ws = sparse.csc_array((vals, (rows, js)), shape=(rows.max(initial=0) + 1, basis_cols.size))
+        gram = (ws.conj().T @ ws).toarray()
         worst = 0.0
         for _ in range(samples):
             v = rng.standard_normal(basis_cols.size) + 1j * rng.standard_normal(basis_cols.size)
@@ -180,53 +168,31 @@ def check_isometric(
 
     `columns` restricts every test to a subset of coefficient columns (used
     for symbols whose truncation pads a boundary column). Random window
-    vectors cross-check norm preservation through the matrix-free action.
+    vectors cross-check norm preservation through the odometer columns.
     """
-    tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
-    d = symbol.space.coeff_dim
+    return _isometry_check(symbol, structural_isometry(symbol), resolve_tol(tol), cols, probes, seed)
 
-    gram = (symbol.matrix.conj().T @ symbol.matrix).toarray()
-    iso_res = op_norm(gram[np.ix_(cols, cols)] - np.eye(cols.size))
 
-    c, _ = e1_coefficient_tensor(symbol)
-    coo = symbol.matrix.tocoo()
-    off_sq = 0.0
-    colset = set(int(x) for x in cols)
-    for r, q, v in zip(coo.row, coo.col, coo.data):
-        if int(q) not in colset or v == 0:
-            continue
-        word_idx = int(r) // d
-        level = symbol.space.level_of_word_index(word_idx)
-        if word_idx != symbol.space.level_offset(level):
-            off_sq += abs(v) ** 2
-    off_res = float(np.sqrt(off_sq))
-
-    # correlations are assertable only for shifts inside the exactness window
-    window = symbol.space.max_level - symbol.support_degree
-    sums = gram_sums(c)[: max(window, 0)]
-    if sums.size:
-        gram_res = float(np.abs(sums[np.ix_(np.arange(sums.shape[0]), cols, cols)]).max())
-    else:
-        gram_res = 0.0
-
+def _isometry_check(
+    symbol: Symbol,
+    structure: StructuralIsometry,
+    tol: float,
+    cols: np.ndarray,
+    probes: int = 50,
+    seed: int = 0,
+) -> IsometryCheck:
+    iso_res, off_res, gram_res = structure.residuals(cols)
     probe_res = _probe_window_vectors(symbol, cols, probes, seed)
-    structural_pass = iso_res <= tol and off_res <= tol and gram_res <= tol
-    passed = structural_pass and probe_res <= tol
-    return IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, window)
+    passed = iso_res <= tol and off_res <= tol and gram_res <= tol and probe_res <= tol
+    return IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, structure.window)
 
 
 def off_vacuum_residual(symbol: Symbol, columns=None) -> float:
     """Frobenius mass of the symbol above level 0 (zero iff the symbol is constant)."""
-    cols = _column_indices(symbol, columns)
-    colset = set(int(x) for x in cols)
-    d = symbol.space.coeff_dim
     coo = symbol.matrix.tocoo()
-    mass = 0.0
-    for r, q, v in zip(coo.row, coo.col, coo.data):
-        if int(q) in colset and int(r) >= d:
-            mass += abs(v) ** 2
-    return float(np.sqrt(mass))
+    above = np.isin(coo.col, _column_indices(symbol, columns)) & (coo.row >= symbol.space.coeff_dim)
+    return frobenius_mass(coo.data[above])
 
 
 def level0_block(symbol: Symbol) -> np.ndarray:
@@ -242,19 +208,45 @@ def surjectivity_defect(symbol: Symbol, tol: float | None = None) -> int:
     return int(block.shape[0] - np.sum(s > tol))
 
 
-def _nica_relation_residual(symbol: Symbol, adjoint: np.ndarray, columns) -> float:
-    """Residual of W*(S_1 x I) = (S_n x I)W* on columns of level <= M-1."""
-    space = symbol.space
-    s1 = creation_operator(1, space).matrix
-    sn = creation_operator(space.n, space).matrix
-    diff = adjoint @ s1 - sn @ adjoint
+def _dense_odometer(symbol: Symbol) -> OdometerMap | None:
+    return build_odometer(symbol) if symbol.space.dim <= MAX_DENSE_DIM else None
+
+
+def _nica_relation_residual(
+    space: TruncatedFockSpace, adjoint: np.ndarray, cols: np.ndarray
+) -> float:
+    """Residual of W*(S_1 x I) = (S_n x I)W* on columns of level <= M-1.
+
+    Both creation operators act as index maps: (A S_1)[:, j] = A[:, s_1(j)],
+    and S_n A moves row k of A to row s_n(k).
+    """
     d = space.coeff_dim
-    ncols = space.dim_upto(space.max_level - 1) if space.max_level >= 1 else 0
-    keep = np.arange(ncols)
-    if columns is not None:
-        cols = _column_indices(symbol, columns)
-        keep = keep[np.isin(keep % d, cols)]
-    return op_norm(diff[:, keep])
+    rows = np.arange(space.dim_upto(space.max_level - 1))
+    keep = rows[np.isin(rows % d, cols)]
+    diff = adjoint[:, creation_basis_map(space, 1, keep)]
+    diff[creation_basis_map(space, space.n, rows), :] -= adjoint[np.ix_(rows, keep)]
+    return op_norm(diff)
+
+
+def _nica(
+    symbol: Symbol,
+    structure: StructuralIsometry,
+    tol: float,
+    cols: np.ndarray,
+    wmap: OdometerMap | None,
+) -> NicaCheck:
+    nica_res = off_vacuum_residual(symbol, cols)
+    relation_res = float("nan")
+    if wmap is not None:
+        try:
+            adjoint = _closed_form_adjoint(symbol.space, structure, tol).matrix
+        except NotIsometricError:
+            # Interior-only isometries (padded boundary column): fall back to
+            # the conjugate transpose, exact for constant symbols.
+            adjoint = wmap.operator.matrix.conj().T
+        relation_res = _nica_relation_residual(symbol.space, adjoint, cols)
+    passed = nica_res <= tol and (math.isnan(relation_res) or relation_res <= tol)
+    return NicaCheck(passed, nica_res, relation_res, symbol.space.max_level - 1)
 
 
 def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCheck:
@@ -265,38 +257,18 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     (NaN residual otherwise).
     """
     tol = resolve_tol(tol)
-    iso = check_isometric(symbol, tol, columns=columns)
+    cols = _column_indices(symbol, columns)
+    structure = structural_isometry(symbol)
+    iso = _isometry_check(symbol, structure, tol, cols)
     if not iso.passed:
         raise NotIsometricError(
             "Nica covariance is defined for isometric symbols only "
             f"(gram {iso.isometry_residual:.3e}, correlations {iso.gram_residual:.3e})"
         )
-    nica_res = off_vacuum_residual(symbol, columns)
-    relation_res = float("nan")
-    space = symbol.space
-    if space.dim <= MAX_DENSE_DIM:
-        wmap = build_odometer(symbol)
-        try:
-            adjoint = adjoint_isometric(wmap, tol).matrix
-        except NotIsometricError:
-            # Interior-only isometries (padded boundary column): fall back to
-            # the conjugate transpose, exact for constant symbols.
-            adjoint = wmap.operator.matrix.conj().T
-        relation_res = _nica_relation_residual(symbol, adjoint, columns)
-    passed = nica_res <= tol and (math.isnan(relation_res) or relation_res <= tol)
-    return NicaCheck(passed, nica_res, relation_res, space.max_level - 1)
+    return _nica(symbol, structure, tol, cols, _dense_odometer(symbol))
 
 
-def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> UnitaryCheck:
-    """Unitarity of the odometer map: constant symbol with unitary level-0 block.
-
-    Cross-checks, when dense operators are feasible, that every level block
-    of the truncated map is unitary with no mass off its level.
-    """
-    tol = resolve_tol(tol)
-    iso = check_isometric(symbol, tol, columns=columns)
-    if not iso.passed:
-        raise NotIsometricError("unitarity is decided for isometric symbols only")
+def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None) -> UnitaryCheck:
     space = symbol.space
     is_constant = off_vacuum_residual(symbol) <= tol
     block = level0_block(symbol)
@@ -307,7 +279,7 @@ def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> Uni
 
     level_res = float("nan")
     if passed and space.dim <= MAX_DENSE_DIM:
-        w = build_odometer(symbol).operator.matrix
+        w = (wmap if wmap is not None else build_odometer(symbol)).operator.matrix
         worst = 0.0
         for m in range(space.max_level + 1):
             sl = space.level_slice(m)
@@ -322,32 +294,47 @@ def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> Uni
     return UnitaryCheck(passed, is_constant, defect, block_res, level_res)
 
 
-def classify(symbol: Symbol, tol: float | None = None, columns=None) -> ClassificationReport:
-    """Full report; the implication structure (unitary/Nica need isometric) is built in."""
+def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> UnitaryCheck:
+    """Unitarity of the odometer map: constant symbol with unitary level-0 block.
+
+    Cross-checks, when dense operators are feasible, that every level block
+    of the truncated map is unitary with no mass off its level.
+    """
     tol = resolve_tol(tol)
-    iso = check_isometric(symbol, tol, columns=columns)
-    nica_res = off_vacuum_residual(symbol, columns)
-    defect = surjectivity_defect(symbol, tol)
+    if not check_isometric(symbol, tol, columns=columns).passed:
+        raise NotIsometricError("unitarity is decided for isometric symbols only")
+    return _unitary(symbol, tol, None)
+
+
+def classify(symbol: Symbol, tol: float | None = None, columns=None) -> ClassificationReport:
+    """Full report; the implication structure (unitary/Nica need isometric) is built in.
+
+    Constancy is judged on every column, whatever `columns` selects.
+    """
+    tol = resolve_tol(tol)
+    cols = _column_indices(symbol, columns)
+    structure = structural_isometry(symbol)
+    iso = _isometry_check(symbol, structure, tol, cols)
     residuals = {
         "gram_residual": iso.gram_residual,
         "e1_support_residual": iso.e1_support_residual,
         "isometry_residual": iso.isometry_residual,
         "probe_residual": iso.probe_residual,
-        "nica_residual": nica_res,
-        "surjectivity_defect": float(defect),
+        "nica_residual": off_vacuum_residual(symbol, cols),
+        "surjectivity_defect": float(surjectivity_defect(symbol, tol)),
     }
-    is_constant = nica_res <= tol
+    selected = None if columns is None else tuple(int(c) for c in cols)
     if not iso.passed:
+        is_constant = off_vacuum_residual(symbol) <= tol
         return ClassificationReport(
-            False, False, False, is_constant, residuals, iso.window,
-            None if columns is None else tuple(int(c) for c in _column_indices(symbol, columns)),
+            False, False, False, is_constant, residuals, iso.window, selected
         )
-    nica = check_nica(symbol, tol, columns=columns)
-    uni = check_unitary(symbol, tol, columns=columns)
+    wmap = _dense_odometer(symbol)
+    nica = _nica(symbol, structure, tol, cols, wmap)
+    uni = _unitary(symbol, tol, wmap)
     residuals["relation_residual"] = nica.relation_residual
     residuals["block_unitary_residual"] = uni.block_unitary_residual
     residuals["level_block_residual"] = uni.level_block_residual
     return ClassificationReport(
-        True, nica.passed, uni.passed, uni.is_constant_symbol, residuals, iso.window,
-        None if columns is None else tuple(int(c) for c in _column_indices(symbol, columns)),
+        True, nica.passed, uni.passed, uni.is_constant_symbol, residuals, iso.window, selected
     )

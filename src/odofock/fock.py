@@ -73,6 +73,14 @@ class TruncatedFockSpace:
             m += 1
         return m
 
+    def level_offsets(self) -> np.ndarray:
+        """Word-index offsets of levels 0..M+1; the last one is num_words."""
+        return np.array([self.level_offset(m) for m in range(self.max_level + 2)], dtype=np.int64)
+
+    def word_levels(self, indices: np.ndarray) -> np.ndarray:
+        """Levels of an array of word indices, by one search over the level offsets."""
+        return np.searchsorted(self.level_offsets(), indices, side="right") - 1
+
     def word_at(self, index: int) -> Word:
         m = self.level_of_word_index(index)
         return word_from_position(self.n, m, index - self.level_offset(m))
@@ -81,6 +89,11 @@ class TruncatedFockSpace:
         if not 0 <= p < self.coeff_dim:
             raise ValueError(f"coefficient coordinate {p} out of range 0..{self.coeff_dim - 1}")
         return self.word_index(word) * self.coeff_dim + p
+
+    def basis_indices(self, words: np.ndarray) -> np.ndarray:
+        """Basis indices of (w, 0), ..., (w, d-1) for each word index w in turn."""
+        d = self.coeff_dim
+        return np.repeat(words, d) * d + np.tile(np.arange(d), len(words))
 
     def split_basis_index(self, index: int) -> tuple[int, int]:
         """(word index, coefficient coordinate) of a basis index."""
@@ -162,6 +175,12 @@ def creation_word_map(space: TruncatedFockSpace, letter: int) -> np.ndarray:
     return targets
 
 
+def creation_basis_map(space: TruncatedFockSpace, letter: int, indices: np.ndarray) -> np.ndarray:
+    """Basis index of (letter . word, p) for each basis index (word, p) of level <= M-1."""
+    d = space.coeff_dim
+    return creation_word_map(space, letter)[indices // d] * d + indices % d
+
+
 def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:
     """Dense matrix of S_letter tensor I on the truncation.
 
@@ -169,10 +188,7 @@ def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:
     level-M block, so columns below level M are exact.
     """
     space.require_dense()
-    d = space.coeff_dim
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    word_targets = creation_word_map(space, letter)
-    cols = np.arange(word_targets.size * d)
-    rows = np.repeat(word_targets, d) * d + np.tile(np.arange(d), word_targets.size)
-    mat[rows, cols] = 1.0
+    cols = np.arange(space.dim_upto(space.max_level - 1))
+    mat[creation_basis_map(space, letter, cols), cols] = 1.0
     return Operator(mat, space, space.max_level)

@@ -18,7 +18,7 @@ import numpy as np
 from .classify import ClassificationReport, classify
 from .config import resolve_tol
 from .errors import NotIsometricError
-from .fock import TruncatedFockSpace, creation_operator
+from .fock import TruncatedFockSpace, creation_basis_map
 from .linalg import hausdorff_distance, max_angular_gap, op_norm
 from .odometer import Symbol, build_odometer, constant_symbol, symbol_from_entries
 
@@ -176,10 +176,13 @@ def gallery_weak_bishift(
     report = classify(symbol, tol)
 
     wmat = build_odometer(symbol).operator.matrix
-    s1_adj = creation_operator(1, space).matrix.conj().T
+    # S_1* gathers the entries at the S_1 images of the levels below M
+    low = np.arange(space.dim_upto(max_level - 1))
+    s1_rows = creation_basis_map(space, 1, low)
     witness = 0.0
     for m in range(1, d):
-        image = s1_adj @ wmat[:, m]
+        image = np.zeros(space.dim, dtype=complex)
+        image[low] = wmat[s1_rows, m]
         target = np.zeros(space.dim, dtype=complex)
         target[space.all_ones_index(m - 1) * d + m] = 1.0
         witness = max(witness, float(np.linalg.norm(image - target)))

@@ -57,6 +57,7 @@ def _read_entries(doc: dict, rows: int, cols: int) -> list[tuple[int, int, compl
     raw = doc["entries"]
     _require(isinstance(raw, list), "'entries' must be a list")
     out = []
+    seen = set()
     for item in raw:
         _require(
             isinstance(item, list) and len(item) == 4,
@@ -66,6 +67,8 @@ def _read_entries(doc: dict, rows: int, cols: int) -> list[tuple[int, int, compl
         _require(isinstance(r, int) and isinstance(c, int), "entry indices must be integers")
         _require(0 <= r < rows, f"entry row {r} out of range 0..{rows - 1}")
         _require(0 <= c < cols, f"entry column {c} out of range 0..{cols - 1}")
+        _require((r, c) not in seen, f"entry ({r}, {c}) is repeated")
+        seen.add((r, c))
         _require(
             isinstance(re, (int, float)) and isinstance(im, (int, float)),
             "entry values must be numbers",
@@ -165,7 +168,7 @@ def from_json(doc: Any):
         space.require_dense()
         mat = np.zeros((space.dim, space.dim), dtype=complex)
         for r, c, v in entries:
-            mat[r, c] += v
+            mat[r, c] = v
         return Operator(mat, space, exact_below)
     if kind == "pair":
         for key in ("n", "dim"):

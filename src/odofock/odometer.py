@@ -16,9 +16,8 @@ from scipy import sparse
 
 from .config import resolve_tol
 from .errors import NotIsometricError
-from .fock import Operator, TruncatedFockSpace, creation_word_map
+from .fock import Operator, TruncatedFockSpace, creation_basis_map
 from .linalg import op_norm
-from .words import Overflow, Word, carry_successor
 
 # Fixed threshold for "supported on the all-ones diagonal"; isometric symbols
 # live there, so the closed-form adjoint requires it.
@@ -140,29 +139,36 @@ def scalar_symbol(space: TruncatedFockSpace, coeffs_by_level) -> Symbol:
     return symbol_from_entries(space, entries)
 
 
-def e1_coefficient_tensor(symbol: Symbol) -> tuple[np.ndarray, float]:
-    """Coefficients on the all-ones diagonal plus the off-diagonal mass.
+def frobenius_mass(values: np.ndarray) -> float:
+    """sqrt(sum |v|^2), summed in order with the scalar square abs(v) ** 2.
 
-    Returns (c, off_residual) where c[r, s, q] is the coefficient of
-    (ones^r, h_s) in L h_q and off_residual is the Frobenius norm of every
-    entry living off the all-ones words.
+    numpy's vectorized square rounds differently in the last bit; the scalar
+    one keeps every mass residual independent of how its entries were found.
+    """
+    squares = [abs(v) ** 2 for v in values.tolist()]
+    return float(np.sqrt(np.cumsum(squares)[-1])) if squares else 0.0
+
+
+def e1_coefficient_tensor(symbol: Symbol) -> tuple[np.ndarray, sparse.csc_array]:
+    """Coefficients on the all-ones diagonal plus the off-diagonal entries by column.
+
+    Returns (c, off) where c[r, s, q] is the coefficient of (ones^r, h_s) in
+    L h_q and off has the layout of the symbol matrix with the entries on
+    the all-ones words set to 0; the off-diagonal mass of a column selection
+    is the `frobenius_mass` of its entries.
     """
     space = symbol.space
     d = space.coeff_dim
-    smax = symbol.support_degree
-    c = np.zeros((smax + 1, d, d), dtype=complex)
-    off_sq = 0.0
-    coo = symbol.matrix.tocoo()
-    for r, q, v in zip(coo.row, coo.col, coo.data):
-        if v == 0:
-            continue
-        word_idx, s = divmod(int(r), d)
-        level = space.level_of_word_index(word_idx)
-        if word_idx == space.level_offset(level):
-            c[level, s, q] += v
-        else:
-            off_sq += abs(v) ** 2
-    return c, float(np.sqrt(off_sq))
+    mat = symbol.matrix
+    word, s = np.divmod(mat.indices.astype(np.int64), d)
+    q = np.repeat(np.arange(d), np.diff(mat.indptr))
+    level = space.word_levels(word)
+    on = word == space.level_offsets()[level]
+    live = on & (mat.data != 0)
+    c = np.zeros((symbol.support_degree + 1, d, d), dtype=complex)
+    np.add.at(c, (level[live], s[live], q[live]), mat.data[live])
+    off = sparse.csc_array((np.where(on, 0, mat.data), mat.indices, mat.indptr), shape=mat.shape)
+    return c, off
 
 
 def gram_sums(c: np.ndarray) -> np.ndarray:
@@ -200,8 +206,55 @@ class OdometerMap:
         return self.operator.exact_below
 
 
-def _all_n_word_index(space: TruncatedFockSpace, m: int) -> int:
-    return space.level_offset(m) + space.n**m - 1
+def _reverse_digits(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """Reverse the low m[i] base-n digits of x[i]."""
+    out = np.zeros_like(x)
+    for k in range(int(m.max(initial=0))):
+        out = np.where(k < m, out * n + x % n, out)
+        x = x // n
+    return out
+
+
+def _odometer_columns(
+    symbol: Symbol, basis_cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, value) triplets of W[:, basis_cols], col counting positions in basis_cols.
+
+    A word of level m at position pos below n^m - 1 moves by the carry, the
+    base-n "+1" on reversed digits: its image sits at rev(rev(pos) + 1). The
+    all-n word of length m (the vacuum for m = 0) receives the m-shifted
+    symbol column, truncated at the top level. Only the selected columns are
+    touched, so this works at any truncation size.
+    """
+    space = symbol.space
+    n, d, top = space.n, space.coeff_dim, space.max_level
+    offsets = space.level_offsets()
+    words, coords = np.divmod(np.asarray(basis_cols, dtype=np.int64), d)
+    levels = space.word_levels(words)
+    pos = words - offsets[levels]
+    carry = pos < np.int64(n) ** levels - 1
+
+    m = levels[carry]
+    succ = _reverse_digits(_reverse_digits(pos[carry], m, n) + 1, m, n)
+    carry_rows = (offsets[m] + succ) * d + coords[carry]
+
+    # gather symbol column q for every all-n column (m, q) at once, then shift by m
+    mat = symbol.matrix
+    over = np.flatnonzero(~carry)
+    counts = np.diff(mat.indptr)[coords[over]]
+    owner = np.repeat(np.arange(over.size), counts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    entry = mat.indptr[coords[over]][owner] + rank
+    src_word, s = np.divmod(mat.indices[entry].astype(np.int64), d)
+    src_level = space.word_levels(src_word)
+    level = src_level + levels[over][owner]
+    fits = level <= top
+    shifted_rows = (offsets[level[fits]] + src_word[fits] - offsets[src_level[fits]]) * d + s[fits]
+
+    rows = np.concatenate([carry_rows, shifted_rows])
+    cols = np.concatenate([np.flatnonzero(carry), over[owner[fits]]])
+    vals = np.concatenate([np.ones(carry_rows.size, dtype=complex), mat.data[entry[fits]]])
+    return rows, cols, vals
 
 
 def build_odometer(symbol: Symbol) -> OdometerMap:
@@ -214,70 +267,10 @@ def build_odometer(symbol: Symbol) -> OdometerMap:
     """
     space = symbol.space
     space.require_dense()
-    n, d, top = space.n, space.coeff_dim, space.max_level
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    coords = np.arange(d)
-
-    for m in range(1, top + 1):
-        lo = space.level_offset(m)
-        for pos in range(n**m - 1):
-            word = space.word_at(lo + pos)
-            succ = carry_successor(word)
-            assert isinstance(succ, Word)
-            target = space.word_index(succ)
-            mat[target * d + coords, (lo + pos) * d + coords] = 1.0
-
-    coo = symbol.matrix.tocoo()
-    for m in range(0, top + 1):
-        src = _all_n_word_index(space, m)
-        for r, q, v in zip(coo.row, coo.col, coo.data):
-            word_idx, s = divmod(int(r), d)
-            shifted = space.shift_word_index(word_idx, m)
-            if shifted is not None:
-                mat[shifted * d + s, src * d + q] += v
-
-    op = Operator(mat, space, symbol.exact_below)
-    return OdometerMap(symbol, op)
-
-
-def apply_odometer(symbol: Symbol, coords: dict[int, complex]) -> dict[int, complex]:
-    """Matrix-free action of the odometer map on a sparse coordinate vector.
-
-    Works at any truncation size; components pushed above the top level are
-    dropped exactly as in the dense construction.
-    """
-    space = symbol.space
-    d = space.coeff_dim
-    out: dict[int, complex] = {}
-    col_cache: dict[int, list[tuple[int, int, complex]]] = {}
-
-    def column_entries(q: int):
-        if q not in col_cache:
-            col = symbol.matrix[:, [q]].tocoo()
-            col_cache[q] = [
-                (int(r) // d, int(r) % d, v) for r, v in zip(col.row, col.data) if v != 0
-            ]
-        return col_cache[q]
-
-    for b, a in coords.items():
-        if a == 0:
-            continue
-        word_idx, p = divmod(b, d)
-        word = space.word_at(word_idx)
-        if word.is_vacuum():
-            step: Word | Overflow = Overflow(0)
-        else:
-            step = carry_successor(word)
-        if isinstance(step, Overflow):
-            for row_word, s, v in column_entries(p):
-                shifted = space.shift_word_index(row_word, step.length)
-                if shifted is not None:
-                    key = shifted * d + s
-                    out[key] = out.get(key, 0.0) + a * v
-        else:
-            key = space.word_index(step) * d + p
-            out[key] = out.get(key, 0.0) + a
-    return out
+    rows, cols, vals = _odometer_columns(symbol, np.arange(space.dim))
+    np.add.at(mat, (rows, cols), vals)
+    return OdometerMap(symbol, Operator(mat, space, symbol.exact_below))
 
 
 @dataclass(frozen=True)
@@ -316,23 +309,14 @@ def verify_fock_representation(
     if window >= 0:
         ncols = space.dim_upto(window)
         cols = np.arange(ncols)
-        word_maps = [creation_word_map(space, i + 1) for i in range(n)]
-
-        def basis_map(word_targets: np.ndarray) -> np.ndarray:
-            word_part = word_targets[cols // d]
-            return word_part * d + cols % d
-
         for k in range(1, n):
-            lhs = mat[:, basis_map(word_maps[k - 1])].copy()
-            rhs_rows = basis_map(word_maps[k])
-            lhs[rhs_rows, cols] -= 1.0
+            lhs = mat[:, creation_basis_map(space, k, cols)]
+            lhs[creation_basis_map(space, k + 1, cols), cols] -= 1.0
             residuals[f"carry_relation_{k}"] = op_norm(lhs)
 
-        lhs = mat[:, basis_map(word_maps[n - 1])].copy()
+        lhs = mat[:, creation_basis_map(space, n, cols)]
         low = space.dim_upto(top - 1)
-        rows_low = np.arange(low)
-        s1_rows = word_maps[0][rows_low // d] * d + rows_low % d
-        lhs[s1_rows, :] -= mat[:low, :ncols]
+        lhs[creation_basis_map(space, 1, np.arange(low)), :] -= mat[:low, :ncols]
         residuals["twist_relation"] = op_norm(lhs)
 
     passed = all(v <= tol for v in residuals.values())
@@ -342,29 +326,37 @@ def verify_fock_representation(
     return RepresentationCheck(passed, symbol, residuals, window)
 
 
-def _strip_leading_ones(word: Word) -> tuple[int, tuple[int, ...]]:
-    m = 0
-    letters = word.letters
-    while m < len(letters) and letters[m] == 1:
-        m += 1
-    return m, letters[m:]
+@dataclass(frozen=True)
+class StructuralIsometry:
+    """Per-symbol isometry data: L*L, the all-ones coefficients c[r, s, q],
+    the off-diagonal entries by column (see `e1_coefficient_tensor`) and the
+    shifted correlations inside the exactness window.
 
-
-def isometry_residuals(symbol: Symbol) -> tuple[float, float, float]:
-    """(gram residual of L*L - I, all-ones support residual, shifted-correlation residual).
-
-    Correlations are only assertable for shifts within the exactness window:
-    beyond it the shifted symbol copy is itself truncated, so those sums are
-    excluded (their cancelling mass lives above the truncation).
+    Correlations are only assertable for shifts within the window: beyond it
+    the shifted symbol copy is itself truncated, so those sums are excluded
+    (their cancelling mass lives above the truncation).
     """
-    d = symbol.space.coeff_dim
+
+    gram: np.ndarray
+    coeffs: np.ndarray
+    off: sparse.csc_array
+    correlations: np.ndarray
+    window: int
+
+    def residuals(self, cols: np.ndarray) -> tuple[float, float, float]:
+        """(gram residual of L*L - I, off-diagonal mass, shifted-correlation residual) on `cols`."""
+        iso_res = op_norm(self.gram[np.ix_(cols, cols)] - np.eye(cols.size))
+        off_res = frobenius_mass(self.off[:, cols].data)
+        corr = self.correlations[:, cols][:, :, cols]
+        return iso_res, off_res, float(np.abs(corr).max()) if corr.size else 0.0
+
+
+def structural_isometry(symbol: Symbol) -> StructuralIsometry:
+    """Isometry data of `symbol`, computed once; `residuals` evaluates it on columns."""
     gram = (symbol.matrix.conj().T @ symbol.matrix).toarray()
-    iso_res = op_norm(gram - np.eye(d))
-    c, off_res = e1_coefficient_tensor(symbol)
+    c, off = e1_coefficient_tensor(symbol)
     window = symbol.space.max_level - symbol.support_degree
-    sums = gram_sums(c)[: max(window, 0)]
-    corr_res = float(np.abs(sums).max()) if sums.size else 0.0
-    return iso_res, off_res, corr_res
+    return StructuralIsometry(gram, c, off, gram_sums(c)[: max(window, 0)], window)
 
 
 def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
@@ -379,11 +371,14 @@ def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
     all-ones diagonal or fails the isometry conditions: no closed form is
     available then, only the approximate conjugate transpose.
     """
-    tol = resolve_tol(tol)
-    symbol = wmap.symbol
-    space = symbol.space
-    space.require_dense()
-    iso_res, off_res, corr_res = isometry_residuals(symbol)
+    wmap.space.require_dense()
+    return _closed_form_adjoint(wmap.space, structural_isometry(wmap.symbol), resolve_tol(tol))
+
+
+def _closed_form_adjoint(
+    space: TruncatedFockSpace, structure: StructuralIsometry, tol: float
+) -> Operator:
+    iso_res, off_res, corr_res = structure.residuals(np.arange(space.coeff_dim))
     if off_res > E1_SUPPORT_TOL:
         raise NotIsometricError(
             f"symbol has mass {off_res:.3e} off the all-ones diagonal; "
@@ -396,30 +391,23 @@ def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
             "adjoint exists only for isometric symbols"
         )
 
-    c, _ = e1_coefficient_tensor(symbol)
-    smax = c.shape[0] - 1
+    c = structure.coeffs
     n, d = space.n, space.coeff_dim
+    offsets = space.level_offsets()
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for wi in range(space.num_words):
-        word = space.word_at(wi)
-        m, rest = _strip_leading_ones(word)
-        if not rest:
-            # column (ones^m, h_l): rows (all-n^p, h_q) with weight conj(c[m-p, l, q])
-            for p in range(m + 1):
-                r = m - p
-                if r > smax:
-                    continue
-                row_word = _all_n_word_index(space, p)
-                for l in range(d):
-                    for q in range(d):
-                        v = c[r, l, q]
-                        if v != 0:
-                            mat[row_word * d + q, wi * d + l] = np.conj(v)
-        else:
-            target = Word((space.n,) * m + (rest[0] - 1,) + rest[1:], n)
-            ti = space.word_index(target)
-            for l in range(d):
-                mat[ti * d + l, wi * d + l] = 1.0
+    # off the all-ones words (position 0) the adjoint undoes the carry: rev(rev(pos) - 1)
+    words = np.arange(space.num_words)
+    levels = space.word_levels(words)
+    pos = words - offsets[levels]
+    undo = pos > 0
+    lev = levels[undo]
+    pred = offsets[lev] + _reverse_digits(_reverse_digits(pos[undo], lev, n) - 1, lev, n)
+    mat[space.basis_indices(pred), space.basis_indices(words[undo])] = 1.0
+    # column (ones^m, h_l): rows (all-n^p, h_q) with weight conj(c[m-p, l, q])
+    for m in range(space.max_level + 1):
+        for p in range(max(0, m - c.shape[0] + 1), m + 1):
+            l, q = np.nonzero(c[m - p])
+            mat[(offsets[p + 1] - 1) * d + q, offsets[m] * d + l] = np.conj(c[m - p, l, q])
     return Operator(mat, space, space.max_level + 1)
 
 

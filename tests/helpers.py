@@ -8,6 +8,8 @@ from odofock import (
     RowContraction,
     Symbol,
     TruncatedFockSpace,
+    Word,
+    carry_successor,
     symbol_from_dense,
     symbol_from_entries,
 )
@@ -101,3 +103,50 @@ def random_pure_row_contraction(
     row = np.hstack(mats)
     scale = row_norm / np.linalg.svd(row, compute_uv=False)[0]
     return RowContraction(tuple(scale * m for m in mats))
+
+
+def reference_odometer(symbol: Symbol) -> np.ndarray:
+    """Oracle: W word by word, the carry from `carry_successor` and the
+    shifted symbol entry by entry, each added into a zero matrix."""
+    space = symbol.space
+    n, d, top = space.n, space.coeff_dim, space.max_level
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    coords = np.arange(d)
+    for m in range(1, top + 1):
+        lo = space.level_offset(m)
+        for pos in range(n**m - 1):
+            succ = carry_successor(space.word_at(lo + pos))
+            assert isinstance(succ, Word)
+            target = space.word_index(succ)
+            mat[target * d + coords, (lo + pos) * d + coords] = 1.0
+    coo = symbol.matrix.tocoo()
+    for m in range(top + 1):
+        src = space.level_offset(m + 1) - 1
+        for r, q, v in zip(coo.row, coo.col, coo.data):
+            word_idx, s = divmod(int(r), d)
+            shifted = space.shift_word_index(word_idx, m)
+            if shifted is not None:
+                mat[shifted * d + s, src * d + q] += v
+    return mat
+
+
+def reference_shifted_columns(symbol: Symbol) -> np.ndarray:
+    """Oracle: the shifted symbol columns ones^p L h_q, p = 1..M - support degree."""
+    space = symbol.space
+    d = space.coeff_dim
+    pmax = space.max_level - symbol.support_degree
+    shifted = np.zeros((space.dim, max(pmax, 0) * d), dtype=complex)
+    coo = symbol.matrix.tocoo()
+    for p in range(1, pmax + 1):
+        for r, q, v in zip(coo.row, coo.col, coo.data):
+            word_idx, s = divmod(int(r), d)
+            target = space.shift_word_index(word_idx, p)
+            if target is not None:
+                shifted[target * d + s, (p - 1) * d + q] += v
+    return shifted
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-for-bit equality of two complex arrays, signs of zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))

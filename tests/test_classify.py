@@ -1,16 +1,23 @@
 """Isometry / Nica / unitary classification against coefficient oracles."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import (
     random_constant_unitary_symbol,
     random_isometric_symbol,
+    random_ones_diagonal_symbol,
     random_symbol,
+    reference_shifted_columns,
+    same_bits,
 )
 
 from odofock import (
     NotIsometricError,
     TruncatedFockSpace,
+    adjoint_isometric,
     build_odometer,
     check_isometric,
     check_nica,
@@ -18,10 +25,16 @@ from odofock import (
     classify,
     compute_E_L,
     constant_symbol,
+    creation_operator,
     gallery_golden_ratio,
+    off_vacuum_residual,
+    op_norm,
+    orthonormal_complement,
     scalar_symbol,
+    surjectivity_defect,
     symbol_from_dense,
 )
+from odofock.classify import _nica_relation_residual
 
 
 def golden_isometric_fixture():
@@ -263,3 +276,128 @@ def test_unitary_requires_isometric_input():
     space = TruncatedFockSpace(2, 3, 1)
     with pytest.raises(NotIsometricError):
         check_unitary(scalar_symbol(space, [0.0]))
+
+
+def test_E_L_matches_reference_shifted_columns_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for n, max_level, d in [(1, 6, 2), (2, 4, 1), (2, 4, 3), (3, 3, 2)]:
+        space = TruncatedFockSpace(n, max_level, d)
+        within = np.zeros((space.dim, (max_level + 1) * d), dtype=complex)
+        for m in range(max_level + 1):
+            for s in range(d):
+                within[space.all_ones_index(m) * d + s, m * d + s] = 1.0
+        for symbol in (random_symbol(space, 1, rng), random_ones_diagonal_symbol(space, rng)):
+            expected = orthonormal_complement(reference_shifted_columns(symbol), within, 1e-10)
+            assert same_bits(compute_E_L(symbol), expected)
+
+
+def padded_symbol():
+    space = TruncatedFockSpace(2, 3, 3)
+    block = np.zeros((3, 3), dtype=complex)
+    block[1, 0] = 1.0
+    block[2, 1] = 1.0
+    return constant_symbol(space, block)
+
+
+def dense_nica_residual(symbol, adjoint, cols):
+    """Oracle: W*(S_1 x I) - (S_n x I)W* with dense creation matrices."""
+    space = symbol.space
+    s1 = creation_operator(1, space).matrix
+    sn = creation_operator(space.n, space).matrix
+    keep = np.arange(space.dim_upto(space.max_level - 1))
+    keep = keep[np.isin(keep % space.coeff_dim, cols)]
+    return op_norm((adjoint @ s1 - sn @ adjoint)[:, keep])
+
+
+def test_gather_nica_relation_matches_dense_products():
+    rng = np.random.default_rng(5)
+    golden = golden_isometric_fixture().symbol
+    cases = [
+        (golden, (0,)),
+        (random_constant_unitary_symbol(TruncatedFockSpace(2, 3, 3), rng), (0, 1, 2)),
+        (random_ones_diagonal_symbol(TruncatedFockSpace(3, 3, 2), rng), (0, 1)),
+        (padded_symbol(), (0, 1)),
+    ]
+    for symbol, cols in cases:
+        wmap = build_odometer(symbol)
+        try:
+            adjoint = adjoint_isometric(wmap).matrix
+        except NotIsometricError:
+            adjoint = wmap.operator.matrix.conj().T
+        gathered = _nica_relation_residual(symbol.space, adjoint, np.asarray(cols))
+        assert gathered == dense_nica_residual(symbol, adjoint, cols)
+    assert check_nica(golden).relation_residual == 0.786151377756645
+
+
+def classify_cases():
+    rng = np.random.default_rng(12)
+    space = TruncatedFockSpace(2, 4, 2)
+    return [
+        # (symbol, columns, W builds expected)
+        (random_constant_unitary_symbol(space, rng), None, 1),
+        (random_ones_diagonal_symbol(space, rng, force_nonconstant=True), None, 1),
+        (random_symbol(space, 2, rng), None, 0),
+        (padded_symbol(), (0, 1), 1),
+        (golden_isometric_fixture().symbol, None, 1),
+        # accepted beyond the dense limit: coefficient verdicts only
+        (gallery_golden_ratio(60, n=2, max_level=24).symbol, None, 0),
+    ]
+
+
+def test_classify_runs_one_isometry_kernel_and_at_most_one_build(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def inner(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return inner
+
+    for module in (sys.modules["odofock.classify"], sys.modules["odofock.odometer"]):
+        for name in ("structural_isometry", "build_odometer"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for symbol, columns, builds in classify_cases():
+        calls.clear()
+        classify(symbol, columns=columns)
+        assert calls == Counter({"structural_isometry": 1, "build_odometer": builds})
+
+
+def test_classify_residuals_equal_single_checks():
+    for symbol, columns, _ in classify_cases():
+        report = classify(symbol, columns=columns)
+        iso = check_isometric(symbol, columns=columns)
+        expected = {
+            "gram_residual": iso.gram_residual,
+            "e1_support_residual": iso.e1_support_residual,
+            "isometry_residual": iso.isometry_residual,
+            "probe_residual": iso.probe_residual,
+            "nica_residual": off_vacuum_residual(symbol, columns),
+            "surjectivity_defect": float(surjectivity_defect(symbol)),
+        }
+        assert report.is_isometric == iso.passed
+        if iso.passed:
+            nica = check_nica(symbol, columns=columns)
+            uni = check_unitary(symbol, columns=columns)
+            expected["relation_residual"] = nica.relation_residual
+            expected["block_unitary_residual"] = uni.block_unitary_residual
+            expected["level_block_residual"] = uni.level_block_residual
+            assert (report.is_nica, report.is_unitary) == (nica.passed, uni.passed)
+            assert report.is_constant_symbol == uni.is_constant_symbol
+        # hex spelling compares NaN residuals too, bit for bit
+        assert {k: float(v).hex() for k, v in report.residuals.items()} == {
+            k: float(v).hex() for k, v in expected.items()
+        }
+
+
+def test_constant_symbol_flag_ignores_column_selection():
+    # column 1 has level-1 mass, so the symbol is not constant; column 0 at
+    # the vacuum with weight 1.0 is accepted on its own, with 0.5 rejected
+    space = TruncatedFockSpace(2, 3, 2)
+    for scale, accepted in [(1.0, True), (0.5, False)]:
+        mat = np.zeros((space.dim, 2), dtype=complex)
+        mat[0, 0] = scale
+        mat[space.all_ones_index(1) * 2 + 1, 1] = 1.0
+        report = classify(symbol_from_dense(space, mat), columns=(0,))
+        assert report.is_isometric == accepted
+        assert not report.is_constant_symbol

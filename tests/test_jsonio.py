@@ -9,10 +9,13 @@ from odofock import (
     Operator,
     SchemaError,
     TruncatedFockSpace,
+    adjoint_isometric,
     build_odometer,
+    gallery_weak_bishift,
     scalar_symbol,
 )
 from odofock import jsonio
+from odofock.cli import main as cli_main
 
 
 def test_symbol_round_trip_is_byte_exact():
@@ -42,6 +45,25 @@ def test_operator_round_trip_preserves_window():
     assert op.exact_below == wmap.exact_below
     assert np.array_equal(op.matrix, wmap.operator.matrix)
     assert jsonio.dumps(op) == text
+
+
+def test_adjoint_document_round_trips_byte_identically():
+    # the closed-form adjoint conjugates real coefficients, so it stores -0.0
+    symbol = gallery_weak_bishift(2, 4).symbol
+    text = jsonio.dumps(adjoint_isometric(build_odometer(symbol)))
+    assert "-0.0" in text
+    assert jsonio.dumps(jsonio.loads(text)) == text
+
+
+def test_repeated_entry_is_rejected(tmp_path, capsys):
+    doc = {"kind": "operator", "n": 1, "max_level": 1, "coeff_dim": 1, "exact_below": 2,
+           "entries": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0], [0, 0, 1.0, 0.0]]}
+    with pytest.raises(SchemaError):
+        jsonio.from_json(doc)
+    path = tmp_path / "repeated.json"
+    jsonio.dump_path(doc, str(path))
+    assert cli_main(["check", "representation", "--symbol", str(path)]) == 2
+    capsys.readouterr()
 
 
 def test_pair_round_trip():

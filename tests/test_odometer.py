@@ -7,7 +7,10 @@ from helpers import (
     random_constant_unitary_symbol,
     random_ones_diagonal_symbol,
     random_symbol,
+    reference_odometer,
+    same_bits,
 )
+from scipy import sparse
 
 from odofock import (
     NotIsometricError,
@@ -15,7 +18,6 @@ from odofock import (
     TruncatedFockSpace,
     Word,
     adjoint_isometric,
-    apply_odometer,
     build_odometer,
     constant_symbol,
     creation_operator,
@@ -24,6 +26,7 @@ from odofock import (
     symbol_from_dense,
     verify_fock_representation,
 )
+from odofock.odometer import _odometer_columns
 
 
 def basis_vec(space, letters, p=0):
@@ -135,18 +138,42 @@ def test_unary_alphabet_requires_commutation():
 
 
 def test_apply_matches_dense_matrix():
+    # the column builder reproduces W on any column subset, entry for entry
     rng = np.random.default_rng(3)
     space = TruncatedFockSpace(2, 4, 2)
     symbol = random_symbol(space, 2, rng)
     w = build_odometer(symbol).operator.matrix
     vec = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    coords = {i: complex(vec[i]) for i in range(space.dim)}
-    image = apply_odometer(symbol, coords)
-    dense_image = w @ vec
-    sparse_image = np.zeros(space.dim, dtype=complex)
-    for k, v in image.items():
-        sparse_image[k] = v
-    assert np.allclose(sparse_image, dense_image, atol=1e-13)
+    for basis_cols in (np.arange(space.dim), np.sort(rng.choice(space.dim, 20, replace=False))):
+        rows, cols, vals = _odometer_columns(symbol, basis_cols)
+        ws = sparse.csc_array((vals, (rows, cols)), shape=(space.dim, basis_cols.size))
+        assert np.array_equal(ws.toarray(), w[:, basis_cols])
+        assert np.allclose(ws @ vec[basis_cols], w[:, basis_cols] @ vec[basis_cols], atol=1e-13)
+
+
+@pytest.mark.parametrize("n, max_level", [(1, 6), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_build_matches_reference_bit_for_bit(n, max_level, d):
+    rng = np.random.default_rng(10 * n + d)
+    space = TruncatedFockSpace(n, max_level, d)
+    symbols = [random_symbol(space, s, rng) for s in (0, 1, max_level)]
+    symbols += [
+        random_constant_unitary_symbol(space, rng),
+        random_ones_diagonal_symbol(space, rng),
+        # real entries conjugated: every stored imaginary part is -0.0
+        symbol_from_dense(space, np.conj(random_symbol(space, 1, rng).matrix.toarray().real + 0j)),
+    ]
+    assert np.signbit(symbols[-1].matrix.data.imag).all()
+    for symbol in symbols:
+        w = build_odometer(symbol).operator.matrix
+        assert w.flags.c_contiguous
+        assert same_bits(w, reference_odometer(symbol))
+
+
+def test_build_matches_reference_at_benchmark_size():
+    space = TruncatedFockSpace(3, 6, 2)
+    symbol = random_constant_unitary_symbol(space, np.random.default_rng(6))
+    assert same_bits(build_odometer(symbol).operator.matrix, reference_odometer(symbol))
 
 
 def test_adjoint_scalar_formula():
