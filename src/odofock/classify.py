@@ -3,9 +3,9 @@
 The decisions rest on coefficient-level criteria (isometry of L, support on
 the all-ones diagonal, vanishing shifted correlations, constancy, level-0
 surjectivity), so they scale to truncations far beyond the dense-matrix
-limit. Dense cross-checks (adjoint relation, per-level blocks) run only when
-the space is small enough to materialize operators and are skipped with a
-NaN residual otherwise.
+limit. Cross-checks on the built operators (adjoint relation, per-level
+blocks) run only below that limit and are skipped with a NaN residual
+otherwise.
 
 `classify` is a single pass: it computes the structural isometry data of
 the symbol once and decides isometry from it. Only an isometric symbol goes
@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .config import MAX_DENSE_DIM, resolve_tol
 from .errors import NotIsometricError
-from .fock import TruncatedFockSpace, creation_basis_map
+from .fock import TruncatedFockSpace, creation_operator
 from .linalg import op_norm, orthonormal_complement
 from .odometer import (
     OdometerMap,
@@ -213,19 +213,20 @@ def _dense_odometer(symbol: Symbol) -> OdometerMap | None:
 
 
 def _nica_relation_residual(
-    space: TruncatedFockSpace, adjoint: np.ndarray, cols: np.ndarray
+    space: TruncatedFockSpace, adjoint: sparse.csc_array, cols: np.ndarray
 ) -> float:
     """Residual of W*(S_1 x I) = (S_n x I)W* on columns of level <= M-1.
 
-    Both creation operators act as index maps: (A S_1)[:, j] = A[:, s_1(j)],
-    and S_n A moves row k of A to row s_n(k).
+    Both creation operators are CSC index maps, so both products only move
+    entries of the adjoint; the residual is the norm of their sparse difference.
     """
     d = space.coeff_dim
     rows = np.arange(space.dim_upto(space.max_level - 1))
     keep = rows[np.isin(rows % d, cols)]
-    diff = adjoint[:, creation_basis_map(space, 1, keep)]
-    diff[creation_basis_map(space, space.n, rows), :] -= adjoint[np.ix_(rows, keep)]
-    return op_norm(diff)
+    s1 = creation_operator(1, space).matrix
+    sn = creation_operator(space.n, space).matrix
+    rel = adjoint @ s1 - sn @ adjoint
+    return op_norm(rel[:, keep])
 
 
 def _nica(
@@ -243,7 +244,7 @@ def _nica(
         except NotIsometricError:
             # Interior-only isometries (padded boundary column): fall back to
             # the conjugate transpose, exact for constant symbols.
-            adjoint = wmap.operator.matrix.conj().T
+            adjoint = sparse.csc_array(wmap.operator.matrix.conj().T)
         relation_res = _nica_relation_residual(symbol.space, adjoint, cols)
     passed = nica_res <= tol and (math.isnan(relation_res) or relation_res <= tol)
     return NicaCheck(passed, nica_res, relation_res, symbol.space.max_level - 1)
@@ -283,11 +284,12 @@ def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None) -> UnitaryChe
         worst = 0.0
         for m in range(space.max_level + 1):
             sl = space.level_slice(m)
-            b = w[sl, sl]
+            block_cols = w[:, sl]
+            b = block_cols[sl, :].toarray()
             worst = max(worst, op_norm(b.conj().T @ b - np.eye(b.shape[0])))
-            off_mass = (
-                np.linalg.norm(w[: sl.start, sl]) ** 2 + np.linalg.norm(w[sl.stop :, sl]) ** 2
-            )
+            above = block_cols.data[block_cols.indices < sl.start]
+            below = block_cols.data[block_cols.indices >= sl.stop]
+            off_mass = np.linalg.norm(above) ** 2 + np.linalg.norm(below) ** 2
             worst = max(worst, float(np.sqrt(off_mass)))
         level_res = worst
         passed = passed and level_res <= tol

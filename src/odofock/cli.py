@@ -15,6 +15,7 @@ import sys
 import time
 
 import numpy as np
+from scipy import sparse
 
 from . import jsonio
 from .beurling import beurling_factorize, induced_symbol, invariant_subspace
@@ -45,6 +46,7 @@ from .gallery import (
     gallery_weak_bishift,
     spectrum_per_level,
 )
+from .linalg import op_norm
 from .odometer import (
     Symbol,
     adjoint_isometric,
@@ -204,15 +206,28 @@ def cmd_gen_example(args) -> int:
     return report.finish()
 
 
+def _storage(op: Operator) -> dict:
+    """Size and storage path of an operator, for the report parameters."""
+    return {"dim": op.dim, "nnz": op.matrix.nnz, "storage": "csc"}
+
+
+def _representation_checks(report: Report, op: Operator, tol: float):
+    """Relation residuals on the window; an empty window is reported as vacuous and fails."""
+    check = verify_fock_representation(op, tol=tol)
+    for name, res in check.residuals.items():
+        report.add(name, res, tol, res <= tol, window=check.window)
+    if check.vacuous:
+        report.add("relations", None, tol, False, window=check.window)
+    report.extra(vacuous=check.vacuous, **_storage(op))
+
+
 def cmd_build_w(args) -> int:
     tol = resolve_tol(args.tol)
     symbol = _load_symbol(args.symbol)
     report = Report("build-w", {"symbol": args.symbol, "tol": tol})
     wmap = build_odometer(symbol)
     bounds = norm_bounds(wmap)
-    check = verify_fock_representation(wmap.operator, tol=tol)
-    for name, res in check.residuals.items():
-        report.add(name, res, tol, res <= tol, window=check.window)
+    _representation_checks(report, wmap.operator, tol)
     report.extra(symbol_norm=bounds.symbol_norm, map_norm=bounds.map_norm,
                  exact_below=wmap.exact_below)
     _write_out(args, wmap.operator)
@@ -230,11 +245,11 @@ def cmd_adjoint(args) -> int:
         report.fail("adjoint_isometric", str(exc))
         return report.finish()
     ncols = symbol.space.dim_upto(wmap.exact_below - 1)
-    residual = float(np.linalg.norm(
-        (adj.matrix @ wmap.operator.matrix - np.eye(symbol.space.dim))[:, :ncols], 2
-    ))
+    eye = sparse.eye_array(symbol.space.dim, ncols, dtype=complex, format="csc")
+    residual = op_norm(adj.matrix @ wmap.operator.matrix[:, :ncols] - eye)
     report.add("adjoint_times_map_is_identity", residual, tol, residual <= tol,
                window=wmap.exact_below - 1)
+    report.extra(**_storage(adj))
     _write_out(args, adj)
     return report.finish()
 
@@ -251,11 +266,7 @@ def cmd_check(args) -> int:
             op = obj
         else:
             raise SchemaError("representation check needs a symbol or operator document")
-        check = verify_fock_representation(op, tol=tol)
-        for name, res in check.residuals.items():
-            report.add(name, res, tol, res <= tol, window=check.window)
-        if not check.residuals:
-            report.add("relations", 0.0, tol, check.is_representation, window=check.window)
+        _representation_checks(report, op, tol)
         return report.finish()
 
     if not isinstance(obj, Symbol):

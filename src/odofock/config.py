@@ -2,8 +2,11 @@
 
 import os
 
-# Largest space dimension for which dense D x D matrices may be built.
-# 8192**2 complex128 entries is ~1 GiB; anything bigger must stay sparse.
+# Largest space dimension on which operators are built. Odometer maps, their
+# adjoints and the creation operators are CSC arrays with O(D) entries, but
+# the subspace, dilation and Beurling routines still form dense D x D arrays
+# (8192**2 complex128 entries is ~1 GiB), and the norm of a fully coupled
+# operator takes one dense eigenvalue problem of that size.
 MAX_DENSE_DIM = 8192
 
 # Default rank tolerance for all subspace computations.

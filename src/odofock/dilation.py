@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import DilationInexactError, WindowError
-from .fock import TruncatedFockSpace, creation_word_map
+from .fock import TruncatedFockSpace, creation_operator
 from .linalg import op_norm
 from .odometer import (
     OdometerMap,
@@ -199,8 +199,6 @@ def poisson_kernel(
 
 def intertwining_residuals(data: DilationData, t: RowContraction) -> tuple[float, ...]:
     """Residuals of Pi T_i* = (S_i x I)* Pi on rows below the top level."""
-    from .fock import creation_operator
-
     space = data.space
     rows = space.dim_upto(space.max_level - 1) if space.max_level >= 1 else 0
     out = []
@@ -247,22 +245,13 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
             f"levels <= {k} leave the exactness window "
             f"(support degree {symbol.support_degree}, top level {space.max_level})"
         )
-    wmap = build_odometer(symbol)
     dim_k = space.dim_upto(k)
-    w = wmap.operator.matrix[:dim_k, :dim_k].copy()
-    tuples = []
-    d = space.coeff_dim
-    word_count = space.level_offset(k + 1)
-    for i in range(1, space.n + 1):
-        word_targets = creation_word_map(space, i)
-        ti = np.zeros((dim_k, dim_k), dtype=complex)
-        for wi in range(space.level_offset(k)):
-            target = word_targets[wi]
-            if target < word_count:
-                for p in range(d):
-                    ti[target * d + p, wi * d + p] = 1.0
-        tuples.append(ti)
-    return ContractivePair(RowContraction(tuple(tuples)), w)
+    w = build_odometer(symbol).operator.matrix[:dim_k, :dim_k].toarray()
+    # S_i maps levels < k into levels <= k and level k out of the block
+    tuples = tuple(
+        creation_operator(i, space).matrix[:dim_k, :dim_k].toarray() for i in range(1, space.n + 1)
+    )
+    return ContractivePair(RowContraction(tuples), w)
 
 
 @dataclass(frozen=True)

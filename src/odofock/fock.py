@@ -1,4 +1,4 @@
-"""Truncated vector-valued Fock spaces and the dense operators living on them.
+"""Truncated vector-valued Fock spaces and the sparse operators living on them.
 
 The truncation keeps levels 0..M of the Fock space over C^n, tensored with a
 coefficient space C^d. Basis order is level-major, then base-n numeric order
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .config import MAX_DENSE_DIM
 from .errors import DimensionLimitError, LevelOverflowError
@@ -127,22 +128,24 @@ class TruncatedFockSpace:
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense complex matrix carrying its truncation-exactness annotation.
+    """A square operator stored as a CSC array, with its truncation-exactness annotation.
 
+    Any matrix-like input (dense or sparse) is stored as a `scipy.sparse.csc_array`.
     Columns indexed by basis vectors of level < exact_below incur no
     truncation error. `space` may be None for operators on plain
     finite-dimensional spaces outside the Fock indexing scheme.
     """
 
-    matrix: np.ndarray
+    matrix: sparse.csc_array
     space: TruncatedFockSpace | None
     exact_below: int
 
     def __post_init__(self):
-        mat = self.matrix
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        mat = sparse.csc_array(self.matrix)
+        object.__setattr__(self, "matrix", mat)
+        if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.all(np.isfinite(mat.data)):
             raise ValueError("operator matrix contains non-finite entries")
         if self.space is not None:
             if mat.shape[0] != self.space.dim:
@@ -181,14 +184,23 @@ def creation_basis_map(space: TruncatedFockSpace, letter: int, indices: np.ndarr
     return creation_word_map(space, letter)[indices // d] * d + indices % d
 
 
+def _creation_matrix(space: TruncatedFockSpace, letter: int) -> sparse.csc_array:
+    """S_letter tensor I as a CSC index map, without the dense-size gate.
+
+    Each column below level M holds a single 1.0; level-M columns are zero.
+    Products with it move entries without rounding them.
+    """
+    cols = np.arange(space.dim_upto(space.max_level - 1))
+    ones = np.ones(cols.size, dtype=complex)
+    rows = creation_basis_map(space, letter, cols)
+    return sparse.csc_array((ones, (rows, cols)), shape=(space.dim, space.dim))
+
+
 def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:
-    """Dense matrix of S_letter tensor I on the truncation.
+    """S_letter tensor I on the truncation.
 
     Maps (word, p) to (letter . word, p) below level M and annihilates the
     level-M block, so columns below level M are exact.
     """
     space.require_dense()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    cols = np.arange(space.dim_upto(space.max_level - 1))
-    mat[creation_basis_map(space, letter, cols), cols] = 1.0
-    return Operator(mat, space, space.max_level)
+    return Operator(_creation_matrix(space, letter), space, space.max_level)

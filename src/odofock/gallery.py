@@ -68,7 +68,7 @@ def spectrum_per_level(
     unimod = 0.0
     for m in range(max_level + 1):
         sl = space.level_slice(m)
-        eigs = np.linalg.eigvals(w[sl, sl])
+        eigs = np.linalg.eigvals(w[sl, sl].toarray())
         order = space.n**m
         predicted = []
         for a in base_eigs:
@@ -182,7 +182,7 @@ def gallery_weak_bishift(
     witness = 0.0
     for m in range(1, d):
         image = np.zeros(space.dim, dtype=complex)
-        image[low] = wmat[s1_rows, m]
+        image[low] = wmat[:, [m]].toarray()[s1_rows, 0]
         target = np.zeros(space.dim, dtype=complex)
         target[space.all_ones_index(m - 1) * d + m] = 1.0
         witness = max(witness, float(np.linalg.norm(image - target)))

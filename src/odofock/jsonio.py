@@ -43,13 +43,9 @@ def _read_space(doc: dict) -> TruncatedFockSpace:
 def _sparse_entries(mat) -> list[list]:
     coo = sparse.coo_array(mat)
     order = np.lexsort((coo.col, coo.row))
-    out = []
-    for idx in order:
-        v = coo.data[idx]
-        if v == 0:
-            continue
-        out.append([int(coo.row[idx]), int(coo.col[idx]), float(v.real), float(v.imag)])
-    return out
+    order = order[coo.data[order] != 0]
+    rows, cols, vals = coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order]
+    return [list(entry) for entry in zip(rows, cols, vals.real.tolist(), vals.imag.tolist())]
 
 
 def _read_entries(doc: dict, rows: int, cols: int) -> list[tuple[int, int, complex]]:
@@ -166,9 +162,10 @@ def from_json(doc: Any):
         _require(isinstance(exact_below, int), "'exact_below' must be an integer")
         entries = _read_entries(doc, space.dim, space.dim)
         space.require_dense()
-        mat = np.zeros((space.dim, space.dim), dtype=complex)
-        for r, c, v in entries:
-            mat[r, c] = v
+        # entries are distinct, so each value is stored as read, signed zeros included
+        coords = np.array([(r, c) for r, c, _ in entries], dtype=np.int64).reshape(-1, 2)
+        vals = np.array([v for _, _, v in entries], dtype=complex)
+        mat = sparse.csc_array((vals, (coords[:, 0], coords[:, 1])), shape=(space.dim, space.dim))
         return Operator(mat, space, exact_below)
     if kind == "pair":
         for key in ("n", "dim"):

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from .config import resolve_tol
 from .errors import NotIsometricError
-from .fock import Operator, TruncatedFockSpace, creation_basis_map
+from .fock import Operator, TruncatedFockSpace, _creation_matrix
 from .linalg import op_norm
 
 # Fixed threshold for "supported on the all-ones diagonal"; isometric symbols
@@ -192,7 +192,7 @@ def gram_sums(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OdometerMap:
-    """A symbol together with its truncated dense matrix."""
+    """A symbol together with its truncated matrix (a CSC array in `operator`)."""
 
     symbol: Symbol
     operator: Operator
@@ -258,29 +258,37 @@ def _odometer_columns(
 
 
 def build_odometer(symbol: Symbol) -> OdometerMap:
-    """Dense matrix of the odometer map generated by `symbol`.
+    """The odometer map generated by `symbol`, as a CSC array.
 
     Non-overflow basis words move by the base-n carry (level preserving,
     always exact); the all-n word of length m receives the m-shifted symbol
     column, truncated at the top level. The vacuum is the m = 0 case, so
-    W(vacuum, h_p) = L h_p holds exactly.
+    W(vacuum, h_p) = L h_p holds exactly. Every value gets 0.0 added, as a sum
+    into zeros would, so signed zeros in the symbol's entries are stored as +0.0.
     """
     space = symbol.space
     space.require_dense()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
     rows, cols, vals = _odometer_columns(symbol, np.arange(space.dim))
-    np.add.at(mat, (rows, cols), vals)
+    mat = sparse.csc_array((vals + 0.0, (rows, cols)), shape=(space.dim, space.dim))
     return OdometerMap(symbol, Operator(mat, space, symbol.exact_below))
 
 
 @dataclass(frozen=True)
 class RepresentationCheck:
-    """Outcome of testing the carry and twist relations against a candidate W."""
+    """Outcome of testing the carry and twist relations against a candidate W.
+
+    An empty window (window < 0) tests nothing: the check is vacuous and
+    never counts as a representation.
+    """
 
     is_representation: bool
     symbol: Symbol | None
     residuals: dict[str, float] = field(default_factory=dict)
     window: int = -1
+
+    @property
+    def vacuous(self) -> bool:
+        return self.window < 0
 
 
 def verify_fock_representation(
@@ -289,10 +297,12 @@ def verify_fock_representation(
     """Check W S_k = S_{k+1} (k < n) and W S_n = S_1 W on the exactness window.
 
     Both relations are tested on basis columns of level <= min(M-1,
-    exact_below-2) so that no truncated column enters either side. On success
-    the unique symbol is read off the vacuum columns; on failure the
-    per-relation residual norms are returned. A negative window makes the
-    verdict vacuous.
+    exact_below-2) so that no truncated column enters either side; each
+    residual is the norm of a sparse difference, the creation operators
+    entering as index maps. On success the unique symbol is read off the
+    vacuum columns; on failure the per-relation residual norms are
+    returned. A negative window makes the check vacuous, and a vacuous
+    check never passes.
     """
     tol = resolve_tol(tol)
     if space is None:
@@ -308,21 +318,15 @@ def verify_fock_representation(
 
     if window >= 0:
         ncols = space.dim_upto(window)
-        cols = np.arange(ncols)
+        s = [None] + [_creation_matrix(space, k) for k in range(1, n + 1)]
         for k in range(1, n):
-            lhs = mat[:, creation_basis_map(space, k, cols)]
-            lhs[creation_basis_map(space, k + 1, cols), cols] -= 1.0
-            residuals[f"carry_relation_{k}"] = op_norm(lhs)
+            rel = mat @ s[k][:, :ncols] - s[k + 1][:, :ncols]
+            residuals[f"carry_relation_{k}"] = op_norm(rel)
+        rel = mat @ s[n][:, :ncols] - s[1] @ mat[:, :ncols]
+        residuals["twist_relation"] = op_norm(rel)
 
-        lhs = mat[:, creation_basis_map(space, n, cols)]
-        low = space.dim_upto(top - 1)
-        lhs[creation_basis_map(space, 1, np.arange(low)), :] -= mat[:low, :ncols]
-        residuals["twist_relation"] = op_norm(lhs)
-
-    passed = all(v <= tol for v in residuals.values())
-    symbol = None
-    if passed:
-        symbol = Symbol(space, sparse.csc_array(mat[:, :d]))
+    passed = window >= 0 and all(v <= tol for v in residuals.values())
+    symbol = Symbol(space, mat[:, :d]) if passed else None
     return RepresentationCheck(passed, symbol, residuals, window)
 
 
@@ -360,7 +364,7 @@ def structural_isometry(symbol: Symbol) -> StructuralIsometry:
 
 
 def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
-    """Closed-form adjoint matrix of an isometric odometer map.
+    """Closed-form adjoint of an isometric odometer map, as a CSC array.
 
     On the all-ones word of length m the adjoint returns the reversed
     correlation of the symbol coefficients against the all-n words of length
@@ -394,7 +398,6 @@ def _closed_form_adjoint(
     c = structure.coeffs
     n, d = space.n, space.coeff_dim
     offsets = space.level_offsets()
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
     # off the all-ones words (position 0) the adjoint undoes the carry: rev(rev(pos) - 1)
     words = np.arange(space.num_words)
     levels = space.word_levels(words)
@@ -402,12 +405,20 @@ def _closed_form_adjoint(
     undo = pos > 0
     lev = levels[undo]
     pred = offsets[lev] + _reverse_digits(_reverse_digits(pos[undo], lev, n) - 1, lev, n)
-    mat[space.basis_indices(pred), space.basis_indices(words[undo])] = 1.0
+    rows, cols = [space.basis_indices(pred)], [space.basis_indices(words[undo])]
+    vals = [np.ones(rows[0].size, dtype=complex)]
     # column (ones^m, h_l): rows (all-n^p, h_q) with weight conj(c[m-p, l, q])
     for m in range(space.max_level + 1):
         for p in range(max(0, m - c.shape[0] + 1), m + 1):
             l, q = np.nonzero(c[m - p])
-            mat[(offsets[p + 1] - 1) * d + q, offsets[m] * d + l] = np.conj(c[m - p, l, q])
+            rows.append((offsets[p + 1] - 1) * d + q)
+            cols.append(offsets[m] * d + l)
+            vals.append(np.conj(c[m - p, l, q]))
+    # every (row, col) appears once, so each value, signed zeros included, is stored as is
+    mat = sparse.csc_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim, space.dim),
+    )
     return Operator(mat, space, space.max_level + 1)
 
 

@@ -146,7 +146,84 @@ def reference_shifted_columns(symbol: Symbol) -> np.ndarray:
     return shifted
 
 
+def reference_adjoint(symbol: Symbol) -> np.ndarray:
+    """Oracle: the closed-form adjoint of an isometric odometer map, word by word.
+
+    Each non-overflow word w gives the entry 1.0 at (w, carry(w)). Column
+    (ones^m, h_l) gets conj(c[m-p, l, q]) at row (all-n^p, h_q), where c
+    collects the symbol entries on the all-ones words, added into zeros.
+    Entries are assigned, so the conjugates keep their signed zeros.
+    """
+    space = symbol.space
+    n, d, top = space.n, space.coeff_dim, space.max_level
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    coords = np.arange(d)
+    for m in range(1, top + 1):
+        lo = space.level_offset(m)
+        for pos in range(n**m - 1):
+            succ = space.word_index(carry_successor(space.word_at(lo + pos)))
+            mat[(lo + pos) * d + coords, succ * d + coords] = 1.0
+    c = np.zeros((top + 1, d, d), dtype=complex)
+    coo = symbol.matrix.tocoo()
+    for r, q, v in zip(coo.row, coo.col, coo.data):
+        word_idx, s = divmod(int(r), d)
+        level = space.level_of_word_index(word_idx)
+        if word_idx == space.all_ones_index(level):
+            c[level, s, q] += v
+    for m in range(top + 1):
+        for p in range(m + 1):
+            for l, q in zip(*np.nonzero(c[m - p])):
+                row = (space.level_offset(p + 1) - 1) * d + q
+                mat[row, space.all_ones_index(m) * d + l] = np.conj(c[m - p, l, q])
+    return mat
+
+
+def oracle_operator_document(
+    dense: np.ndarray, space: TruncatedFockSpace, exact_below: int
+) -> dict:
+    """Operator wire document written straight from a dense matrix, nonzero entries row-major."""
+    rows, cols = np.nonzero(dense)
+    return {
+        "kind": "operator",
+        "n": space.n,
+        "max_level": space.max_level,
+        "coeff_dim": space.coeff_dim,
+        "exact_below": exact_below,
+        "entries": [
+            [int(r), int(c), float(dense[r, c].real), float(dense[r, c].imag)]
+            for r, c in zip(rows, cols)
+        ],
+    }
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit-for-bit equality of two complex arrays, signs of zeros included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def same_stored_bits(mat, dense: np.ndarray) -> bool:
+    """A canonical CSC array whose stored entries equal `dense` bit for bit.
+
+    Compares the stored values themselves, signs of zeros included, rather
+    than `toarray()`, which adds them into zeros. Every entry of `dense`
+    outside the stored pattern must be +0.0.
+    """
+    if mat.format != "csc" or not mat.has_canonical_format or mat.shape != dense.shape:
+        return False
+    coo = mat.tocoo()
+    rest = np.array(dense, dtype=complex)
+    stored = rest[coo.row, coo.col]
+    rest[coo.row, coo.col] = 0.0
+    return same_bits(coo.data, stored) and same_bits(rest, np.zeros_like(rest))
+
+
+def same_csc(a, b) -> bool:
+    """Identical CSC storage: index arrays equal and values equal bit for bit."""
+    return (
+        a.format == b.format == "csc"
+        and a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and same_bits(a.data, b.data)
+    )

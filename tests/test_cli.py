@@ -3,10 +3,16 @@
 import json
 
 import numpy as np
-from helpers import haar_unitary, random_symbol
+from helpers import (
+    haar_unitary,
+    oracle_operator_document,
+    random_symbol,
+    reference_adjoint,
+    reference_odometer,
+)
 
 from odofock import ContractivePair, TruncatedFockSpace, compress_pair, constant_symbol
-from odofock import jsonio, scalar_symbol
+from odofock import gallery_weak_bishift, jsonio, scalar_symbol, symbol_from_dense
 from odofock.cli import main
 
 
@@ -83,6 +89,61 @@ def test_build_and_verify_pipeline(tmp_path, capsys):
     code, report = run(capsys, "check", "representation", "--symbol", path)
     assert code == 0
     assert report["passed"]
+
+
+def test_representation_reports_name_size_and_storage(tmp_path, capsys):
+    space = TruncatedFockSpace(2, 3, 1)
+    path = write_symbol(tmp_path, "sym.json", scalar_symbol(space, [0.6, 0.8]))
+    wpath = str(tmp_path / "w.json")
+    # 11 carry entries plus two symbol entries in each of the four all-n
+    # columns, one of them truncated at the top level
+    nnz = 11 + 2 * 4 - 1
+    for argv in (("build-w", "--symbol", path, "--out", wpath),
+                 ("check", "representation", "--symbol", wpath)):
+        code, report = run(capsys, *argv)
+        assert code == 0
+        params = report["parameters"]
+        assert (params["dim"], params["nnz"], params["storage"]) == (15, nnz, "csc")
+        assert params["vacuous"] is False
+        assert all(c["window"] == 1 for c in report["checks"])
+
+
+def test_empty_window_is_vacuous_and_fails(tmp_path, capsys):
+    # the README's golden-ratio case: support degree 8 at level 8 leaves window -1
+    golden = str(tmp_path / "golden8.json")
+    code, _ = run(capsys, "gen-example", "golden-ratio", "--terms", "8", "--level", "8",
+                  "--out", golden)
+    assert code == 0
+    code, report = run(capsys, "check", "representation", "--symbol", golden)
+    assert code == 1
+    assert not report["passed"]
+    assert report["parameters"]["vacuous"] is True
+    (check,) = report["checks"]
+    assert check["window"] == -1 and check["residual"] is None and not check["passed"]
+
+
+def test_written_operators_match_dense_oracle_bytes(tmp_path, capsys):
+    # real entries conjugated: every imaginary part of the symbol is -0.0,
+    # which W stores as +0.0; the adjoint conjugates and keeps its -0.0
+    space = TruncatedFockSpace(2, 4, 2)
+    real = random_symbol(space, 2, np.random.default_rng(4)).matrix.toarray().real
+    symbol = symbol_from_dense(space, np.conj(real + 0j))
+    assert np.signbit(symbol.matrix.data.imag).all()
+    path = write_symbol(tmp_path, "sym.json", symbol)
+    wpath = tmp_path / "w.json"
+    run(capsys, "build-w", "--symbol", path, "--out", str(wpath))
+    oracle = oracle_operator_document(reference_odometer(symbol), space, symbol.exact_below)
+    assert wpath.read_text() == jsonio.dumps(oracle) + "\n"
+
+    iso = gallery_weak_bishift(2, 4).symbol
+    path = write_symbol(tmp_path, "iso.json", iso)
+    apath = tmp_path / "adj.json"
+    code, _ = run(capsys, "adjoint", "--symbol", path, "--out", str(apath))
+    assert code == 0
+    oracle = oracle_operator_document(reference_adjoint(iso), iso.space, iso.space.max_level + 1)
+    text = apath.read_text()
+    assert "-0.0" in text
+    assert text == jsonio.dumps(oracle) + "\n"
 
 
 def test_adjoint_command(tmp_path, capsys):

@@ -216,7 +216,7 @@ def test_level_blocks_power_down_to_base_block():
     w = build_odometer(constant_symbol(space, u)).operator.matrix
     for m in range(space.max_level + 1):
         sl = space.level_slice(m)
-        block = w[sl, sl]
+        block = w[sl, sl].toarray()
         eye = np.eye(block.shape[0])
         assert np.abs(block.conj().T @ block - eye).max() <= 1e-12
         power = np.linalg.matrix_power(block, 2**m)

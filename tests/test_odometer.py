@@ -8,7 +8,7 @@ from helpers import (
     random_ones_diagonal_symbol,
     random_symbol,
     reference_odometer,
-    same_bits,
+    same_stored_bits,
 )
 from scipy import sparse
 
@@ -70,7 +70,7 @@ def test_remark_norm_witness_vector():
 def test_zero_symbol_kills_all_overflow_columns():
     space = TruncatedFockSpace(2, 3, 1)
     symbol = scalar_symbol(space, [0.0])
-    w = build_odometer(symbol).operator.matrix
+    w = build_odometer(symbol).operator.matrix.toarray()
     for m in range(space.max_level + 1):
         col = space.basis_index(Word((2,) * m, 2))
         assert np.array_equal(w[:, col], np.zeros(space.dim, dtype=complex))
@@ -83,7 +83,7 @@ def test_vacuum_column_is_symbol_exactly():
     space = TruncatedFockSpace(2, 4, 3)
     symbol = random_symbol(space, 3, rng)
     w = build_odometer(symbol).operator.matrix
-    assert np.array_equal(w[:, : space.coeff_dim], symbol.matrix.toarray())
+    assert np.array_equal(w[:, : space.coeff_dim].toarray(), symbol.matrix.toarray())
 
 
 def test_level_preservation_off_overflow_words():
@@ -115,6 +115,20 @@ def test_roundtrip_recovers_symbol_and_relations_hold():
         assert np.abs(diff.toarray()).max() == 0.0
 
 
+def test_empty_window_is_vacuous_and_never_passes():
+    # support degree M leaves exact_below = 1 and window -1: no column is tested
+    space = TruncatedFockSpace(2, 3, 1)
+    wmap = build_odometer(scalar_symbol(space, [0.0, 0.0, 0.0, 1.0]))
+    check = verify_fock_representation(wmap.operator)
+    assert check.window == -1 and check.vacuous
+    assert check.residuals == {}
+    assert not check.is_representation and check.symbol is None
+    # one level less of support gives window 0, which is tested and passes
+    wmap = build_odometer(scalar_symbol(space, [0.0, 0.0, 1.0]))
+    check = verify_fock_representation(wmap.operator)
+    assert check.window == 0 and not check.vacuous and check.is_representation
+
+
 def test_verify_rejects_plain_creation_operator():
     space = TruncatedFockSpace(2, 3, 1)
     s1 = creation_operator(1, space)
@@ -142,7 +156,7 @@ def test_apply_matches_dense_matrix():
     rng = np.random.default_rng(3)
     space = TruncatedFockSpace(2, 4, 2)
     symbol = random_symbol(space, 2, rng)
-    w = build_odometer(symbol).operator.matrix
+    w = build_odometer(symbol).operator.matrix.toarray()
     vec = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     for basis_cols in (np.arange(space.dim), np.sort(rng.choice(space.dim, 20, replace=False))):
         rows, cols, vals = _odometer_columns(symbol, basis_cols)
@@ -166,21 +180,23 @@ def test_build_matches_reference_bit_for_bit(n, max_level, d):
     assert np.signbit(symbols[-1].matrix.data.imag).all()
     for symbol in symbols:
         w = build_odometer(symbol).operator.matrix
-        assert w.flags.c_contiguous
-        assert same_bits(w, reference_odometer(symbol))
+        # canonical CSC whose stored values, signed zeros included, match the oracle
+        assert same_stored_bits(w, reference_odometer(symbol))
+    # the oracle adds into zeros, so W stores the -0.0 imaginary parts as +0.0
+    assert not np.signbit(w.data.imag).any()
 
 
 def test_build_matches_reference_at_benchmark_size():
     space = TruncatedFockSpace(3, 6, 2)
     symbol = random_constant_unitary_symbol(space, np.random.default_rng(6))
-    assert same_bits(build_odometer(symbol).operator.matrix, reference_odometer(symbol))
+    assert same_stored_bits(build_odometer(symbol).operator.matrix, reference_odometer(symbol))
 
 
 def test_adjoint_scalar_formula():
     # W*(ones^m) = sum_p conj(c_{m-p}) (all-n)^p; here c_2 = i is the only term
     space = TruncatedFockSpace(2, 4, 1)
     iso = scalar_symbol(space, [0.0, 0.0, 1j])
-    adj = adjoint_isometric(build_odometer(iso)).matrix
+    adj = adjoint_isometric(build_odometer(iso)).matrix.toarray()
     for m in range(space.max_level + 1):
         col = space.basis_index(Word((1,) * m, 2))
         expected = np.zeros(space.dim, dtype=complex)
@@ -194,7 +210,7 @@ def test_adjoint_constant_symbol_vacuum_action():
     space = TruncatedFockSpace(2, 3, 3)
     u = haar_unitary(3, rng)
     symbol = constant_symbol(space, u)
-    adj = adjoint_isometric(build_odometer(symbol)).matrix
+    adj = adjoint_isometric(build_odometer(symbol)).matrix.toarray()
     # W*(vacuum block) = conjugate of the level-0 block, staying at the vacuum
     vac_block = adj[:3, :3]
     assert np.allclose(vac_block, u.conj().T, atol=1e-14)
@@ -259,7 +275,7 @@ def test_upper_norm_bound_fails_for_toeplitz_symbols():
     for i in range(13):
         for j in range(max(0, i - 2), i + 1):
             oracle[i, j] = 1.0
-    assert np.array_equal(wmap.operator.matrix, oracle)
+    assert np.array_equal(wmap.operator.matrix.toarray(), oracle)
     nb = norm_bounds(wmap)
     assert nb.map_norm > 1.0 + nb.symbol_norm + 0.1
     assert nb.upper_defect > 0.1
