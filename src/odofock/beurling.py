@@ -24,7 +24,6 @@ from .errors import InvarianceError, WindowError
 from .fock import TruncatedFockSpace, creation_operator
 from .linalg import op_norm, orthonormal_columns, orthonormal_complement
 from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,10 @@ class InvariantSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+
+def _orthogonal_part(basis: np.ndarray, x: np.ndarray) -> float:
+    """Norm of x - Q (Q^H x): the part of the columns of x orthogonal to span(Q)."""
+    return op_norm(x - basis @ (basis.conj().T @ x))
 
 
 def invariant_subspace(
@@ -65,14 +66,11 @@ def invariant_subspace(
         interior = basis @ vh[rank:, :].conj().T
     else:
         interior = basis
-    proj = basis @ basis.conj().T
-    residuals = []
-    eye = np.eye(space.dim)
-    for i in range(1, space.n + 1):
-        si = creation_operator(i, space).matrix
-        moved = si @ interior
-        residuals.append(op_norm((eye - proj) @ moved))
-    return InvariantSubspace(space, basis, tuple(residuals))
+    residuals = tuple(
+        _orthogonal_part(basis, creation_operator(i, space).matrix @ interior)
+        for i in range(1, space.n + 1)
+    )
+    return InvariantSubspace(space, basis, residuals)
 
 
 def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -> InvariantSubspace:
@@ -163,18 +161,13 @@ def beurling_factorize(
         )
     domain = TruncatedFockSpace(space.n, budget, wdim)
     screations = [creation_operator(i, space).matrix for i in range(1, space.n + 1)]
-    phi = np.zeros((space.dim, domain.dim), dtype=complex)
-    # Column (mu, j) is S_mu applied to the j-th wandering vector; walk levels
-    # so each word extends an already-built column by one creation.
-    phi[:, 0:wdim] = wandering_basis
-    for level in range(1, budget + 1):
-        for wi in range(domain.level_offset(level), domain.level_offset(level + 1)):
-            word = domain.word_at(wi)
-            parent = domain.word_index(Word(word.letters[1:], word.n))
-            letter = word.letters[0]
-            cols = slice(wi * wdim, (wi + 1) * wdim)
-            pcols = slice(parent * wdim, (parent + 1) * wdim)
-            phi[:, cols] = screations[letter - 1] @ phi[:, pcols]
+    # Column (mu, j) is S_mu applied to the j-th wandering vector. In canonical
+    # order the first letter is outermost, so level L is S_1, ..., S_n applied
+    # in turn to the whole level L - 1 block.
+    blocks = [wandering_basis]
+    for _ in range(budget):
+        blocks.append(np.hstack([s @ blocks[-1] for s in screations]))
+    phi = np.hstack(blocks)
 
     inner_residual = op_norm(phi.conj().T @ phi - np.eye(domain.dim))
     ma_residual = 0.0
@@ -219,8 +212,7 @@ def induced_symbol(
     if wmap.space != space:
         raise ValueError("odometer map and subspace live on different spaces")
     w = wmap.operator.matrix
-    proj = sub.projector()
-    douglas = op_norm((np.eye(space.dim) - proj) @ (w @ sub.basis))
+    douglas = _orthogonal_part(sub.basis, w @ sub.basis)
     if douglas > tol:
         raise InvarianceError("subspace is not invariant under the odometer map", douglas)
 

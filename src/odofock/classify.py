@@ -3,15 +3,16 @@
 The decisions rest on coefficient-level criteria (isometry of L, support on
 the all-ones diagonal, vanishing shifted correlations, constancy, level-0
 surjectivity), so they scale to truncations far beyond the dense-matrix
-limit. Cross-checks on the built operators (adjoint relation, per-level
-blocks) run only below that limit and are skipped with a NaN residual
-otherwise.
+limit. The random window probes apply the selected columns of W by sparse
+matvecs at any size. The cross-checks on the built map W run only where
+`build_odometer` accepts the space and are skipped with a NaN residual
+otherwise: the Nica relation is a sparse difference of creation index maps,
+and the level blocks come from one pass over the stored entries of W.
 
 `classify` is a single pass: it computes the structural isometry data of
 the symbol once and decides isometry from it. Only an isometric symbol goes
-on, with W built once (when dense operators are feasible) and shared by the
-Nica and unitary verdicts. `check_nica` and `check_unitary` run the same
-steps for one verdict each. Creation operators enter only as index maps.
+on, with W built once and shared by the Nica and unitary verdicts.
+`check_nica` and `check_unitary` run the same steps for one verdict each.
 """
 
 from __future__ import annotations
@@ -135,12 +136,11 @@ def _probe_window_vectors(
         # renumber the rows in order so no index array spans the whole space
         _, rows = np.unique(rows, return_inverse=True)
         ws = sparse.csc_array((vals, (rows, js)), shape=(rows.max(initial=0) + 1, basis_cols.size))
-        gram = (ws.conj().T @ ws).toarray()
         worst = 0.0
         for _ in range(samples):
             v = rng.standard_normal(basis_cols.size) + 1j * rng.standard_normal(basis_cols.size)
             norm_in = float(np.linalg.norm(v))
-            norm_out = math.sqrt(max(float((v.conj() @ gram @ v).real), 0.0))
+            norm_out = float(np.linalg.norm(ws @ v))
             worst = max(worst, abs(norm_out - norm_in) / norm_in)
         return worst
 
@@ -269,6 +269,25 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     return _nica(symbol, structure, tol, cols, _dense_odometer(symbol))
 
 
+def _level_block_residual(space: TruncatedFockSpace, w: sparse.csc_array) -> float:
+    """max(||B^H B - I||, sqrt of the largest off-level mass of one level's columns).
+
+    One pass over the stored entries of W: the word levels of row and column
+    split them into the level-diagonal part B and the off-level entries. B is
+    block diagonal, so the exact sparse norm of B^H B - I is the largest norm
+    of a level block's defect.
+    """
+    d = space.coeff_dim
+    cols = np.repeat(np.arange(w.shape[1]), np.diff(w.indptr))
+    col_level = space.word_levels(cols // d)
+    on = space.word_levels(w.indices // d) == col_level
+    b = sparse.csc_array((w.data[on], (w.indices[on], cols[on])), shape=w.shape)
+    defect = op_norm(b.conj().T @ b - sparse.eye_array(w.shape[1], format="csc"))
+    off = w.data[~on]
+    off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
+    return max(defect, float(np.sqrt(off_mass.max(initial=0.0))))
+
+
 def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None) -> UnitaryCheck:
     space = symbol.space
     is_constant = off_vacuum_residual(symbol) <= tol
@@ -279,20 +298,11 @@ def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None) -> UnitaryChe
     passed = is_constant and defect == 0 and block_res <= tol
 
     level_res = float("nan")
-    if passed and space.dim <= MAX_DENSE_DIM:
-        w = (wmap if wmap is not None else build_odometer(symbol)).operator.matrix
-        worst = 0.0
-        for m in range(space.max_level + 1):
-            sl = space.level_slice(m)
-            block_cols = w[:, sl]
-            b = block_cols[sl, :].toarray()
-            worst = max(worst, op_norm(b.conj().T @ b - np.eye(b.shape[0])))
-            above = block_cols.data[block_cols.indices < sl.start]
-            below = block_cols.data[block_cols.indices >= sl.stop]
-            off_mass = np.linalg.norm(above) ** 2 + np.linalg.norm(below) ** 2
-            worst = max(worst, float(np.sqrt(off_mass)))
-        level_res = worst
-        passed = passed and level_res <= tol
+    if passed:
+        wmap = wmap if wmap is not None else _dense_odometer(symbol)
+        if wmap is not None:
+            level_res = _level_block_residual(space, wmap.operator.matrix)
+            passed = level_res <= tol
     return UnitaryCheck(passed, is_constant, defect, block_res, level_res)
 
 

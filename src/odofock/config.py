@@ -3,10 +3,13 @@
 import os
 
 # Largest space dimension on which operators are built. Odometer maps, their
-# adjoints and the creation operators are CSC arrays with O(D) entries, but
-# the subspace, dilation and Beurling routines still form dense D x D arrays
-# (8192**2 complex128 entries is ~1 GiB), and the norm of a fully coupled
-# operator takes one dense eigenvalue problem of that size.
+# adjoints and the creation operators are CSC arrays with O(D) entries, and no
+# routine forms a dense D x D array of them. What still needs the cap: the
+# dense D x k arrays of `compute_E_L`, of the Poisson kernel and of Beurling's
+# map Phi, with the SVDs of D x k subspace bases; the refusals in
+# `build_odometer`, the closed-form adjoint, `creation_operator` and the
+# operator loader (the benchmark counts them); and the norm of a fully coupled
+# sparse operator, which takes one dense eigenvalue problem of size D.
 MAX_DENSE_DIM = 8192
 
 # Default rank tolerance for all subspace computations.

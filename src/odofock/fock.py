@@ -96,10 +96,6 @@ class TruncatedFockSpace:
         d = self.coeff_dim
         return np.repeat(words, d) * d + np.tile(np.arange(d), len(words))
 
-    def split_basis_index(self, index: int) -> tuple[int, int]:
-        """(word index, coefficient coordinate) of a basis index."""
-        return divmod(index, self.coeff_dim)
-
     def shift_word_index(self, index: int, m: int) -> int | None:
         """Word index of 1^{tensor m} prepended to the word at `index`.
 

@@ -62,10 +62,6 @@ class Symbol:
         """First level whose all-n column would truncate the shifted symbol."""
         return self.space.max_level - self.support_degree + 1
 
-    def dense(self) -> np.ndarray:
-        self.space.require_dense()
-        return self.matrix.toarray()
-
     def norm(self) -> float:
         """Operator norm of L, via the d x d Gram matrix."""
         gram = (self.matrix.conj().T @ self.matrix).toarray()

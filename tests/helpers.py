@@ -1,8 +1,10 @@
 """Shared random generators and oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
+from scipy import sparse
 
 from odofock import (
     RowContraction,
@@ -10,6 +12,8 @@ from odofock import (
     TruncatedFockSpace,
     Word,
     carry_successor,
+    creation_operator,
+    op_norm,
     symbol_from_dense,
     symbol_from_entries,
 )
@@ -227,3 +231,76 @@ def same_csc(a, b) -> bool:
         and np.array_equal(a.indices, b.indices)
         and same_bits(a.data, b.data)
     )
+
+
+def reference_level_block_residual(space: TruncatedFockSpace, w) -> float:
+    """Oracle: each level block of W copied dense, its defect B^H B - I normed
+    by the SVD, and the mass of the level's columns outside the level."""
+    worst = 0.0
+    for m in range(space.max_level + 1):
+        sl = space.level_slice(m)
+        block_cols = w[:, sl]
+        b = block_cols[sl, :].toarray()
+        worst = max(worst, op_norm(b.conj().T @ b - np.eye(b.shape[0])))
+        above = block_cols.data[block_cols.indices < sl.start]
+        below = block_cols.data[block_cols.indices >= sl.stop]
+        off_mass = np.linalg.norm(above) ** 2 + np.linalg.norm(below) ** 2
+        worst = max(worst, float(np.sqrt(off_mass)))
+    return worst
+
+
+def reference_probe_deviation(symbol: Symbol, cols: np.ndarray, probes: int, seed: int) -> float:
+    """Oracle: the window probe with each output norm read off a dense Gram
+    matrix of the selected columns of W, on the same seeded draws."""
+    from odofock.odometer import _odometer_columns
+
+    if probes <= 0:
+        return 0.0
+    space = symbol.space
+    d = space.coeff_dim
+    window_words = space.level_offset(max(space.max_level - symbol.support_degree, 0) + 1)
+    rng = np.random.default_rng(seed)
+    colset = np.asarray(cols, dtype=np.int64)
+
+    def deviation(basis_cols: np.ndarray, samples: int) -> float:
+        rows, js, vals = _odometer_columns(symbol, basis_cols)
+        _, rows = np.unique(rows, return_inverse=True)
+        ws = sparse.csc_array((vals, (rows, js)), shape=(rows.max(initial=0) + 1, basis_cols.size))
+        gram = (ws.conj().T @ ws).toarray()
+        worst = 0.0
+        for _ in range(samples):
+            v = rng.standard_normal(basis_cols.size) + 1j * rng.standard_normal(basis_cols.size)
+            norm_in = float(np.linalg.norm(v))
+            norm_out = math.sqrt(max(float((v.conj() @ gram @ v).real), 0.0))
+            worst = max(worst, abs(norm_out - norm_in) / norm_in)
+        return worst
+
+    if window_words * colset.size <= 4096:
+        word_part = np.repeat(np.arange(window_words), colset.size) * d
+        basis_cols = word_part + np.tile(colset, window_words)
+        return deviation(basis_cols, probes)
+    worst = 0.0
+    for _ in range(probes):
+        words = rng.integers(window_words, size=32)
+        coords = colset[rng.integers(colset.size, size=32)]
+        basis_cols = np.unique(words * d + coords)
+        worst = max(worst, deviation(basis_cols, 1))
+    return worst
+
+
+def reference_phi(space: TruncatedFockSpace, wandering_basis: np.ndarray, budget: int):
+    """Oracle: the Beurling map word by word; the column block of each word is
+    its first letter's creation operator applied to the block of the rest."""
+    wdim = wandering_basis.shape[1]
+    domain = TruncatedFockSpace(space.n, budget, wdim)
+    screations = [creation_operator(i, space).matrix for i in range(1, space.n + 1)]
+    phi = np.zeros((space.dim, domain.dim), dtype=complex)
+    phi[:, 0:wdim] = wandering_basis
+    for level in range(1, budget + 1):
+        for wi in range(domain.level_offset(level), domain.level_offset(level + 1)):
+            word = domain.word_at(wi)
+            parent = domain.word_index(Word(word.letters[1:], word.n))
+            cols = slice(wi * wdim, (wi + 1) * wdim)
+            pcols = slice(parent * wdim, (parent + 1) * wdim)
+            phi[:, cols] = screations[word.letters[0] - 1] @ phi[:, pcols]
+    return phi

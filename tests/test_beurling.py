@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import haar_unitary
+from helpers import haar_unitary, reference_phi, same_bits
 
 from odofock import (
     InvarianceError,
@@ -17,6 +17,7 @@ from odofock import (
     invariant_subspace,
     levels_subspace,
     op_norm,
+    orthonormal_complement,
     scalar_symbol,
     wandering_subspace,
 )
@@ -229,3 +230,35 @@ def test_wandering_requires_creation_invariance():
     assert max(sub.invariance_residuals) > 0.9
     with pytest.raises(InvarianceError):
         wandering_subspace(sub)
+
+
+def creation_generated_subspace(space, level, rng):
+    """The creation-invariant subspace generated by one random vector at `level`."""
+    sl = space.level_slice(level)
+    size = sl.stop - sl.start
+    gen = np.zeros((space.dim, 1), dtype=complex)
+    gen[sl, 0] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    blocks = [gen]
+    for _ in range(space.max_level - level):
+        blocks.append(np.hstack([creation_operator(i, space).matrix @ blocks[-1]
+                                 for i in range(1, space.n + 1)]))
+    return invariant_subspace(space, np.hstack(blocks))
+
+
+def test_factorization_matches_word_by_word_oracle_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n, d, levels in [(2, 1, range(2, 7)), (3, 2, range(2, 5))]:
+        for max_level in levels:
+            space = TruncatedFockSpace(n, max_level, d)
+            subs = [levels_subspace(space, lo) for lo in range(max_level)]
+            subs += [creation_generated_subspace(space, lv, rng) for lv in range(1, max_level)]
+            dense_creations = [
+                creation_operator(i, space).matrix.toarray() for i in range(1, n + 1)
+            ]
+            for sub in subs:
+                fact = beurling_factorize(sub)
+                images = np.hstack([s @ sub.basis for s in dense_creations])
+                wandering = orthonormal_complement(images, sub.basis, 1e-10)
+                phi = reference_phi(space, wandering, fact.domain.max_level)
+                assert same_bits(fact.wandering_basis, wandering)
+                assert same_bits(fact.phi, phi)

@@ -10,12 +10,17 @@ from helpers import (
     random_isometric_symbol,
     random_ones_diagonal_symbol,
     random_symbol,
+    reference_level_block_residual,
+    reference_probe_deviation,
     reference_shifted_columns,
     same_bits,
 )
+from scipy import sparse
 
 from odofock import (
     NotIsometricError,
+    OdometerMap,
+    Operator,
     TruncatedFockSpace,
     adjoint_isometric,
     build_odometer,
@@ -33,7 +38,7 @@ from odofock import (
     surjectivity_defect,
     symbol_from_dense,
 )
-from odofock.classify import _nica_relation_residual
+from odofock.classify import _nica_relation_residual, _probe_window_vectors, _unitary
 
 
 def golden_isometric_fixture():
@@ -404,3 +409,78 @@ def test_constant_symbol_flag_ignores_column_selection():
         report = classify(symbol_from_dense(space, mat), columns=(0,))
         assert report.is_isometric == accepted
         assert not report.is_constant_symbol
+
+
+def constant_unitary_cases():
+    rng = np.random.default_rng(31)
+    for n, max_level in [(1, 9), (2, 5), (3, 3)]:
+        for d in (1, 2, 3):
+            yield random_constant_unitary_symbol(TruncatedFockSpace(n, max_level, d), rng)
+
+
+def test_level_block_residual_matches_dense_oracle():
+    for symbol in constant_unitary_cases():
+        uni = check_unitary(symbol)
+        w = build_odometer(symbol).operator.matrix
+        expected = reference_level_block_residual(symbol.space, w)
+        assert uni.passed
+        assert abs(uni.level_block_residual - expected) <= 1e-15
+
+
+def test_level_block_residual_sees_off_level_mass_and_block_defects():
+    # only a hand-made W reaches the off-level branch: W of a symbol keeps levels
+    rng = np.random.default_rng(32)
+    for symbol in constant_unitary_cases():
+        space = symbol.space
+        w = build_odometer(symbol).operator.matrix
+        rows = rng.integers(space.dim, size=3)
+        cols = rng.integers(space.dim, size=3)
+        noise = 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        perturbed = w + sparse.csc_array((noise, (rows, cols)), shape=w.shape)
+        wmap = OdometerMap(symbol, Operator(perturbed, space, symbol.exact_below))
+        uni = _unitary(symbol, 1e-10, wmap)
+        expected = reference_level_block_residual(space, perturbed)
+        assert abs(uni.level_block_residual - expected) <= 1e-15
+        assert uni.level_block_residual > 1e-4 and not uni.passed
+    space = TruncatedFockSpace(2, 3, 1)
+    symbol = scalar_symbol(space, [1.0])
+    w = build_odometer(symbol).operator.matrix.tolil()
+    w[space.level_slice(2).start, 0] = 0.25  # vacuum column leaks to level 2
+    wmap = OdometerMap(symbol, Operator(w, space, symbol.exact_below))
+    uni = _unitary(symbol, 1e-10, wmap)
+    assert uni.level_block_residual == reference_level_block_residual(space, sparse.csc_array(w))
+    assert uni.level_block_residual == 0.25
+
+
+def test_probe_matvec_matches_dense_gram_oracle():
+    rng = np.random.default_rng(33)
+    cases = [
+        (symbol, np.arange(symbol.space.coeff_dim)) for symbol in constant_unitary_cases()
+    ]
+    space = TruncatedFockSpace(2, 4, 2)
+    cases += [
+        (random_ones_diagonal_symbol(space, rng, force_nonconstant=True), np.arange(2)),
+        (random_symbol(space, 2, rng, scale=0.3), np.arange(2)),
+        (padded_symbol(), np.arange(2)),
+        # a window of more than 4096 columns takes the sparse random supports
+        (gallery_golden_ratio(60, n=2, max_level=24).symbol, np.arange(1)),
+    ]
+    for symbol, cols in cases:
+        for seed in (0, 1):
+            probe = _probe_window_vectors(symbol, cols, 50, seed)
+            assert abs(probe - reference_probe_deviation(symbol, cols, 50, seed)) <= 1e-15
+
+
+def test_classify_takes_no_svd_larger_than_the_coefficient_space(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    d = 2
+    symbol = random_constant_unitary_symbol(TruncatedFockSpace(3, 6, d), np.random.default_rng(34))
+    assert classify(symbol).is_unitary
+    assert shapes and all(rows <= d and cols <= d for rows, cols in shapes)
