@@ -28,11 +28,16 @@ from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
 
 @dataclass(frozen=True)
 class InvariantSubspace:
-    """An orthonormal column basis of a creation-invariant subspace."""
+    """An orthonormal column basis of a creation-invariant subspace S.
+
+    `wandering_basis` spans S minus the creation images sum_i (S_i x I) S.
+    Both ranks are decided once, at the tolerance the subspace was built with.
+    """
 
     ambient: TruncatedFockSpace
     basis: np.ndarray
     invariance_residuals: tuple[float, ...]
+    wandering_basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -47,7 +52,8 @@ def _orthogonal_part(basis: np.ndarray, x: np.ndarray) -> float:
 def invariant_subspace(
     space: TruncatedFockSpace, columns: np.ndarray, tol: float | None = None
 ) -> InvariantSubspace:
-    """Orthonormalize spanning columns and measure the creation-invariance defect.
+    """Orthonormalize spanning columns, measure the creation-invariance defect
+    and compute the wandering basis, all at the rank tolerance `tol`.
 
     The residual for each generator is taken over the part of the subspace
     supported below the top level, where creation incurs no truncation.
@@ -66,21 +72,18 @@ def invariant_subspace(
         interior = basis @ vh[rank:, :].conj().T
     else:
         interior = basis
-    residuals = tuple(
-        _orthogonal_part(basis, creation_operator(i, space).matrix @ interior)
-        for i in range(1, space.n + 1)
-    )
-    return InvariantSubspace(space, basis, residuals)
+    creations = [creation_operator(i, space).matrix for i in range(1, space.n + 1)]
+    residuals = tuple(_orthogonal_part(basis, s @ interior) for s in creations)
+    wandering = orthonormal_complement(np.hstack([s @ basis for s in creations]), basis, tol)
+    return InvariantSubspace(space, basis, residuals, wandering)
 
 
 def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -> InvariantSubspace:
     """The subspace spanned by levels lo..hi (hi defaults to the top level)."""
     if hi is None:
         hi = space.max_level
-    cols = np.arange(space.dim_upto(lo - 1) if lo >= 1 else 0, space.dim_upto(hi))
-    mat = np.zeros((space.dim, cols.size), dtype=complex)
-    mat[cols, np.arange(cols.size)] = 1.0
-    return invariant_subspace(space, mat)
+    cols = slice(space.dim_upto(lo - 1), space.dim_upto(hi))
+    return invariant_subspace(space, np.eye(space.dim, dtype=complex)[:, cols])
 
 
 def _require_invariant(sub: InvariantSubspace, tol: float):
@@ -90,12 +93,13 @@ def _require_invariant(sub: InvariantSubspace, tol: float):
 
 
 def wandering_subspace(sub: InvariantSubspace, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of S minus the creation images sum_i (S_i x I) S."""
-    tol = resolve_tol(tol)
-    _require_invariant(sub, tol)
-    space = sub.ambient
-    shifted = [creation_operator(i, space).matrix @ sub.basis for i in range(1, space.n + 1)]
-    return orthonormal_complement(np.hstack(shifted), sub.basis, tol)
+    """Orthonormal basis of S minus the creation images sum_i (S_i x I) S.
+
+    `tol` gates the invariance defect only: the basis is the one computed by
+    `invariant_subspace`, whose rank was decided at the subspace's own tolerance.
+    """
+    _require_invariant(sub, resolve_tol(tol))
+    return sub.wandering_basis
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def beurling_factorize(
     """
     tol = resolve_tol(tol)
     space = sub.ambient
-    computed = wandering_subspace(sub, tol)
+    _require_invariant(sub, tol)
+    computed = sub.wandering_basis
     if wandering_basis is None:
         wandering_basis = computed
     else:

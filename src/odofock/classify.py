@@ -323,7 +323,13 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
 
     Constancy is judged on every column, whatever `columns` selects.
     """
-    tol = resolve_tol(tol)
+    return _classify(symbol, resolve_tol(tol), columns)[0]
+
+
+def _classify(
+    symbol: Symbol, tol: float, columns=None
+) -> tuple[ClassificationReport, OdometerMap | None]:
+    """`classify` together with the W it built for its cross-checks (None if none)."""
     cols = _column_indices(symbol, columns)
     structure = structural_isometry(symbol)
     iso = _isometry_check(symbol, structure, tol, cols)
@@ -340,7 +346,7 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
         is_constant = off_vacuum_residual(symbol) <= tol
         return ClassificationReport(
             False, False, False, is_constant, residuals, iso.window, selected
-        )
+        ), None
     wmap = _dense_odometer(symbol)
     nica = _nica(symbol, structure, tol, cols, wmap)
     uni = _unitary(symbol, tol, wmap)
@@ -349,4 +355,4 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
     residuals["level_block_residual"] = uni.level_block_residual
     return ClassificationReport(
         True, nica.passed, uni.passed, uni.is_constant_symbol, residuals, iso.window, selected
-    )
+    ), wmap

@@ -86,15 +86,8 @@ class Report:
         self.checks.append(entry)
 
     def fail(self, name: str, message: str, residual=None):
-        self.checks.append(
-            {
-                "name": name,
-                "residual": _finite(residual),
-                "tolerance": None,
-                "passed": False,
-                "error": message,
-            }
-        )
+        self.add(name, residual, None, False)
+        self.checks[-1]["error"] = message
 
     def extra(self, **fields):
         self.parameters.update(fields)
@@ -130,21 +123,10 @@ def _jsonable(value):
     return value
 
 
-def _load(path: str):
-    return jsonio.load_path(path)
-
-
-def _load_symbol(path: str) -> Symbol:
-    obj = _load(path)
-    if not isinstance(obj, Symbol):
-        raise SchemaError(f"{path} does not contain a symbol document")
-    return obj
-
-
-def _load_pair(path: str) -> ContractivePair:
-    obj = _load(path)
-    if not isinstance(obj, ContractivePair):
-        raise SchemaError(f"{path} does not contain a pair document")
+def _load_as(path: str, kind: type, name: str):
+    obj = jsonio.load_path(path)
+    if not isinstance(obj, kind):
+        raise SchemaError(f"{path} does not contain a {name} document")
     return obj
 
 
@@ -223,7 +205,7 @@ def _representation_checks(report: Report, op: Operator, tol: float):
 
 def cmd_build_w(args) -> int:
     tol = resolve_tol(args.tol)
-    symbol = _load_symbol(args.symbol)
+    symbol = _load_as(args.symbol, Symbol, "symbol")
     report = Report("build-w", {"symbol": args.symbol, "tol": tol})
     wmap = build_odometer(symbol)
     bounds = norm_bounds(wmap)
@@ -236,7 +218,7 @@ def cmd_build_w(args) -> int:
 
 def cmd_adjoint(args) -> int:
     tol = resolve_tol(args.tol)
-    symbol = _load_symbol(args.symbol)
+    symbol = _load_as(args.symbol, Symbol, "symbol")
     report = Report("adjoint", {"symbol": args.symbol, "tol": tol})
     wmap = build_odometer(symbol)
     try:
@@ -256,7 +238,7 @@ def cmd_adjoint(args) -> int:
 
 def cmd_check(args) -> int:
     tol = resolve_tol(args.tol)
-    obj = _load(args.symbol)
+    obj = jsonio.load_path(args.symbol)
     report = Report(f"check {args.property}", {"symbol": args.symbol, "tol": tol,
                                                "seed": args.seed})
     if args.property == "representation":
@@ -311,7 +293,7 @@ def cmd_check(args) -> int:
 
 def cmd_dilate(args) -> int:
     tol = resolve_tol(args.tol)
-    pair = _load_pair(args.pair)
+    pair = _load_as(args.pair, ContractivePair, "pair")
     report = Report("dilate", {"pair": args.pair, "level": args.level, "tol": tol})
     purity = purity_test(pair.t, tol=tol)
     report.add("purity", purity.residuals[-1] if purity.residuals else 0.0, tol, purity.pure)
@@ -333,7 +315,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_lift(args) -> int:
     tol = resolve_tol(args.tol)
-    pair = _load_pair(args.pair)
+    pair = _load_as(args.pair, ContractivePair, "pair")
     report = Report("lift", {"pair": args.pair, "level": args.level, "tol": tol})
     pair_check = verify_pair(pair, tol)
     worst = max(pair_check.relation_residuals)
@@ -357,11 +339,8 @@ def cmd_lift(args) -> int:
 
 def cmd_factor(args) -> int:
     tol = resolve_tol(args.tol)
-    loaded = _load(args.subspace)
-    if not (isinstance(loaded, tuple) and len(loaded) == 2):
-        raise SchemaError(f"{args.subspace} does not contain a subspace document")
-    space, columns = loaded
-    symbol = _load_symbol(args.symbol)
+    space, columns = _load_as(args.subspace, tuple, "subspace")
+    symbol = _load_as(args.symbol, Symbol, "symbol")
     if symbol.space != space:
         raise SchemaError("subspace and symbol live on different spaces")
     report = Report("factor", {"subspace": args.subspace, "symbol": args.symbol, "tol": tol})
@@ -389,7 +368,7 @@ def cmd_factor(args) -> int:
 
 def cmd_spectrum(args) -> int:
     tol = resolve_tol(args.tol)
-    symbol = _load_symbol(args.symbol)
+    symbol = _load_as(args.symbol, Symbol, "symbol")
     report = Report("spectrum", {"symbol": args.symbol, "level": args.level, "tol": tol})
     try:
         spec = spectrum_per_level(symbol, args.level, tol)

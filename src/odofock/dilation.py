@@ -97,12 +97,13 @@ def purity_test(t: RowContraction, m_max: int = 64, tol: float | None = None) ->
 
     r_m = trace(Phi^m(I)) sums ||T_mu* h||^2 over all length-m words and an
     orthonormal basis h; the contraction is pure when r_m -> 0. A strict row
-    contraction (row norm < 1) forces geometric decay, so it passes
-    immediately; otherwise the iteration stops at the first r_m below tol or
-    at m_max.
+    contraction forces geometric decay, so it passes immediately, but only
+    with a margin: a coisometry's row norm may compute to just below 1, so
+    the shortcut needs row norm < 1 - tol. Otherwise the iteration stops at
+    the first r_m below tol or at m_max.
     """
     tol = resolve_tol(tol)
-    if t.row_norm() < 1.0:
+    if t.row_norm() < 1.0 - tol:
         return PurityResult(True, (), True)
     x = np.eye(t.dim, dtype=complex)
     residuals: list[float] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ClassificationReport, classify
+from .classify import ClassificationReport, _classify, classify
 from .config import resolve_tol
 from .errors import NotIsometricError
 from .fock import TruncatedFockSpace, creation_basis_map
@@ -55,11 +55,11 @@ def spectrum_per_level(
         max_level = space.max_level
     if max_level > space.max_level:
         raise ValueError("requested level exceeds the truncation")
-    report = classify(symbol, tol)
+    report, wmap = _classify(symbol, tol)
     if not report.is_unitary:
         raise NotIsometricError("spectrum prediction requires a constant unitary symbol")
 
-    w = build_odometer(symbol).operator.matrix
+    w = (wmap if wmap is not None else build_odometer(symbol)).operator.matrix
     d = space.coeff_dim
     block0 = symbol.matrix[:d, :].toarray()
     base_eigs = np.linalg.eigvals(block0)
@@ -173,9 +173,8 @@ def gallery_weak_bishift(
     space = TruncatedFockSpace(n, max_level, d)
     entries = [(space.all_ones_index(m) * d + m, m, 1.0) for m in range(d)]
     symbol = symbol_from_entries(space, entries)
-    report = classify(symbol, tol)
-
-    wmat = build_odometer(symbol).operator.matrix
+    report, wmap = _classify(symbol, tol)
+    wmat = (wmap if wmap is not None else build_odometer(symbol)).operator.matrix
     # S_1* gathers the entries at the S_1 images of the levels below M
     low = np.arange(space.dim_upto(max_level - 1))
     s1_rows = creation_basis_map(space, 1, low)

@@ -11,15 +11,30 @@ from .fock import Operator
 def op_norm(a) -> float:
     """Largest singular value of a dense or sparse matrix, or of an Operator.
 
-    Dense input takes one SVD; sparse input takes the exact path of `_sparse_norm`.
+    Dense input, turned so that its columns are the smaller side, and the
+    coupled block of sparse input (`_sparse_norm`) both take `_gram_norm`: no
+    path runs an SVD, and an all-zero matrix reads exactly 0.0.
     """
     mat = a.matrix if isinstance(a, Operator) else a
     if sparse.issparse(mat):
         return _sparse_norm(mat)
     mat = np.asarray(mat)
-    if mat.size == 0:
+    return _gram_norm(mat if mat.shape[0] >= mat.shape[1] else mat.T)
+
+
+def _gram_norm(dense: np.ndarray) -> float:
+    """sqrt of the largest eigenvalue of the column Gram matrix A^H A.
+
+    The entries are first scaled by a power of two, which is exact, so the
+    squares neither overflow nor underflow; an all-zero array takes no
+    decomposition.
+    """
+    top = float(np.abs(dense).max(initial=0.0))
+    if top == 0.0:
         return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    scale = float(np.ldexp(1.0, np.frexp(top)[1]))
+    a = dense / scale
+    return float(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1]) * scale)
 
 
 def _sparse_norm(mat) -> float:
@@ -27,10 +42,10 @@ def _sparse_norm(mat) -> float:
 
     A column that shares no row with another column has only its diagonal
     entry in G, so it contributes its own norm sqrt(G[j, j]). G restricted to
-    the remaining coupled columns is one dense block, decided by one
-    `eigvalsh`. There is no iteration and no tolerance. The entries are first
-    scaled by a power of two, which is exact, so the squares neither
-    overflow nor underflow.
+    the remaining coupled columns is one dense block, decided by `_gram_norm`.
+    There is no iteration and no tolerance. The free entries are first scaled
+    by a power of two, which is exact, so their squares neither overflow nor
+    underflow; `_gram_norm` scales the coupled block the same way.
     """
     a = sparse.csc_array(mat)
     top = float(np.abs(a.data).max(initial=0.0))
@@ -44,12 +59,11 @@ def _sparse_norm(mat) -> float:
     coupled[cols[shared]] = True
     free = ~coupled[cols]
     squares = data[free].real ** 2 + data[free].imag ** 2
-    gram_top = float(np.bincount(cols[free], weights=squares).max(initial=0.0))
+    norm = float(np.sqrt(np.bincount(cols[free], weights=squares).max(initial=0.0)) * scale)
     if coupled.any():
-        block = sparse.csc_array((data, a.indices, a.indptr), shape=a.shape)[:, coupled]
-        dense = block[np.unique(block.indices), :].toarray()
-        gram_top = max(gram_top, float(np.linalg.eigvalsh(dense.conj().T @ dense)[-1]))
-    return float(np.sqrt(gram_top) * scale)
+        block = a[:, coupled]
+        norm = max(norm, _gram_norm(block[np.unique(block.indices), :].toarray()))
+    return norm
 
 
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
@@ -103,9 +117,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 def max_angular_gap(points: np.ndarray) -> float:
     """Largest gap between consecutive arguments of nonzero complex points."""
     angles = np.sort(np.angle(np.asarray(points, dtype=complex).ravel()))
-    if angles.size == 0:
-        return 2.0 * np.pi
-    if angles.size == 1:
+    if angles.size <= 1:
         return 2.0 * np.pi
     gaps = np.diff(angles)
     wrap = angles[0] + 2.0 * np.pi - angles[-1]

@@ -63,10 +63,8 @@ class Symbol:
         return self.space.max_level - self.support_degree + 1
 
     def norm(self) -> float:
-        """Operator norm of L, via the d x d Gram matrix."""
-        gram = (self.matrix.conj().T @ self.matrix).toarray()
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        return float(np.sqrt(max(top, 0.0)))
+        """Operator norm of L, by the exact sparse path of `op_norm`."""
+        return op_norm(self.matrix)
 
 
 def symbol_from_dense(

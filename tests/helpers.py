@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import sparse
 
 from odofock import (
@@ -16,6 +17,15 @@ from odofock import (
     op_norm,
     symbol_from_dense,
     symbol_from_entries,
+)
+
+
+# every space with n <= 3, M <= 5, d <= 3: the range of the property tests
+small_spaces = st.builds(
+    TruncatedFockSpace,
+    n=st.integers(1, 3),
+    max_level=st.integers(0, 5),
+    coeff_dim=st.integers(1, 3),
 )
 
 
@@ -86,6 +96,17 @@ def random_isometric_symbol(
     return symbol_from_dense(space, base.matrix.toarray() @ u)
 
 
+def symbol_of_kind(space: TruncatedFockSpace, kind: str, rng: np.random.Generator) -> Symbol:
+    """A random symbol: "dense" (any support), "isometric", or "signed" -- an
+    isometric symbol with coefficients +-1 + 0j, whose conjugates hold -0.0."""
+    if kind == "dense":
+        return random_symbol(space, int(rng.integers(space.max_level + 1)), rng)
+    if kind == "isometric":
+        return random_isometric_symbol(space, rng)
+    phases = random_ones_diagonal_symbol(space, rng).matrix.toarray()
+    return symbol_from_dense(space, np.where(phases.real < 0, -1.0, 1.0) * (phases != 0) + 0j)
+
+
 def word_adjoint_oracle(t: RowContraction, level: int) -> list[np.ndarray]:
     """T_mu* for every length-`level` word, by direct products."""
     out = []
@@ -107,6 +128,13 @@ def random_pure_row_contraction(
     row = np.hstack(mats)
     scale = row_norm / np.linalg.svd(row, compute_uv=False)[0]
     return RowContraction(tuple(scale * m for m in mats))
+
+
+def random_coisometry(n: int, dim: int, rng: np.random.Generator) -> RowContraction:
+    """A row [T_1 ... T_n] with orthonormal rows: the top rows of a Haar unitary,
+    so sum T_i T_i* = I and the tuple is never pure."""
+    rows = haar_unitary(n * dim, rng)[:dim, :]
+    return RowContraction(tuple(rows[:, i * dim : (i + 1) * dim] for i in range(n)))
 
 
 def reference_odometer(symbol: Symbol) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Wandering subspaces, inner factorizations, and induced subrepresentations."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import haar_unitary, reference_phi, same_bits
@@ -262,3 +265,26 @@ def test_factorization_matches_word_by_word_oracle_bit_for_bit():
                 phi = reference_phi(space, wandering, fact.domain.max_level)
                 assert same_bits(fact.wandering_basis, wandering)
                 assert same_bits(fact.phi, phi)
+
+
+def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
+    beurling = sys.modules["odofock.beurling"]
+    calls = Counter()
+
+    def counting(*args, **kwargs):
+        calls["orthonormal_complement"] += 1
+        return orthonormal_complement(*args, **kwargs)
+
+    monkeypatch.setattr(beurling, "orthonormal_complement", counting)
+    rng = np.random.default_rng(62)
+    space = TruncatedFockSpace(2, 5, 2)
+    wmap = build_odometer(constant_symbol(space, haar_unitary(2, rng)))
+    for lo in (0, 1, 2):
+        calls.clear()
+        sub = levels_subspace(space, lo)
+        wander = wandering_subspace(sub)
+        fact = beurling_factorize(sub)
+        result = induced_symbol(sub, wmap, factorization=fact)
+        assert calls == Counter({"orthonormal_complement": 1})
+        assert wander is sub.wandering_basis and fact.wandering_basis is wander
+        assert result.intertwining_residual <= 1e-10

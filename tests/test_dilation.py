@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import random_pure_row_contraction, random_symbol
+from helpers import random_coisometry, random_pure_row_contraction, random_symbol
 
 from odofock import (
     ContractivePair,
@@ -58,6 +58,27 @@ def test_purity_unitary_scalar_fails():
     result = purity_test(t, m_max=12)
     assert not result.pure
     assert all(abs(r - 1.0) <= 1e-14 for r in result.residuals)
+
+
+def test_coisometries_are_never_pure():
+    # sum T_i T_i* = I keeps every r_m at h; the row norm may compute to just
+    # below 1, which must not take the strict-contraction shortcut
+    rng = np.random.default_rng(2024)
+    for k in range(300):
+        n, h = 2 + k % 2, 1 + k % 5
+        result = purity_test(random_coisometry(n, h, rng))
+        assert not result.pure and not result.strict_row
+        assert abs(result.residuals[-1] - h) <= 1e-10
+    half = np.eye(2, dtype=complex) / np.sqrt(2.0)
+    result = purity_test(row_contraction([half, half]))
+    assert not result.pure and not result.strict_row
+
+
+def test_strict_row_contractions_take_the_shortcut():
+    rng = np.random.default_rng(15)
+    for n, h in itertools.product((1, 2, 3), (1, 3, 5)):
+        result = purity_test(random_pure_row_contraction(n, h, rng, row_norm=0.15))
+        assert result.pure and result.strict_row and result.residuals == ()
 
 
 def test_row_contraction_validation():

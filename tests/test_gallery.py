@@ -1,5 +1,8 @@
 """The named examples and the per-level spectrum reports."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -227,3 +230,26 @@ def test_spectrum_requires_unitary_symbol():
     space = TruncatedFockSpace(2, 3, 1)
     with pytest.raises(NotIsometricError):
         spectrum_per_level(scalar_symbol(space, [0.0, 1.0]))
+
+
+def test_gallery_builds_w_once_per_call(monkeypatch):
+    builds = Counter()
+
+    def counting(fn):
+        def inner(*args, **kwargs):
+            builds["build_odometer"] += 1
+            return fn(*args, **kwargs)
+
+        return inner
+
+    for name in ("odofock.classify", "odofock.gallery", "odofock.odometer"):
+        module = sys.modules[name]
+        monkeypatch.setattr(module, "build_odometer", counting(module.build_odometer))
+    space = TruncatedFockSpace(2, 6, 1)
+    report = spectrum_per_level(constant_symbol(space, np.array([[np.exp(0.3j)]])))
+    assert len(report.per_level) == 7
+    assert builds == Counter({"build_odometer": 1})
+    builds.clear()
+    entry = gallery_weak_bishift(3, 4)
+    assert entry.classification.is_isometric
+    assert builds == Counter({"build_odometer": 1})

@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
-from helpers import random_pure_row_contraction, random_symbol, same_csc
+from helpers import (
+    random_pure_row_contraction,
+    random_symbol,
+    same_csc,
+    small_spaces,
+    symbol_of_kind,
+)
+from hypothesis import given
+from hypothesis import strategies as st
 
 from odofock import (
     ContractivePair,
     Operator,
+    RowContraction,
     SchemaError,
     TruncatedFockSpace,
     adjoint_isometric,
@@ -88,6 +97,61 @@ def test_subspace_round_trip():
     got_space, got_cols = jsonio.loads(text)
     assert got_space == space
     assert np.array_equal(got_cols, cols)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def with_negative_zeros(mat: np.ndarray, rng) -> np.ndarray:
+    """Some entries set to -0.0 - 0.0j, others to real parts carrying -0.0 imaginary parts."""
+    out = np.array(mat, dtype=complex)
+    out[rng.random(out.shape) < 0.25] = complex(-0.0, -0.0)
+    real = rng.random(out.shape) < 0.25
+    out[real] = np.conj(out[real].real + 0j)
+    return out
+
+
+@given(small_spaces, st.sampled_from(["dense", "isometric", "signed"]), seeds)
+def test_symbol_and_operator_documents_round_trip_byte_identically(space, kind, seed):
+    symbol = symbol_of_kind(space, kind, np.random.default_rng(seed))
+    wmap = build_odometer(symbol)
+    operators = [wmap.operator]
+    if kind != "dense":
+        operators.append(adjoint_isometric(wmap))
+    for obj in [symbol, *operators]:
+        text = jsonio.dumps(obj)
+        again = jsonio.loads(text)
+        assert jsonio.dumps(again) == text
+    if kind == "signed":
+        assert "-0.0" in jsonio.dumps(operators[-1])
+    for op in operators:
+        assert same_csc(jsonio.loads(jsonio.dumps(op)).matrix, op.matrix)
+
+
+@given(st.integers(1, 3), st.integers(1, 4), seeds)
+def test_pair_documents_round_trip_byte_identically(n, h, seed):
+    rng = np.random.default_rng(seed)
+    t = random_pure_row_contraction(n, h, rng)
+    tuples = [with_negative_zeros(m, rng) for m in t.tuples]
+    if np.linalg.eigvalsh(sum(m @ m.conj().T for m in tuples))[-1] > 1.0:
+        tuples = list(t.tuples)
+    w = with_negative_zeros(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)), rng)
+    text = jsonio.dumps(ContractivePair(RowContraction(tuple(tuples)), w))
+    again = jsonio.loads(text)
+    assert jsonio.dumps(again) == text
+    assert np.array_equal(np.signbit(again.w.imag), np.signbit(w.imag))
+
+
+@given(small_spaces, st.integers(1, 4), seeds)
+def test_subspace_documents_round_trip_byte_identically(space, k, seed):
+    rng = np.random.default_rng(seed)
+    cols = with_negative_zeros(rng.standard_normal((space.dim, k)), rng)
+    text = jsonio.dumps(jsonio.subspace_to_json(space, cols))
+    got_space, got_cols = jsonio.loads(text)
+    assert got_space == space
+    assert jsonio.dumps(jsonio.subspace_to_json(got_space, got_cols)) == text
+    assert np.array_equal(np.signbit(got_cols.real), np.signbit(cols.real))
+    assert np.array_equal(np.signbit(got_cols.imag), np.signbit(cols.imag))
 
 
 def test_zero_entries_are_omitted():

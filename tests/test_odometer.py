@@ -7,9 +7,14 @@ from helpers import (
     random_constant_unitary_symbol,
     random_ones_diagonal_symbol,
     random_symbol,
+    reference_adjoint,
     reference_odometer,
     same_stored_bits,
+    small_spaces,
+    symbol_of_kind,
 )
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from odofock import (
@@ -184,6 +189,26 @@ def test_build_matches_reference_bit_for_bit(n, max_level, d):
         assert same_stored_bits(w, reference_odometer(symbol))
     # the oracle adds into zeros, so W stores the -0.0 imaginary parts as +0.0
     assert not np.signbit(w.data.imag).any()
+
+
+symbol_kinds = st.sampled_from(["dense", "isometric", "signed"])
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(small_spaces, symbol_kinds, seeds)
+def test_build_matches_loop_oracle_property(space, kind, seed):
+    symbol = symbol_of_kind(space, kind, np.random.default_rng(seed))
+    assert same_stored_bits(build_odometer(symbol).operator.matrix, reference_odometer(symbol))
+
+
+@given(small_spaces, st.sampled_from(["isometric", "signed"]), seeds)
+def test_adjoint_matches_loop_oracle_property(space, kind, seed):
+    symbol = symbol_of_kind(space, kind, np.random.default_rng(seed))
+    adjoint = adjoint_isometric(build_odometer(symbol)).matrix
+    assert same_stored_bits(adjoint, reference_adjoint(symbol))
+    if kind == "signed":
+        # conjugated real coefficients keep their -0.0 imaginary parts
+        assert adjoint.nnz == 0 or np.signbit(adjoint.data.imag).any()
 
 
 def test_build_matches_reference_at_benchmark_size():

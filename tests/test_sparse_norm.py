@@ -1,10 +1,10 @@
-"""The exact sparse operator norm against the dense SVD, and against closed forms at scale.
+"""The operator norm against the dense SVD, and against closed forms at scale.
 
 `op_norm` of a sparse matrix splits its columns into those that share no
 row with another column and one coupled block that gets a dense
-eigenvalue problem. These tests compare it with the SVD of the dense
-matrix on small spaces, on two fixed larger ones, and beyond that with norms
-known in closed form.
+eigenvalue problem; a dense matrix is that block on its own. These tests
+compare both with the SVD of the dense matrix on small spaces, on two fixed
+larger ones, and beyond that with norms known in closed form.
 """
 
 import math
@@ -48,6 +48,46 @@ def assert_matches_dense(mat):
 def coupled(mat) -> bool:
     """Whether some row holds entries of two columns, so the dense block is not empty."""
     return mat.nnz > 0 and np.bincount(mat.indices).max() > 1
+
+
+def random_dense(shape, rng) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+dense_shapes = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),  # tall, wide and square
+    st.tuples(st.just(1), st.integers(1, 60)),
+    st.tuples(st.integers(1, 60), st.just(1)),
+)
+
+
+@given(dense_shapes, seeds, st.sampled_from([-900, 0, 900]), st.booleans())
+def test_dense_norm_matches_svd(shape, seed, exponent, hermitian):
+    rng = np.random.default_rng(seed)
+    mat = random_dense(shape, rng)
+    if hermitian:
+        # the defect X^H X - I of a near-isometry, the shape of the residuals normed
+        q = np.linalg.qr(random_dense((shape[0] + shape[1], shape[1]), rng))[0]
+        x = q + 1e-6 * random_dense(q.shape, rng)
+        mat = x.conj().T @ x - np.eye(shape[1])
+    scaled = mat * 2.0**exponent
+    expected = dense_norm(scaled)
+    assert abs(op_norm(scaled) - expected) <= 1e-12 * (1.0 + expected)
+    # the power-of-two rescale is exact, so the norm scales bit for bit
+    assert op_norm(scaled) == op_norm(mat) * 2.0**exponent
+    assert op_norm(np.zeros(shape)) == 0.0 and op_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+def test_norms_take_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("op_norm called an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rng = np.random.default_rng(3)
+    dense = random_dense((30, 7), rng)
+    assert abs(op_norm(dense) - op_norm(dense.T)) <= 1e-12 * op_norm(dense)
+    w = build_odometer(random_symbol(TruncatedFockSpace(2, 4, 2), 2, rng)).operator
+    assert coupled(w.matrix) and op_norm(w) > 0.0
 
 
 @given(spaces, seeds)
