@@ -72,7 +72,7 @@ def invariant_subspace(
         interior = basis @ vh[rank:, :].conj().T
     else:
         interior = basis
-    creations = [creation_operator(i, space).matrix for i in range(1, space.n + 1)]
+    creations = [creation_operator(i, space).csc for i in range(1, space.n + 1)]
     residuals = tuple(_orthogonal_part(basis, s @ interior) for s in creations)
     wandering = orthonormal_complement(np.hstack([s @ basis for s in creations]), basis, tol)
     return InvariantSubspace(space, basis, residuals, wandering)
@@ -165,7 +165,7 @@ def beurling_factorize(
             f"below the truncation level {space.max_level}"
         )
     domain = TruncatedFockSpace(space.n, budget, wdim)
-    screations = [creation_operator(i, space).matrix for i in range(1, space.n + 1)]
+    screations = [creation_operator(i, space).csc for i in range(1, space.n + 1)]
     # Column (mu, j) is S_mu applied to the j-th wandering vector. In canonical
     # order the first letter is outermost, so level L is S_1, ..., S_n applied
     # in turn to the whole level L - 1 block.
@@ -178,7 +178,7 @@ def beurling_factorize(
     ma_residual = 0.0
     low = domain.dim_upto(budget - 1) if budget >= 1 else 0
     for i in range(1, space.n + 1):
-        si_dom = creation_operator(i, domain).matrix
+        si_dom = creation_operator(i, domain).csc
         diff = phi @ si_dom - screations[i - 1] @ phi
         ma_residual = max(ma_residual, op_norm(diff[:, :low]))
 
@@ -216,7 +216,7 @@ def induced_symbol(
     space = sub.ambient
     if wmap.space != space:
         raise ValueError("odometer map and subspace live on different spaces")
-    w = wmap.operator.matrix
+    w = wmap.operator.csc
     douglas = _orthogonal_part(sub.basis, w @ sub.basis)
     if douglas > tol:
         raise InvarianceError("subspace is not invariant under the odometer map", douglas)
@@ -229,7 +229,7 @@ def induced_symbol(
 
     window = domain.max_level - max(symbol.support_degree, wmap.symbol.support_degree)
     ncols = domain.dim_upto(window) if window >= 0 else 0
-    diff = w @ fact.phi - fact.phi @ induced_map.operator.matrix
+    diff = w @ fact.phi - fact.phi @ induced_map.operator.csc
     residual = op_norm(diff[:, :ncols])
     fact_with_symbol = replace(fact, induced_symbol=symbol)
     return InducedSymbolResult(symbol, induced_map, fact_with_symbol, residual, window)

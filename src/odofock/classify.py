@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .config import MAX_DENSE_DIM, resolve_tol
+from .csc import CSC, identity
 from .errors import NotIsometricError
 from .fock import TruncatedFockSpace, creation_operator
 from .linalg import op_norm, orthonormal_complement
@@ -135,7 +135,7 @@ def _probe_window_vectors(
         rows, js, vals = _odometer_columns(symbol, basis_cols)
         # renumber the rows in order so no index array spans the whole space
         _, rows = np.unique(rows, return_inverse=True)
-        ws = sparse.csc_array((vals, (rows, js)), shape=(rows.max(initial=0) + 1, basis_cols.size))
+        ws = CSC.from_triplets(rows, js, vals, (rows.max(initial=0) + 1, basis_cols.size))
         worst = 0.0
         for _ in range(samples):
             v = rng.standard_normal(basis_cols.size) + 1j * rng.standard_normal(basis_cols.size)
@@ -190,14 +190,15 @@ def _isometry_check(
 
 def off_vacuum_residual(symbol: Symbol, columns=None) -> float:
     """Frobenius mass of the symbol above level 0 (zero iff the symbol is constant)."""
-    coo = symbol.matrix.tocoo()
-    above = np.isin(coo.col, _column_indices(symbol, columns)) & (coo.row >= symbol.space.coeff_dim)
-    return frobenius_mass(coo.data[above])
+    mat = symbol.csc
+    above = np.isin(mat.entry_cols, _column_indices(symbol, columns))
+    above &= mat.indices >= symbol.space.coeff_dim
+    return frobenius_mass(mat.data[above])
 
 
 def level0_block(symbol: Symbol) -> np.ndarray:
     d = symbol.space.coeff_dim
-    return symbol.matrix[:d, :].toarray()
+    return symbol.csc[:d, :].toarray()
 
 
 def surjectivity_defect(symbol: Symbol, tol: float | None = None) -> int:
@@ -212,9 +213,7 @@ def _dense_odometer(symbol: Symbol) -> OdometerMap | None:
     return build_odometer(symbol) if symbol.space.dim <= MAX_DENSE_DIM else None
 
 
-def _nica_relation_residual(
-    space: TruncatedFockSpace, adjoint: sparse.csc_array, cols: np.ndarray
-) -> float:
+def _nica_relation_residual(space: TruncatedFockSpace, adjoint: CSC, cols: np.ndarray) -> float:
     """Residual of W*(S_1 x I) = (S_n x I)W* on columns of level <= M-1.
 
     Both creation operators are CSC index maps, so both products only move
@@ -223,8 +222,8 @@ def _nica_relation_residual(
     d = space.coeff_dim
     rows = np.arange(space.dim_upto(space.max_level - 1))
     keep = rows[np.isin(rows % d, cols)]
-    s1 = creation_operator(1, space).matrix
-    sn = creation_operator(space.n, space).matrix
+    s1 = creation_operator(1, space).csc
+    sn = creation_operator(space.n, space).csc
     rel = adjoint @ s1 - sn @ adjoint
     return op_norm(rel[:, keep])
 
@@ -240,11 +239,11 @@ def _nica(
     relation_res = float("nan")
     if wmap is not None:
         try:
-            adjoint = _closed_form_adjoint(symbol.space, structure, tol).matrix
+            adjoint = _closed_form_adjoint(symbol.space, structure, tol).csc
         except NotIsometricError:
             # Interior-only isometries (padded boundary column): fall back to
             # the conjugate transpose, exact for constant symbols.
-            adjoint = sparse.csc_array(wmap.operator.matrix.conj().T)
+            adjoint = wmap.operator.csc.H
         relation_res = _nica_relation_residual(symbol.space, adjoint, cols)
     passed = nica_res <= tol and (math.isnan(relation_res) or relation_res <= tol)
     return NicaCheck(passed, nica_res, relation_res, symbol.space.max_level - 1)
@@ -269,7 +268,7 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     return _nica(symbol, structure, tol, cols, _dense_odometer(symbol))
 
 
-def _level_block_residual(space: TruncatedFockSpace, w: sparse.csc_array) -> float:
+def _level_block_residual(space: TruncatedFockSpace, w: CSC) -> float:
     """max(||B^H B - I||, sqrt of the largest off-level mass of one level's columns).
 
     One pass over the stored entries of W: the word levels of row and column
@@ -278,11 +277,11 @@ def _level_block_residual(space: TruncatedFockSpace, w: sparse.csc_array) -> flo
     of a level block's defect.
     """
     d = space.coeff_dim
-    cols = np.repeat(np.arange(w.shape[1]), np.diff(w.indptr))
+    cols = w.entry_cols
     col_level = space.word_levels(cols // d)
     on = space.word_levels(w.indices // d) == col_level
-    b = sparse.csc_array((w.data[on], (w.indices[on], cols[on])), shape=w.shape)
-    defect = op_norm(b.conj().T @ b - sparse.eye_array(w.shape[1], format="csc"))
+    b = CSC.from_triplets(w.indices[on], cols[on], w.data[on], w.shape)
+    defect = op_norm(b.H @ b - identity(w.shape[1]))
     off = w.data[~on]
     off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
     return max(defect, float(np.sqrt(off_mass.max(initial=0.0))))
@@ -301,7 +300,7 @@ def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None) -> UnitaryChe
     if passed:
         wmap = wmap if wmap is not None else _dense_odometer(symbol)
         if wmap is not None:
-            level_res = _level_block_residual(space, wmap.operator.matrix)
+            level_res = _level_block_residual(space, wmap.operator.csc)
             passed = level_res <= tol
     return UnitaryCheck(passed, is_constant, defect, block_res, level_res)
 

@@ -1,9 +1,10 @@
 """Command-line front end emitting machine-readable verdict reports.
 
-Every subcommand prints one JSON report to stdout. Exit code 0 means all
-checks passed, 1 means a mathematical check failed (the residuals are in the
-report), 2 means the input was malformed or unusable. The default tolerance
-is 1e-10, overridable with --tol or the ODOFOCK_TOL environment variable.
+Every subcommand prints one JSON report to stdout, with its wall time and
+the process's peak resident memory. Exit code 0 means all checks passed, 1
+means a mathematical check failed (the residuals are in the report), 2 means
+the input was malformed or unusable. The default tolerance is 1e-10,
+overridable with --tol or the ODOFOCK_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -11,16 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 
 import numpy as np
-from scipy import sparse
 
 from . import jsonio
 from .beurling import beurling_factorize, induced_symbol, invariant_subspace
 from .classify import check_isometric, check_nica, check_unitary, off_vacuum_residual
 from .config import resolve_tol
+from .csc import identity
 from .dilation import (
     ContractivePair,
     intertwining_residuals,
@@ -100,6 +102,7 @@ class Report:
             "checks": self.checks,
             "passed": passed,
             "wall_time_s": round(time.perf_counter() - self.started, 6),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         }
         if payload:
             doc.update(_jsonable(payload))
@@ -190,7 +193,7 @@ def cmd_gen_example(args) -> int:
 
 def _storage(op: Operator) -> dict:
     """Size and storage path of an operator, for the report parameters."""
-    return {"dim": op.dim, "nnz": op.matrix.nnz, "storage": "csc"}
+    return {"dim": op.dim, "nnz": op.csc.nnz, "storage": "csc"}
 
 
 def _representation_checks(report: Report, op: Operator, tol: float):
@@ -227,8 +230,8 @@ def cmd_adjoint(args) -> int:
         report.fail("adjoint_isometric", str(exc))
         return report.finish()
     ncols = symbol.space.dim_upto(wmap.exact_below - 1)
-    eye = sparse.eye_array(symbol.space.dim, ncols, dtype=complex, format="csc")
-    residual = op_norm(adj.matrix @ wmap.operator.matrix[:, :ncols] - eye)
+    eye = identity(symbol.space.dim, ncols)
+    residual = op_norm(adj.csc @ wmap.operator.csc[:, :ncols] - eye)
     report.add("adjoint_times_map_is_identity", residual, tol, residual <= tol,
                window=wmap.exact_below - 1)
     report.extra(**_storage(adj))

@@ -204,8 +204,8 @@ def intertwining_residuals(data: DilationData, t: RowContraction) -> tuple[float
     rows = space.dim_upto(space.max_level - 1) if space.max_level >= 1 else 0
     out = []
     for i in range(1, t.n + 1):
-        si = creation_operator(i, space).matrix
-        diff = data.poisson @ t.tuples[i - 1].conj().T - si.conj().T @ data.poisson
+        si = creation_operator(i, space).csc
+        diff = data.poisson @ t.tuples[i - 1].conj().T - si.H @ data.poisson
         out.append(op_norm(diff[:rows, :]))
     return tuple(out)
 
@@ -247,10 +247,10 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
             f"(support degree {symbol.support_degree}, top level {space.max_level})"
         )
     dim_k = space.dim_upto(k)
-    w = build_odometer(symbol).operator.matrix[:dim_k, :dim_k].toarray()
+    w = build_odometer(symbol).operator.csc[:dim_k, :dim_k].toarray()
     # S_i maps levels < k into levels <= k and level k out of the block
     tuples = tuple(
-        creation_operator(i, space).matrix[:dim_k, :dim_k].toarray() for i in range(1, space.n + 1)
+        creation_operator(i, space).csc[:dim_k, :dim_k].toarray() for i in range(1, space.n + 1)
     )
     return ContractivePair(RowContraction(tuples), w)
 
@@ -291,6 +291,6 @@ def odometer_lift(
     wmap = build_odometer(symbol)
     window = space.max_level - symbol.support_degree
     rows = space.dim_upto(window) if window >= 0 else 0
-    diff = pi @ pair.w.conj().T - wmap.operator.matrix.conj().T @ pi
+    diff = pi @ pair.w.conj().T - wmap.operator.csc.H @ pi
     residual = op_norm(diff[:rows, :])
     return LiftResult(symbol, wmap, data, residual, window)

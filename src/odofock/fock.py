@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .config import MAX_DENSE_DIM
+from .csc import CSC, as_csc
 from .errors import DimensionLimitError, LevelOverflowError
 from .words import Word, word_from_position
 
@@ -124,21 +124,22 @@ class TruncatedFockSpace:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square operator stored as a CSC array, with its truncation-exactness annotation.
+    """A square operator stored as a canonical `CSC`, with its truncation-exactness annotation.
 
-    Any matrix-like input (dense or sparse) is stored as a `scipy.sparse.csc_array`.
-    Columns indexed by basis vectors of level < exact_below incur no
-    truncation error. `space` may be None for operators on plain
+    Any matrix-like input (a `CSC`, a scipy sparse array or a dense array) is
+    stored as a `CSC`; `matrix` is a `scipy.sparse.csc_array` view of it,
+    built when read. Columns indexed by basis vectors of level < exact_below
+    incur no truncation error. `space` may be None for operators on plain
     finite-dimensional spaces outside the Fock indexing scheme.
     """
 
-    matrix: sparse.csc_array
+    csc: CSC
     space: TruncatedFockSpace | None
     exact_below: int
 
     def __post_init__(self):
-        mat = sparse.csc_array(self.matrix)
-        object.__setattr__(self, "matrix", mat)
+        mat = as_csc(self.csc)
+        object.__setattr__(self, "csc", mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat.data)):
@@ -154,7 +155,12 @@ class Operator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.csc.shape[0]
+
+    @property
+    def matrix(self):
+        """The stored matrix as a `scipy.sparse.csc_array` sharing its arrays."""
+        return self.csc.scipy_view()
 
 
 def creation_word_map(space: TruncatedFockSpace, letter: int) -> np.ndarray:
@@ -180,7 +186,7 @@ def creation_basis_map(space: TruncatedFockSpace, letter: int, indices: np.ndarr
     return creation_word_map(space, letter)[indices // d] * d + indices % d
 
 
-def _creation_matrix(space: TruncatedFockSpace, letter: int) -> sparse.csc_array:
+def _creation_matrix(space: TruncatedFockSpace, letter: int) -> CSC:
     """S_letter tensor I as a CSC index map, without the dense-size gate.
 
     Each column below level M holds a single 1.0; level-M columns are zero.
@@ -189,7 +195,7 @@ def _creation_matrix(space: TruncatedFockSpace, letter: int) -> sparse.csc_array
     cols = np.arange(space.dim_upto(space.max_level - 1))
     ones = np.ones(cols.size, dtype=complex)
     rows = creation_basis_map(space, letter, cols)
-    return sparse.csc_array((ones, (rows, cols)), shape=(space.dim, space.dim))
+    return CSC.from_triplets(rows, cols, ones, (space.dim, space.dim))
 
 
 def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:

@@ -59,9 +59,9 @@ def spectrum_per_level(
     if not report.is_unitary:
         raise NotIsometricError("spectrum prediction requires a constant unitary symbol")
 
-    w = (wmap if wmap is not None else build_odometer(symbol)).operator.matrix
+    w = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
     d = space.coeff_dim
-    block0 = symbol.matrix[:d, :].toarray()
+    block0 = symbol.csc[:d, :].toarray()
     base_eigs = np.linalg.eigvals(block0)
     levels = []
     all_eigs = []
@@ -174,7 +174,7 @@ def gallery_weak_bishift(
     entries = [(space.all_ones_index(m) * d + m, m, 1.0) for m in range(d)]
     symbol = symbol_from_entries(space, entries)
     report, wmap = _classify(symbol, tol)
-    wmat = (wmap if wmap is not None else build_odometer(symbol)).operator.matrix
+    wmat = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
     # S_1* gathers the entries at the S_1 images of the levels below M
     low = np.arange(space.dim_upto(max_level - 1))
     s1_rows = creation_basis_map(space, 1, low)

@@ -13,8 +13,8 @@ import math
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
+from .csc import CSC
 from .dilation import ContractivePair, RowContraction
 from .errors import SchemaError
 from .fock import Operator, TruncatedFockSpace
@@ -40,11 +40,10 @@ def _read_space(doc: dict) -> TruncatedFockSpace:
         raise SchemaError(str(exc)) from exc
 
 
-def _sparse_entries(mat) -> list[list]:
-    coo = sparse.coo_array(mat)
-    order = np.lexsort((coo.col, coo.row))
-    order = order[coo.data[order] != 0]
-    rows, cols, vals = coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order]
+def _sparse_entries(mat: CSC) -> list[list]:
+    rows, cols, vals = mat.row_major()
+    live = vals != 0
+    rows, cols, vals = rows[live].tolist(), cols[live].tolist(), vals[live]
     return [list(entry) for entry in zip(rows, cols, vals.real.tolist(), vals.imag.tolist())]
 
 
@@ -100,7 +99,7 @@ def _read_dense(raw, rows: int, cols: int, what: str) -> np.ndarray:
 
 def symbol_to_json(symbol: Symbol) -> dict:
     doc = {"kind": "symbol", **_space_header(symbol.space)}
-    doc["entries"] = _sparse_entries(symbol.matrix)
+    doc["entries"] = _sparse_entries(symbol.csc)
     return doc
 
 
@@ -108,7 +107,7 @@ def operator_to_json(op: Operator) -> dict:
     _require(op.space is not None, "only operators on Fock spaces serialize")
     doc = {"kind": "operator", **_space_header(op.space)}
     doc["exact_below"] = op.exact_below
-    doc["entries"] = _sparse_entries(op.matrix)
+    doc["entries"] = _sparse_entries(op.csc)
     return doc
 
 
@@ -165,7 +164,7 @@ def from_json(doc: Any):
         # entries are distinct, so each value is stored as read, signed zeros included
         coords = np.array([(r, c) for r, c, _ in entries], dtype=np.int64).reshape(-1, 2)
         vals = np.array([v for _, _, v in entries], dtype=complex)
-        mat = sparse.csc_array((vals, (coords[:, 0], coords[:, 1])), shape=(space.dim, space.dim))
+        mat = CSC.from_triplets(coords[:, 0], coords[:, 1], vals, (space.dim, space.dim))
         return Operator(mat, space, exact_below)
     if kind == "pair":
         for key in ("n", "dim"):

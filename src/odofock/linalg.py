@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
+from .csc import CSC, as_csc
 from .fock import Operator
 
 
 def op_norm(a) -> float:
     """Largest singular value of a dense or sparse matrix, or of an Operator.
 
-    Dense input, turned so that its columns are the smaller side, and the
-    coupled block of sparse input (`_sparse_norm`) both take `_gram_norm`: no
-    path runs an SVD, and an all-zero matrix reads exactly 0.0.
+    Sparse input is a `CSC` or anything with `.tocsc()`, such as a scipy
+    sparse array. Dense input, turned so that its columns are the smaller
+    side, and the coupled block of sparse input (`_sparse_norm`) both take
+    `_gram_norm`: no path runs an SVD, and an all-zero matrix reads exactly 0.0.
     """
-    mat = a.matrix if isinstance(a, Operator) else a
-    if sparse.issparse(mat):
-        return _sparse_norm(mat)
+    mat = a.csc if isinstance(a, Operator) else a
+    if isinstance(mat, CSC) or hasattr(mat, "tocsc"):
+        return _sparse_norm(as_csc(mat))
     mat = np.asarray(mat)
     return _gram_norm(mat if mat.shape[0] >= mat.shape[1] else mat.T)
 
@@ -37,32 +38,36 @@ def _gram_norm(dense: np.ndarray) -> float:
     return float(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1]) * scale)
 
 
-def _sparse_norm(mat) -> float:
+def _sparse_norm(a: CSC) -> float:
     """Exact norm of a sparse matrix through its Gram matrix G = A^H A.
 
     A column that shares no row with another column has only its diagonal
     entry in G, so it contributes its own norm sqrt(G[j, j]). G restricted to
-    the remaining coupled columns is one dense block, decided by `_gram_norm`.
-    There is no iteration and no tolerance. The free entries are first scaled
-    by a power of two, which is exact, so their squares neither overflow nor
+    the remaining coupled columns is one dense block over the rows they
+    touch, decided by `_gram_norm`. There is no iteration and no tolerance,
+    and the row sharing is read off the stored entries, so a tall matrix
+    costs its entries, not its rows. The free entries are first scaled by a
+    power of two, which is exact, so their squares neither overflow nor
     underflow; `_gram_norm` scales the coupled block the same way.
     """
-    a = sparse.csc_array(mat)
     top = float(np.abs(a.data).max(initial=0.0))
     if top == 0.0:
         return 0.0
     scale = float(np.ldexp(1.0, np.frexp(top)[1]))
     data = a.data / scale
-    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-    shared = np.bincount(a.indices, minlength=a.shape[0])[a.indices] > 1
+    cols = a.entry_cols
+    _, row_of, row_counts = np.unique(a.indices, return_inverse=True, return_counts=True)
     coupled = np.zeros(a.shape[1], dtype=bool)
-    coupled[cols[shared]] = True
+    coupled[cols[row_counts[row_of] > 1]] = True
     free = ~coupled[cols]
     squares = data[free].real ** 2 + data[free].imag ** 2
     norm = float(np.sqrt(np.bincount(cols[free], weights=squares).max(initial=0.0)) * scale)
     if coupled.any():
         block = a[:, coupled]
-        norm = max(norm, _gram_norm(block[np.unique(block.indices), :].toarray()))
+        rows, local = np.unique(block.indices, return_inverse=True)
+        dense = np.zeros((rows.size, block.shape[1]), dtype=block.data.dtype)
+        dense[local, block.entry_cols] += block.data
+        norm = max(norm, _gram_norm(dense))
     return norm
 
 

@@ -1,10 +1,11 @@
 """Odometer maps on truncated Fock spaces.
 
 A symbol is a linear map L from the coefficient space into the Fock space,
-stored column-sparse. The odometer map it generates acts on basis vectors by
-the base-n carry and feeds the all-n words of length m into the m-fold
-one-shifted copy of L. Everything here tracks the exactness window: columns
-indexed by levels below `exact_below` carry no truncation error.
+stored as a `CSC` with one column per coefficient coordinate. The odometer
+map it generates acts on basis vectors by the base-n carry and feeds the
+all-n words of length m into the m-fold one-shifted copy of L. Everything
+here tracks the exactness window: columns indexed by levels below
+`exact_below` carry no truncation error.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .config import resolve_tol
+from .csc import CSC, as_csc, column_entries
 from .errors import NotIsometricError
 from .fock import Operator, TruncatedFockSpace, _creation_matrix
 from .linalg import op_norm
@@ -26,22 +27,32 @@ E1_SUPPORT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Symbol:
-    """A map L: C^d -> F(n, M) tensor C^d as a (dim x d) sparse matrix.
+    """A map L: C^d -> F(n, M) tensor C^d as a (dim x d) `CSC`.
 
     Column p holds the coefficients of L h_p in the canonical basis order.
+    Every routine reads the stored entries, so a symbol costs its entries,
+    not its dim rows. `matrix` is a `scipy.sparse.csc_array` view of them,
+    built when read.
     """
 
     space: TruncatedFockSpace
-    matrix: sparse.csc_array
+    csc: CSC
 
     def __post_init__(self):
-        if self.matrix.shape != (self.space.dim, self.space.coeff_dim):
+        mat = as_csc(self.csc)
+        object.__setattr__(self, "csc", mat)
+        if mat.shape != (self.space.dim, self.space.coeff_dim):
             raise ValueError(
-                f"symbol matrix shape {self.matrix.shape} does not match "
+                f"symbol matrix shape {mat.shape} does not match "
                 f"({self.space.dim}, {self.space.coeff_dim})"
             )
-        if self.matrix.nnz and not np.all(np.isfinite(self.matrix.data)):
+        if not np.all(np.isfinite(mat.data)):
             raise ValueError("symbol matrix contains non-finite entries")
+
+    @property
+    def matrix(self):
+        """The stored matrix as a `scipy.sparse.csc_array` sharing its arrays."""
+        return self.csc.scipy_view()
 
     @property
     def coeff_dim(self) -> int:
@@ -50,8 +61,7 @@ class Symbol:
     @property
     def support_degree(self) -> int:
         """Largest level carrying a nonzero coefficient (0 for the zero symbol)."""
-        coo = self.matrix.tocoo()
-        live = coo.row[coo.data != 0]
+        live = self.csc.indices[self.csc.data != 0]
         if live.size == 0:
             return 0
         top_word = int(live.max()) // self.space.coeff_dim
@@ -64,7 +74,7 @@ class Symbol:
 
     def norm(self) -> float:
         """Operator norm of L, by the exact sparse path of `op_norm`."""
-        return op_norm(self.matrix)
+        return op_norm(self.csc)
 
 
 def symbol_from_dense(
@@ -83,7 +93,7 @@ def symbol_from_dense(
         scale = float(np.abs(arr).max())
         if scale > 0:
             arr = np.where(np.abs(arr) <= prune * scale, 0.0, arr)
-    return Symbol(space, sparse.csc_array(arr))
+    return Symbol(space, CSC.from_dense(arr))
 
 
 def symbol_from_entries(
@@ -98,9 +108,11 @@ def symbol_from_entries(
         rows.append(r)
         cols.append(c)
         vals.append(complex(v))
-    mat = sparse.csc_array(
-        (np.array(vals, dtype=complex), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(space.dim, space.coeff_dim),
+    mat = CSC.from_triplets(
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=complex),
+        (space.dim, space.coeff_dim),
     )
     return Symbol(space, mat)
 
@@ -143,7 +155,7 @@ def frobenius_mass(values: np.ndarray) -> float:
     return float(np.sqrt(np.cumsum(squares)[-1])) if squares else 0.0
 
 
-def e1_coefficient_tensor(symbol: Symbol) -> tuple[np.ndarray, sparse.csc_array]:
+def e1_coefficient_tensor(symbol: Symbol) -> tuple[np.ndarray, CSC]:
     """Coefficients on the all-ones diagonal plus the off-diagonal entries by column.
 
     Returns (c, off) where c[r, s, q] is the coefficient of (ones^r, h_s) in
@@ -153,7 +165,7 @@ def e1_coefficient_tensor(symbol: Symbol) -> tuple[np.ndarray, sparse.csc_array]
     """
     space = symbol.space
     d = space.coeff_dim
-    mat = symbol.matrix
+    mat = symbol.csc
     word, s = np.divmod(mat.indices.astype(np.int64), d)
     q = np.repeat(np.arange(d), np.diff(mat.indptr))
     level = space.word_levels(word)
@@ -161,7 +173,7 @@ def e1_coefficient_tensor(symbol: Symbol) -> tuple[np.ndarray, sparse.csc_array]
     live = on & (mat.data != 0)
     c = np.zeros((symbol.support_degree + 1, d, d), dtype=complex)
     np.add.at(c, (level[live], s[live], q[live]), mat.data[live])
-    off = sparse.csc_array((np.where(on, 0, mat.data), mat.indices, mat.indptr), shape=mat.shape)
+    off = CSC(mat.indptr, mat.indices, np.where(on, 0, mat.data), mat.shape)
     return c, off
 
 
@@ -186,7 +198,7 @@ def gram_sums(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OdometerMap:
-    """A symbol together with its truncated matrix (a CSC array in `operator`)."""
+    """A symbol together with its truncated matrix (a `CSC` in `operator`)."""
 
     symbol: Symbol
     operator: Operator
@@ -233,12 +245,9 @@ def _odometer_columns(
     carry_rows = (offsets[m] + succ) * d + coords[carry]
 
     # gather symbol column q for every all-n column (m, q) at once, then shift by m
-    mat = symbol.matrix
+    mat = symbol.csc
     over = np.flatnonzero(~carry)
-    counts = np.diff(mat.indptr)[coords[over]]
-    owner = np.repeat(np.arange(over.size), counts)
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    entry = mat.indptr[coords[over]][owner] + rank
+    entry, owner = column_entries(mat.indptr, coords[over])
     src_word, s = np.divmod(mat.indices[entry].astype(np.int64), d)
     src_level = space.word_levels(src_word)
     level = src_level + levels[over][owner]
@@ -252,7 +261,7 @@ def _odometer_columns(
 
 
 def build_odometer(symbol: Symbol) -> OdometerMap:
-    """The odometer map generated by `symbol`, as a CSC array.
+    """The odometer map generated by `symbol`, as a `CSC`.
 
     Non-overflow basis words move by the base-n carry (level preserving,
     always exact); the all-n word of length m receives the m-shifted symbol
@@ -263,7 +272,7 @@ def build_odometer(symbol: Symbol) -> OdometerMap:
     space = symbol.space
     space.require_dense()
     rows, cols, vals = _odometer_columns(symbol, np.arange(space.dim))
-    mat = sparse.csc_array((vals + 0.0, (rows, cols)), shape=(space.dim, space.dim))
+    mat = CSC.from_triplets(rows, cols, vals + 0.0, (space.dim, space.dim))
     return OdometerMap(symbol, Operator(mat, space, symbol.exact_below))
 
 
@@ -303,10 +312,10 @@ def verify_fock_representation(
         space = op.space
     if space is None:
         raise ValueError("an explicit space is required for a space-free operator")
-    if op.matrix.shape[0] != space.dim:
+    if op.dim != space.dim:
         raise ValueError("operator dimension does not match the space")
     n, d, top = space.n, space.coeff_dim, space.max_level
-    mat = op.matrix
+    mat = op.csc
     window = min(top - 1, op.exact_below - 2)
     residuals: dict[str, float] = {}
 
@@ -337,7 +346,7 @@ class StructuralIsometry:
 
     gram: np.ndarray
     coeffs: np.ndarray
-    off: sparse.csc_array
+    off: CSC
     correlations: np.ndarray
     window: int
 
@@ -351,14 +360,14 @@ class StructuralIsometry:
 
 def structural_isometry(symbol: Symbol) -> StructuralIsometry:
     """Isometry data of `symbol`, computed once; `residuals` evaluates it on columns."""
-    gram = (symbol.matrix.conj().T @ symbol.matrix).toarray()
+    gram = symbol.csc.gram()
     c, off = e1_coefficient_tensor(symbol)
     window = symbol.space.max_level - symbol.support_degree
     return StructuralIsometry(gram, c, off, gram_sums(c)[: max(window, 0)], window)
 
 
 def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
-    """Closed-form adjoint of an isometric odometer map, as a CSC array.
+    """Closed-form adjoint of an isometric odometer map, as a `CSC`.
 
     On the all-ones word of length m the adjoint returns the reversed
     correlation of the symbol coefficients against the all-n words of length
@@ -409,9 +418,8 @@ def _closed_form_adjoint(
             cols.append(offsets[m] * d + l)
             vals.append(np.conj(c[m - p, l, q]))
     # every (row, col) appears once, so each value, signed zeros included, is stored as is
-    mat = sparse.csc_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
+    mat = CSC.from_triplets(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (space.dim, space.dim)
     )
     return Operator(mat, space, space.max_level + 1)
 

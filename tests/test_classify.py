@@ -1,6 +1,7 @@
 """Isometry / Nica / unitary classification against coefficient oracles."""
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -327,9 +328,9 @@ def test_gather_nica_relation_matches_dense_products():
     for symbol, cols in cases:
         wmap = build_odometer(symbol)
         try:
-            adjoint = adjoint_isometric(wmap).matrix
+            adjoint = adjoint_isometric(wmap).csc
         except NotIsometricError:
-            adjoint = wmap.operator.matrix.conj().T
+            adjoint = wmap.operator.csc.H
         gathered = _nica_relation_residual(symbol.space, adjoint, np.asarray(cols))
         expected, scale = dense_nica_residual(symbol, adjoint, cols)
         assert abs(gathered - expected) <= 1e-12 * (1 + scale)
@@ -484,3 +485,25 @@ def test_classify_takes_no_svd_larger_than_the_coefficient_space(monkeypatch):
     symbol = random_constant_unitary_symbol(TruncatedFockSpace(3, 6, d), np.random.default_rng(34))
     assert classify(symbol).is_unitary
     assert shapes and all(rows <= d and cols <= d for rows, cols in shapes)
+
+
+def test_checks_on_a_tall_symbol_cost_its_entries_not_its_rows():
+    # the README's golden symbol: D = 33,554,431 rows, 25 entries. A pass over
+    # the rows would allocate at least 128 MB (one int32 per row); the checks
+    # and the norm read only the stored entries
+    symbol = gallery_golden_ratio(60, n=2, max_level=24).symbol
+    assert symbol.space.dim == 33_554_431 and symbol.csc.nnz == 25
+    checks = {
+        "norm": symbol.norm,
+        "isometry": lambda: check_isometric(symbol),
+        "nica": lambda: check_nica(symbol),
+        "unitary": lambda: check_unitary(symbol),
+    }
+    for name, run in checks.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MB"

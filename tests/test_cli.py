@@ -70,9 +70,20 @@ def test_reports_are_deterministic(tmp_path, capsys):
     path = write_symbol(tmp_path, "sym.json", random_symbol(space, 2, rng))
     _, first = run(capsys, "check", "isometry", "--symbol", path, "--seed", "7")
     _, second = run(capsys, "check", "isometry", "--symbol", path, "--seed", "7")
-    first.pop("wall_time_s")
-    second.pop("wall_time_s")
+    for measured in ("wall_time_s", "peak_rss_mb"):
+        first.pop(measured)
+        second.pop(measured)
     assert first == second
+
+
+def test_every_report_gives_peak_memory_next_to_wall_time(tmp_path, capsys):
+    path = write_symbol(tmp_path, "vac.json", scalar_symbol(TruncatedFockSpace(2, 2, 1), [1.0]))
+    for argv in (["check", "unitary", "--symbol", path],
+                 ["build-w", "--symbol", path],
+                 ["gen-example", "shift-symbol", "--d", "3"]):
+        _, report = run(capsys, *argv)
+        assert report["wall_time_s"] >= 0.0
+        assert isinstance(report["peak_rss_mb"], float) and report["peak_rss_mb"] > 0.0
 
 
 def test_build_and_verify_pipeline(tmp_path, capsys):

@@ -1,12 +1,16 @@
-"""The README's CLI session runs as written, in an empty directory."""
+"""The README's CLI session runs as written, in an empty directory, and loads no scipy."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from odofock import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def cli_session() -> list[str]:
@@ -17,8 +21,9 @@ def cli_session() -> list[str]:
     return session[0].splitlines()
 
 
-def test_readme_session_runs_with_the_stated_exit_codes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def run_session() -> int:
+    """Runs the session in the working directory, each `odofock` line through
+    `cli.main` with its stated exit code; returns how many such lines ran."""
     lines = iter(cli_session())
     commands = 0
     for line in lines:
@@ -35,4 +40,37 @@ def test_readme_session_runs_with_the_stated_exit_codes(tmp_path, monkeypatch):
         expected = int(stated.group(1)) if stated else 0
         assert cli.main(argv[1:]) == expected, line
         commands += 1
-    assert commands >= 15
+    return commands
+
+
+def test_readme_session_runs_with_the_stated_exit_codes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_session() >= 15
+
+
+def fresh_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300, stdin=subprocess.DEVNULL)
+
+
+def test_readme_session_loads_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import odofock.cli\n"
+        "import test_readme\n"
+        "assert test_readme.run_session() >= 15\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = fresh_python("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    proc = fresh_python("-X", "importtime", "-c", "import odofock.cli", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    modules = [line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "odofock.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
