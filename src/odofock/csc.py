@@ -13,8 +13,8 @@ formed from real parts, as (ar*br - ai*bi, ar*bi + ai*br) with one ufunc
 call per step, which is the arithmetic of scipy's sparse loops (numpy's own
 complex multiply may fuse it). Sums start from +0.0 and take their terms in
 CSC entry order, as those loops add into zeros: by `np.bincount` for sparse
-products and Gram matrices, and one layer of distinct output rows at a time
-for products with dense arrays. Sparse products and differences drop the
+products, Gram matrices and products with vectors, and one layer of distinct
+output rows at a time for products with dense matrices. Sparse products and differences drop the
 entries that come out exactly zero, as scipy does.
 """
 
