@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import InvarianceError, WindowError
-from .fock import TruncatedFockSpace, creation_operator
+from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
 from .linalg import op_norm, orthonormal_columns, orthonormal_complement
 from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
 
@@ -72,18 +72,21 @@ def invariant_subspace(
         interior = basis @ vh[rank:, :].conj().T
     else:
         interior = basis
-    creations = [creation_operator(i, space).csc for i in range(1, space.n + 1)]
-    residuals = tuple(_orthogonal_part(basis, s @ interior) for s in creations)
-    wandering = orthonormal_complement(np.hstack([s @ basis for s in creations]), basis, tol)
+    letters = range(1, space.n + 1)
+    residuals = tuple(_orthogonal_part(basis, apply_creation(space, i, interior)) for i in letters)
+    images = np.hstack([apply_creation(space, i, basis) for i in letters])
+    wandering = orthonormal_complement(images, basis, tol)
     return InvariantSubspace(space, basis, residuals, wandering)
 
 
 def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -> InvariantSubspace:
     """The subspace spanned by levels lo..hi (hi defaults to the top level)."""
+    space.require_dense()
     if hi is None:
         hi = space.max_level
-    cols = slice(space.dim_upto(lo - 1), space.dim_upto(hi))
-    return invariant_subspace(space, np.eye(space.dim, dtype=complex)[:, cols])
+    cols = range(space.dim)[space.dim_upto(lo - 1) : space.dim_upto(hi)]
+    # the selected identity columns only: e_(cols.start + j) in column j
+    return invariant_subspace(space, np.eye(space.dim, len(cols), -cols.start, dtype=complex))
 
 
 def _require_invariant(sub: InvariantSubspace, tol: float):
@@ -165,21 +168,21 @@ def beurling_factorize(
             f"below the truncation level {space.max_level}"
         )
     domain = TruncatedFockSpace(space.n, budget, wdim)
-    screations = [creation_operator(i, space).csc for i in range(1, space.n + 1)]
+    letters = range(1, space.n + 1)
     # Column (mu, j) is S_mu applied to the j-th wandering vector. In canonical
     # order the first letter is outermost, so level L is S_1, ..., S_n applied
     # in turn to the whole level L - 1 block.
     blocks = [wandering_basis]
     for _ in range(budget):
-        blocks.append(np.hstack([s @ blocks[-1] for s in screations]))
+        blocks.append(np.hstack([apply_creation(space, i, blocks[-1]) for i in letters]))
     phi = np.hstack(blocks)
 
     inner_residual = op_norm(phi.conj().T @ phi - np.eye(domain.dim))
     ma_residual = 0.0
     low = domain.dim_upto(budget - 1) if budget >= 1 else 0
-    for i in range(1, space.n + 1):
-        si_dom = creation_operator(i, domain).csc
-        diff = phi @ si_dom - screations[i - 1] @ phi
+    for i in letters:
+        # Phi (S_i x I) on the domain, in F order as a dense-times-sparse product gives it
+        diff = apply_annihilation(domain, i, phi.T).T - apply_creation(space, i, phi)
         ma_residual = max(ma_residual, op_norm(diff[:, :low]))
 
     covers = domain.dim == sub.dim

@@ -25,7 +25,7 @@ import numpy as np
 from .config import MAX_DENSE_DIM, resolve_tol
 from .csc import CSC, identity
 from .errors import NotIsometricError
-from .fock import TruncatedFockSpace, creation_operator
+from .fock import TruncatedFockSpace, apply_creation, creation_basis_map
 from .linalg import op_norm, orthonormal_complement
 from .odometer import (
     OdometerMap,
@@ -216,16 +216,14 @@ def _dense_odometer(symbol: Symbol) -> OdometerMap | None:
 def _nica_relation_residual(space: TruncatedFockSpace, adjoint: CSC, cols: np.ndarray) -> float:
     """Residual of W*(S_1 x I) = (S_n x I)W* on columns of level <= M-1.
 
-    Both creation operators are CSC index maps, so both products only move
-    entries of the adjoint; the residual is the norm of their sparse difference.
+    W* S_1 gathers columns of the adjoint and S_n W* relabels its rows; the
+    residual is the norm of their sparse difference.
     """
     d = space.coeff_dim
     rows = np.arange(space.dim_upto(space.max_level - 1))
     keep = rows[np.isin(rows % d, cols)]
-    s1 = creation_operator(1, space).csc
-    sn = creation_operator(space.n, space).csc
-    rel = adjoint @ s1 - sn @ adjoint
-    return op_norm(rel[:, keep])
+    adjoint_s1 = adjoint[:, creation_basis_map(space, 1, keep)]
+    return op_norm(adjoint_s1 - apply_creation(space, space.n, adjoint[:, keep]))
 
 
 def _nica(

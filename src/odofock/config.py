@@ -2,14 +2,14 @@
 
 import os
 
-# Largest space dimension on which operators are built. Odometer maps, their
-# adjoints and the creation operators are CSC arrays with O(D) entries, and no
-# routine forms a dense D x D array of them. What still needs the cap: the
-# dense D x k arrays of `compute_E_L`, of the Poisson kernel and of Beurling's
-# map Phi, with the SVDs of D x k subspace bases; the refusals in
-# `build_odometer`, the closed-form adjoint, `creation_operator` and the
-# operator loader (the benchmark counts them); and the norm of a fully coupled
-# sparse operator, which takes one dense eigenvalue problem of size D.
+# Largest space dimension on which operators are built. W and its adjoint are
+# CSC arrays with O(D) entries, creation operators act through index maps, and
+# no routine forms a dense D x D array. What still needs the cap: the dense
+# D x k arrays of `compute_E_L`, of the Poisson kernel and of Beurling's map
+# Phi, with the SVDs of D x k subspace bases; the refusals in `build_odometer`,
+# the closed-form adjoint, `creation_operator` and the operator loader (the
+# benchmark counts them); and the norm of a fully coupled sparse operator,
+# which takes one dense eigenvalue problem of size D.
 MAX_DENSE_DIM = 8192
 
 # Default rank tolerance for all subspace computations.

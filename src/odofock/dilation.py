@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import DilationInexactError, WindowError
-from .fock import TruncatedFockSpace, creation_operator
+from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
 from .linalg import op_norm
 from .odometer import (
     OdometerMap,
@@ -148,16 +148,11 @@ def defect_root(t: RowContraction, tol: float | None = None) -> np.ndarray:
 
 def _word_adjoint_products(t: RowContraction, max_level: int) -> list[list[np.ndarray]]:
     """T_mu* for every word, grouped by level, in canonical word order."""
+    adjoints = [t_i.conj().T for t_i in t.tuples]
     levels = [[np.eye(t.dim, dtype=complex)]]
     for _ in range(max_level):
-        prev = levels[-1]
-        nxt = []
         # word i.mu has adjoint T_mu* T_i*; canonical order iterates i outermost
-        for i in range(t.n):
-            ti_adj = t.tuples[i].conj().T
-            for p in prev:
-                nxt.append(p @ ti_adj)
-        levels.append(nxt)
+        levels.append([p @ ti_adj for ti_adj in adjoints for p in levels[-1]])
     return levels
 
 
@@ -185,14 +180,9 @@ def poisson_kernel(
         raise ValueError("zero defect space: the row contraction is a coisometry")
 
     space = TruncatedFockSpace(t.n, max_level, defect_dim)
-    pi = np.zeros((space.dim, t.dim), dtype=complex)
     reduce = basis.conj().T @ d_root
-    wi = 0
-    for level in range(max_level + 1):
-        for adj in adjs[level]:
-            block = reduce @ adj
-            pi[wi * defect_dim : (wi + 1) * defect_dim, :] = block
-            wi += 1
+    # the block of rows of each word mu is D T_mu*, in canonical word order
+    pi = np.vstack([reduce @ adj for level in adjs[: max_level + 1] for adj in level])
     gram = pi.conj().T @ pi
     isometry_defect = float(np.abs(gram - np.eye(t.dim)).max())
     return DilationData(space, defect_dim, d_root, basis, pi, purity_residual, isometry_defect)
@@ -201,11 +191,11 @@ def poisson_kernel(
 def intertwining_residuals(data: DilationData, t: RowContraction) -> tuple[float, ...]:
     """Residuals of Pi T_i* = (S_i x I)* Pi on rows below the top level."""
     space = data.space
+    space.require_dense()
     rows = space.dim_upto(space.max_level - 1) if space.max_level >= 1 else 0
     out = []
     for i in range(1, t.n + 1):
-        si = creation_operator(i, space).csc
-        diff = data.poisson @ t.tuples[i - 1].conj().T - si.H @ data.poisson
+        diff = data.poisson @ t.tuples[i - 1].conj().T - apply_annihilation(space, i, data.poisson)
         out.append(op_norm(diff[:rows, :]))
     return tuple(out)
 
@@ -248,10 +238,11 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
         )
     dim_k = space.dim_upto(k)
     w = build_odometer(symbol).operator.csc[:dim_k, :dim_k].toarray()
-    # S_i maps levels < k into levels <= k and level k out of the block
-    tuples = tuple(
-        creation_operator(i, space).csc[:dim_k, :dim_k].toarray() for i in range(1, space.n + 1)
-    )
+    # S_i maps levels < k into levels <= k and level k out of the block, as
+    # the creation operators of the level-k truncation do
+    levels_k = TruncatedFockSpace(space.n, k, space.coeff_dim)
+    eye = np.eye(dim_k, dtype=complex)
+    tuples = tuple(apply_creation(levels_k, i, eye) for i in range(1, space.n + 1))
     return ContractivePair(RowContraction(tuples), w)
 
 

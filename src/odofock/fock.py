@@ -1,9 +1,13 @@
-"""Truncated vector-valued Fock spaces and the sparse operators living on them.
+"""Truncated vector-valued Fock spaces, their index maps and the sparse operators on them.
 
 The truncation keeps levels 0..M of the Fock space over C^n, tensored with a
 coefficient space C^d. Basis order is level-major, then base-n numeric order
 of the word, then coefficient coordinate: the basis index of (word, p) is
 word_index * d + p. This makes every level a contiguous index block.
+
+The carry and the creation operators are closed-form maps of word indices
+(`carry_word_map`, `creation_word_map`); creation operators are applied by
+gathers and scatters through their maps, never as matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_DENSE_DIM
-from .csc import CSC, as_csc
+from .csc import CSC, as_csc, identity
 from .errors import DimensionLimitError, LevelOverflowError
 from .words import Word, word_from_position
 
@@ -69,10 +73,7 @@ class TruncatedFockSpace:
     def level_of_word_index(self, index: int) -> int:
         if not 0 <= index < self.num_words:
             raise IndexError(f"word index {index} out of range")
-        m = 0
-        while self.level_offset(m + 1) <= index:
-            m += 1
-        return m
+        return int(self.word_levels(index))
 
     def level_offsets(self) -> np.ndarray:
         """Word-index offsets of levels 0..M+1; the last one is num_words."""
@@ -163,6 +164,23 @@ class Operator:
         return self.csc.scipy_view()
 
 
+def carry_word_map(space: TruncatedFockSpace, words: np.ndarray) -> np.ndarray:
+    """Word indices of the carry successors of `words`; -1 on the all-n words,
+    the vacuum included, which overflow.
+
+    The carry resets the leading letters n to 1 and raises the next one. On
+    level m, with k the least integer such that n^k >= n^m - pos, position
+    pos moves to pos + n^k + n^(k-1) - n^m: one to one onto positions > 0.
+    """
+    offsets = space.level_offsets()
+    levels = space.word_levels(words)
+    powers = np.int64(space.n) ** np.arange(space.max_level + 1)
+    top, pos = powers[levels], words - offsets[levels]
+    # k is 0 on the all-n words (pos = n^m - 1), whose values are discarded
+    k = np.searchsorted(powers, top - pos)
+    return np.where(pos < top - 1, words + powers[k] + powers[k - 1] - top, -1)
+
+
 def creation_word_map(space: TruncatedFockSpace, letter: int) -> np.ndarray:
     """Word-index map of left tensoring by e_letter on levels 0..M-1.
 
@@ -171,13 +189,11 @@ def creation_word_map(space: TruncatedFockSpace, letter: int) -> np.ndarray:
     """
     if not 1 <= letter <= space.n:
         raise ValueError(f"letter {letter} outside alphabet 1..{space.n}")
-    n = space.n
-    targets = np.empty(space.level_offset(space.max_level), dtype=np.int64)
-    for m in range(space.max_level):
-        lo, hi = space.level_offset(m), space.level_offset(m + 1)
-        pos = np.arange(hi - lo, dtype=np.int64)
-        targets[lo:hi] = space.level_offset(m + 1) + (letter - 1) * n**m + pos
-    return targets
+    offsets = space.level_offsets()
+    words = np.arange(offsets[-2])
+    levels = space.word_levels(words)
+    pos = words - offsets[levels]
+    return offsets[levels + 1] + (letter - 1) * np.int64(space.n) ** levels + pos
 
 
 def creation_basis_map(space: TruncatedFockSpace, letter: int, indices: np.ndarray) -> np.ndarray:
@@ -186,23 +202,32 @@ def creation_basis_map(space: TruncatedFockSpace, letter: int, indices: np.ndarr
     return creation_word_map(space, letter)[indices // d] * d + indices % d
 
 
-def _creation_matrix(space: TruncatedFockSpace, letter: int) -> CSC:
-    """S_letter tensor I as a CSC index map, without the dense-size gate.
+def apply_creation(space: TruncatedFockSpace, letter: int, x: np.ndarray | CSC) -> np.ndarray | CSC:
+    """(S_letter x I) x for a dense array or a `CSC` x with D rows, as the sparse
+    product gives it: the rows below level M move to their images, the rest
+    drop out, values are added into +0.0 and a `CSC` drops its zeros."""
+    low = space.dim_upto(space.max_level - 1)
+    if isinstance(x, CSC):
+        keep = (x.indices < low) & (x.data != 0)
+        rows = creation_basis_map(space, letter, x.indices[keep])
+        return CSC.from_triplets(rows, x.entry_cols[keep], x.data[keep] + 0.0, x.shape)
+    out = np.zeros(x.shape, dtype=np.result_type(x, complex))
+    out[creation_basis_map(space, letter, np.arange(low))] += x[:low]
+    return out
 
-    Each column below level M holds a single 1.0; level-M columns are zero.
-    Products with it move entries without rounding them.
-    """
-    cols = np.arange(space.dim_upto(space.max_level - 1))
-    ones = np.ones(cols.size, dtype=complex)
-    rows = creation_basis_map(space, letter, cols)
-    return CSC.from_triplets(rows, cols, ones, (space.dim, space.dim))
+
+def apply_annihilation(space: TruncatedFockSpace, letter: int, x: np.ndarray) -> np.ndarray:
+    """(S_letter x I)* x for a dense x with D rows: row r below level M is the row
+    at the image of r, added into zeros; the level-M rows are 0. S_letter is
+    real, so x (S_letter x I) is `apply_annihilation(space, letter, x.T).T`."""
+    low = space.dim_upto(space.max_level - 1)
+    out = np.zeros(x.shape, dtype=np.result_type(x, complex))
+    out[:low] += x[creation_basis_map(space, letter, np.arange(low))]
+    return out
 
 
 def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:
-    """S_letter tensor I on the truncation.
-
-    Maps (word, p) to (letter . word, p) below level M and annihilates the
-    level-M block, so columns below level M are exact.
-    """
+    """S_letter tensor I on the truncation as a `CSC` matrix: the creation map
+    applied to the identity. Columns below level M are exact."""
     space.require_dense()
-    return Operator(_creation_matrix(space, letter), space, space.max_level)
+    return Operator(apply_creation(space, letter, identity(space.dim)), space, space.max_level)

@@ -18,7 +18,7 @@ import numpy as np
 from .classify import ClassificationReport, _classify, classify
 from .config import resolve_tol
 from .errors import NotIsometricError
-from .fock import TruncatedFockSpace, creation_basis_map
+from .fock import TruncatedFockSpace, apply_annihilation
 from .linalg import hausdorff_distance, max_angular_gap, op_norm
 from .odometer import Symbol, build_odometer, constant_symbol, symbol_from_entries
 
@@ -175,13 +175,9 @@ def gallery_weak_bishift(
     symbol = symbol_from_entries(space, entries)
     report, wmap = _classify(symbol, tol)
     wmat = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
-    # S_1* gathers the entries at the S_1 images of the levels below M
-    low = np.arange(space.dim_upto(max_level - 1))
-    s1_rows = creation_basis_map(space, 1, low)
     witness = 0.0
     for m in range(1, d):
-        image = np.zeros(space.dim, dtype=complex)
-        image[low] = wmat[:, [m]].toarray()[s1_rows, 0]
+        image = apply_annihilation(space, 1, wmat[:, [m]].toarray())[:, 0]
         target = np.zeros(space.dim, dtype=complex)
         target[space.all_ones_index(m - 1) * d + m] = 1.0
         witness = max(witness, float(np.linalg.norm(image - target)))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import resolve_tol
-from .csc import CSC, as_csc, column_entries
+from .csc import CSC, as_csc, column_entries, identity
 from .errors import NotIsometricError
-from .fock import Operator, TruncatedFockSpace, _creation_matrix
+from .fock import Operator, TruncatedFockSpace, apply_creation, carry_word_map, creation_basis_map
 from .linalg import op_norm
 
 # Fixed threshold for "supported on the all-ones diagonal"; isometric symbols
@@ -123,9 +123,11 @@ def constant_symbol(space: TruncatedFockSpace, block: np.ndarray) -> Symbol:
     d = space.coeff_dim
     if block.shape != (d, d):
         raise ValueError(f"level-0 block must be {d} x {d}, got {block.shape}")
-    mat = np.zeros((space.dim, d), dtype=complex)
-    mat[:d, :] = block
-    return symbol_from_dense(space, mat)
+    # CSC.from_dense of the padded D x d array, built from the block's nonzeros;
+    # int32 coordinates leave the index dtype to the shape, as for a dense input
+    cols, rows = np.nonzero(block.T)
+    coords = (rows.astype(np.int32), cols.astype(np.int32))
+    return Symbol(space, CSC.from_triplets(*coords, block[rows, cols], (space.dim, d)))
 
 
 def scalar_symbol(space: TruncatedFockSpace, coeffs_by_level) -> Symbol:
@@ -212,37 +214,23 @@ class OdometerMap:
         return self.operator.exact_below
 
 
-def _reverse_digits(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """Reverse the low m[i] base-n digits of x[i]."""
-    out = np.zeros_like(x)
-    for k in range(int(m.max(initial=0))):
-        out = np.where(k < m, out * n + x % n, out)
-        x = x // n
-    return out
-
-
 def _odometer_columns(
     symbol: Symbol, basis_cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, col, value) triplets of W[:, basis_cols], col counting positions in basis_cols.
 
-    A word of level m at position pos below n^m - 1 moves by the carry, the
-    base-n "+1" on reversed digits: its image sits at rev(rev(pos) + 1). The
-    all-n word of length m (the vacuum for m = 0) receives the m-shifted
-    symbol column, truncated at the top level. Only the selected columns are
+    A word other than all-n moves by the carry (`carry_word_map`). The all-n
+    word of length m (the vacuum for m = 0) receives the m-shifted symbol
+    column, truncated at the top level. Only the selected columns are
     touched, so this works at any truncation size.
     """
     space = symbol.space
-    n, d, top = space.n, space.coeff_dim, space.max_level
+    d, top = space.coeff_dim, space.max_level
     offsets = space.level_offsets()
     words, coords = np.divmod(np.asarray(basis_cols, dtype=np.int64), d)
-    levels = space.word_levels(words)
-    pos = words - offsets[levels]
-    carry = pos < np.int64(n) ** levels - 1
-
-    m = levels[carry]
-    succ = _reverse_digits(_reverse_digits(pos[carry], m, n) + 1, m, n)
-    carry_rows = (offsets[m] + succ) * d + coords[carry]
+    succ = carry_word_map(space, words)
+    carry = succ >= 0
+    carry_rows = succ[carry] * d + coords[carry]
 
     # gather symbol column q for every all-n column (m, q) at once, then shift by m
     mat = symbol.csc
@@ -250,7 +238,7 @@ def _odometer_columns(
     entry, owner = column_entries(mat.indptr, coords[over])
     src_word, s = np.divmod(mat.indices[entry].astype(np.int64), d)
     src_level = space.word_levels(src_word)
-    level = src_level + levels[over][owner]
+    level = src_level + space.word_levels(words[over])[owner]
     fits = level <= top
     shifted_rows = (offsets[level[fits]] + src_word[fits] - offsets[src_level[fits]]) * d + s[fits]
 
@@ -301,11 +289,10 @@ def verify_fock_representation(
 
     Both relations are tested on basis columns of level <= min(M-1,
     exact_below-2) so that no truncated column enters either side; each
-    residual is the norm of a sparse difference, the creation operators
-    entering as index maps. On success the unique symbol is read off the
-    vacuum columns; on failure the per-relation residual norms are
-    returned. A negative window makes the check vacuous, and a vacuous
-    check never passes.
+    residual is the norm of a sparse difference: W S_k gathers columns of W
+    and S_1 W relabels its rows. On success the unique symbol is read off the
+    vacuum columns; on failure the per-relation residual norms are returned.
+    A negative window makes the check vacuous, and a vacuous check never passes.
     """
     tol = resolve_tol(tol)
     if space is None:
@@ -320,12 +307,12 @@ def verify_fock_representation(
     residuals: dict[str, float] = {}
 
     if window >= 0:
-        ncols = space.dim_upto(window)
-        s = [None] + [_creation_matrix(space, k) for k in range(1, n + 1)]
+        cols = np.arange(space.dim_upto(window))
+        maps = [None] + [creation_basis_map(space, k, cols) for k in range(1, n + 1)]
+        eye = identity(space.dim)
         for k in range(1, n):
-            rel = mat @ s[k][:, :ncols] - s[k + 1][:, :ncols]
-            residuals[f"carry_relation_{k}"] = op_norm(rel)
-        rel = mat @ s[n][:, :ncols] - s[1] @ mat[:, :ncols]
+            residuals[f"carry_relation_{k}"] = op_norm(mat[:, maps[k]] - eye[:, maps[k + 1]])
+        rel = mat[:, maps[n]] - apply_creation(space, 1, mat[:, cols])
         residuals["twist_relation"] = op_norm(rel)
 
     passed = window >= 0 and all(v <= tol for v in residuals.values())
@@ -399,16 +386,14 @@ def _closed_form_adjoint(
         )
 
     c = structure.coeffs
-    n, d = space.n, space.coeff_dim
+    d = space.coeff_dim
     offsets = space.level_offsets()
-    # off the all-ones words (position 0) the adjoint undoes the carry: rev(rev(pos) - 1)
+    # the adjoint undoes the carry: 1.0 at (w, carry(w)) for every word w but
+    # the all-n ones, which fills every column but those of the all-ones words
     words = np.arange(space.num_words)
-    levels = space.word_levels(words)
-    pos = words - offsets[levels]
-    undo = pos > 0
-    lev = levels[undo]
-    pred = offsets[lev] + _reverse_digits(_reverse_digits(pos[undo], lev, n) - 1, lev, n)
-    rows, cols = [space.basis_indices(pred)], [space.basis_indices(words[undo])]
+    succ = carry_word_map(space, words)
+    moves = succ >= 0
+    rows, cols = [space.basis_indices(words[moves])], [space.basis_indices(succ[moves])]
     vals = [np.ones(rows[0].size, dtype=complex)]
     # column (ones^m, h_l): rows (all-n^p, h_q) with weight conj(c[m-p, l, q])
     for m in range(space.max_level + 1):

@@ -1,6 +1,7 @@
 """Wandering subspaces, inner factorizations, and induced subrepresentations."""
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from helpers import haar_unitary, reference_phi, same_bits
 
 from odofock import (
+    DimensionLimitError,
     InvarianceError,
     TruncatedFockSpace,
     WindowError,
@@ -288,3 +290,31 @@ def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
         assert calls == Counter({"orthonormal_complement": 1})
         assert wander is sub.wandering_basis and fact.wandering_basis is wander
         assert result.intertwining_residual <= 1e-10
+
+
+def test_levels_subspace_allocates_only_its_columns():
+    # D = 4094: an identity of size D would take 256 MB. One letter keeps the
+    # top level, whose full-U SVD `invariant_subspace` takes, at one row
+    space = TruncatedFockSpace(1, 4093, 1)
+    tracemalloc.start()
+    try:
+        sub = levels_subspace(space, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.dim == space.dim_upto(1)
+    assert span_equals(sub.basis, range(space.dim_upto(1)), space.dim)
+    assert peak < 32 * 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB"
+
+
+def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
+    # D = 8193, one above the limit: the columns of all levels would take 1 GB
+    space = TruncatedFockSpace(1, 8192, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError):
+            levels_subspace(space, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB before refusing"

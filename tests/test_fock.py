@@ -1,15 +1,27 @@
-"""Creation operators, operator norms, and orthonormal complements."""
+"""Index maps, creation operators, operator norms, and orthonormal complements."""
+
+import io
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import same_bits, same_csc
+from scipy import sparse
 
 from odofock import (
     TruncatedFockSpace,
     Word,
+    carry_successor,
     creation_operator,
+    creation_word_map,
     op_norm,
     orthonormal_complement,
 )
+from odofock.csc import as_csc
+from odofock.fock import apply_annihilation, apply_creation, carry_word_map
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "odofock"
 
 
 def test_creation_moves_vacuum_to_letter():
@@ -124,3 +136,74 @@ def test_dense_guard_rejects_huge_spaces():
     huge = TruncatedFockSpace(2, 24, 1)
     with pytest.raises(DimensionLimitError):
         creation_operator(1, huge)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_form_index_maps_match_the_word_oracles(n):
+    # every word up to level 6: the carry and the creation maps
+    space = TruncatedFockSpace(n, 6, 1)
+    words = np.arange(space.num_words)
+    oracle = [-1]  # the vacuum overflows, as the all-n words do
+    for w in words[1:]:
+        step = carry_successor(space.word_at(int(w)))
+        oracle.append(space.word_index(step) if isinstance(step, Word) else -1)
+    assert carry_word_map(space, words).tolist() == oracle
+    # one-to-one onto the words off position 0, which the closed-form adjoint relies on
+    assert sorted(w for w in oracle if w >= 0) == [w for w in words if space.word_at(w).position()]
+    below_top = words[space.word_levels(words) < space.max_level]
+    for letter in range(1, n + 1):
+        prepended = [space.word_index(space.word_at(int(w)).prepend(letter)) for w in below_top]
+        assert creation_word_map(space, letter).tolist() == prepended
+
+
+def signed_zero_matrix(shape, rng):
+    """Random complex entries, with some real and imaginary parts -0.0 or +0.0."""
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x.real[rng.random(shape) < 0.2] = -0.0
+    x.imag[rng.random(shape) < 0.2] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+def same_layout(a, b):
+    return (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("n,max_level,d", [(2, 3, 2), (3, 2, 1), (1, 4, 2), (2, 0, 2)])
+def test_creation_gathers_and_scatters_match_the_sparse_products(n, max_level, d):
+    space = TruncatedFockSpace(n, max_level, d)
+    rng = np.random.default_rng(17)
+    x = signed_zero_matrix((space.dim, 3), rng)
+    y = signed_zero_matrix((3, space.dim), rng)
+    a = sparse.random_array((space.dim, 4), density=0.5, dtype=complex, rng=rng).tocsc()
+    a.data.real[::3] = -0.0
+    a.data[1::5] = 0.0
+    for letter in range(1, n + 1):
+        s = creation_operator(letter, space).matrix
+        pairs = [
+            (apply_creation(space, letter, x), s @ x),
+            (apply_annihilation(space, letter, x), s.conj().T @ x),
+            (apply_annihilation(space, letter, y.T).T, y @ s),
+        ]
+        for got, want in pairs:
+            assert same_bits(got, want) and same_layout(got, want)
+        want = (s @ a).tocsc()
+        want.sort_indices()
+        assert same_csc(apply_creation(space, letter, as_csc(a)).scipy_view(), want)
+
+
+def test_the_package_applies_creation_operators_by_their_index_maps():
+    # no module builds or multiplies a creation matrix: the constructor is
+    # named only where it is defined and exported
+    names = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        assert "_creation_matrix" not in text and "_reverse_digits" not in text, path.name
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        uses = [t.line.strip() for t in tokens if t.string == "creation_operator"]
+        if uses:
+            names[path.name] = uses
+    assert names == {
+        "fock.py": ["def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:"],
+        "__init__.py": ["creation_operator,"],
+    }

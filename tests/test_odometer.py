@@ -1,5 +1,7 @@
 """Odometer map construction, verification, adjoints, and norm bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -31,6 +33,7 @@ from odofock import (
     symbol_from_dense,
     verify_fock_representation,
 )
+from odofock.csc import CSC
 from odofock.odometer import _odometer_columns
 
 
@@ -240,6 +243,35 @@ def test_adjoint_constant_symbol_vacuum_action():
     vac_block = adj[:3, :3]
     assert np.allclose(vac_block, u.conj().T, atol=1e-14)
     assert np.abs(adj[3:, :3]).max() == 0.0
+
+
+def test_constant_symbol_stores_the_nonzeros_of_the_padded_block():
+    space = TruncatedFockSpace(2, 3, 3)
+    block = haar_unitary(3, np.random.default_rng(9))
+    block[0, 1] = 0.0
+    block[2, 0] = complex(-0.0, 0.5)
+    block.imag[1, 2] = -0.0
+    padded = np.zeros((space.dim, 3), dtype=complex)
+    padded[:3, :] = block
+    got, want = constant_symbol(space, block).csc, CSC.from_dense(padded)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_constant_symbol_costs_its_block_not_its_rows():
+    # D = 4,194,302: a dense D x 2 copy would take 128 MB
+    space = TruncatedFockSpace(2, 20, 2)
+    block = np.array([[0.0, 1.0], [1j, 0.0]])
+    tracemalloc.start()
+    try:
+        symbol = constant_symbol(space, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert symbol.csc.nnz == 2 and symbol.support_degree == 0
+    assert peak < 4 * 2**20, f"constant_symbol peaked at {peak / 2**20:.1f} MB"
 
 
 def test_adjoint_equals_conjugate_transpose_on_window():
