@@ -22,7 +22,7 @@ import numpy as np
 from .config import resolve_tol
 from .errors import InvarianceError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
-from .linalg import op_norm, orthonormal_columns, orthonormal_complement
+from .linalg import _rank_split, op_norm, orthonormal_columns
 from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
 
 
@@ -55,38 +55,33 @@ def invariant_subspace(
     """Orthonormalize spanning columns, measure the creation-invariance defect
     and compute the wandering basis, all at the rank tolerance `tol`.
 
-    The residual for each generator is taken over the part of the subspace
-    supported below the top level, where creation incurs no truncation.
+    A 1-D array is one column. Three thin SVDs decide the ranks: the basis Q,
+    its part below the top level (kernel of the top-level rows), where the
+    residuals are taken, and the wandering basis (kernel of stacked Q^H S_i* Q).
     """
     tol = resolve_tol(tol)
     space.require_dense()
-    basis = orthonormal_columns(np.asarray(columns, dtype=complex), tol)
+    basis = orthonormal_columns(columns, tol)
     if basis.shape[0] != space.dim:
         raise ValueError("subspace columns do not match the ambient dimension")
-    low = space.dim_upto(space.max_level - 1) if space.max_level >= 1 else 0
-    # basis of S cap (levels <= M-1): kernel of the top-level block
-    top_block = basis[low:, :]
-    if top_block.size:
-        _, s, vh = np.linalg.svd(top_block, full_matrices=True)
-        rank = int(np.sum(s > tol))
-        interior = basis @ vh[rank:, :].conj().T
-    else:
-        interior = basis
+    low = space.dim_upto(space.max_level - 1)
+    interior = basis @ _rank_split(basis[low:], tol)[1]
     letters = range(1, space.n + 1)
     residuals = tuple(_orthogonal_part(basis, apply_creation(space, i, interior)) for i in letters)
-    images = np.hstack([apply_creation(space, i, basis) for i in letters])
-    wandering = orthonormal_complement(images, basis, tol)
+    overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis) for i in letters])
+    wandering = basis @ _rank_split(overlap, tol)[1]
     return InvariantSubspace(space, basis, residuals, wandering)
 
 
 def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -> InvariantSubspace:
-    """The subspace spanned by levels lo..hi (hi defaults to the top level)."""
+    """The subspace spanned by levels 0 <= lo <= hi <= M (hi defaults to M)."""
     space.require_dense()
-    if hi is None:
-        hi = space.max_level
-    cols = range(space.dim)[space.dim_upto(lo - 1) : space.dim_upto(hi)]
-    # the selected identity columns only: e_(cols.start + j) in column j
-    return invariant_subspace(space, np.eye(space.dim, len(cols), -cols.start, dtype=complex))
+    hi = space.max_level if hi is None else hi
+    if not 0 <= lo <= hi <= space.max_level:
+        raise ValueError(f"levels {lo}..{hi} are not a range within 0..{space.max_level}")
+    start, stop = space.dim_upto(lo - 1), space.dim_upto(hi)
+    # the selected identity columns only: e_(start + j) in column j
+    return invariant_subspace(space, np.eye(space.dim, stop - start, -start, dtype=complex))
 
 
 def _require_invariant(sub: InvariantSubspace, tol: float):

@@ -26,7 +26,7 @@ from .config import MAX_DENSE_DIM, resolve_tol
 from .csc import CSC, identity
 from .errors import NotIsometricError
 from .fock import TruncatedFockSpace, apply_creation, creation_basis_map
-from .linalg import op_norm, orthonormal_complement
+from .linalg import _rank_split, op_norm, orthonormal_columns
 from .odometer import (
     OdometerMap,
     StructuralIsometry,
@@ -90,28 +90,32 @@ def _column_indices(symbol: Symbol, columns) -> np.ndarray:
 
 
 def compute_E_L(symbol: Symbol, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the truncated defect space of the symbol.
+    """Orthonormal basis of the truncated defect space of the symbol, as D x k columns.
 
     This is the span of the all-ones diagonal, minus the span of the shifted
     symbol columns ones^p L h_q for p = 1..M - support degree (the shifts
-    that stay exact under the truncation).
+    that stay exact under the truncation): one SVD in the (M+1) d all-ones
+    coordinates, of the all-ones rows of the shifted columns.
     """
     tol = resolve_tol(tol)
     space = symbol.space
     space.require_dense()
-    offsets = space.level_offsets()
-
-    ones = space.basis_indices(offsets[:-1])
-    within = np.zeros((space.dim, ones.size), dtype=complex)
-    within[ones, np.arange(ones.size)] = 1.0
+    d, offsets = space.coeff_dim, space.level_offsets()
 
     # W on the all-n words of lengths p = 1..pmax holds exactly these shifts
     pmax = space.max_level - symbol.support_degree
     basis_cols = space.basis_indices(offsets[2 : pmax + 2] - 1)
-    shifted = np.zeros((space.dim, basis_cols.size), dtype=complex)
     rows, cols, vals = _odometer_columns(symbol, basis_cols)
-    np.add.at(shifted, (rows, cols), vals)
-    return orthonormal_complement(shifted, within, tol)
+    # the all-ones word of level m is the word offsets[m]; (m, s) is coordinate m*d + s
+    words, coords = np.divmod(rows, d)
+    levels = space.word_levels(words)
+    on = offsets[levels] == words
+    shifted = np.zeros(((offsets.size - 1) * d, basis_cols.size), dtype=complex)
+    np.add.at(shifted, (levels[on] * d + coords[on], cols[on]), vals[on])
+    kernel = _rank_split(shifted.conj().T, tol)[1]
+    out = np.zeros((space.dim, kernel.shape[1]), dtype=complex)
+    out[space.basis_indices(offsets[:-1])] = kernel
+    return out
 
 
 def _probe_window_vectors(
@@ -203,10 +207,13 @@ def level0_block(symbol: Symbol) -> np.ndarray:
 
 def surjectivity_defect(symbol: Symbol, tol: float | None = None) -> int:
     """Corank of the level-0 block, i.e. the failure of L to cover the vacuum slice."""
-    tol = resolve_tol(tol)
+    return _level0(symbol, resolve_tol(tol))[1]
+
+
+def _level0(symbol: Symbol, tol: float) -> tuple[np.ndarray, int]:
+    """The level-0 block and its corank, from one SVD."""
     block = level0_block(symbol)
-    s = np.linalg.svd(block, compute_uv=False)
-    return int(block.shape[0] - np.sum(s > tol))
+    return block, block.shape[0] - orthonormal_columns(block, tol).shape[1]
 
 
 def _dense_odometer(symbol: Symbol) -> OdometerMap | None:
@@ -232,8 +239,8 @@ def _nica(
     tol: float,
     cols: np.ndarray,
     wmap: OdometerMap | None,
+    nica_res: float,
 ) -> NicaCheck:
-    nica_res = off_vacuum_residual(symbol, cols)
     relation_res = float("nan")
     if wmap is not None:
         try:
@@ -263,7 +270,8 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
             "Nica covariance is defined for isometric symbols only "
             f"(gram {iso.isometry_residual:.3e}, correlations {iso.gram_residual:.3e})"
         )
-    return _nica(symbol, structure, tol, cols, _dense_odometer(symbol))
+    nica_res = off_vacuum_residual(symbol, cols)
+    return _nica(symbol, structure, tol, cols, _dense_odometer(symbol), nica_res)
 
 
 def _level_block_residual(space: TruncatedFockSpace, w: CSC) -> float:
@@ -285,13 +293,14 @@ def _level_block_residual(space: TruncatedFockSpace, w: CSC) -> float:
     return max(defect, float(np.sqrt(off_mass.max(initial=0.0))))
 
 
-def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None) -> UnitaryCheck:
+def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None, vacuum=None) -> UnitaryCheck:
+    """`vacuum` is (constancy, level-0 block, its corank), computed here if not given."""
     space = symbol.space
-    is_constant = off_vacuum_residual(symbol) <= tol
-    block = level0_block(symbol)
+    if vacuum is None:
+        vacuum = (off_vacuum_residual(symbol) <= tol, *_level0(symbol, tol))
+    is_constant, block, defect = vacuum
     eye = np.eye(space.coeff_dim)
     block_res = max(op_norm(block.conj().T @ block - eye), op_norm(block @ block.conj().T - eye))
-    defect = surjectivity_defect(symbol, tol)
     passed = is_constant and defect == 0 and block_res <= tol
 
     level_res = float("nan")
@@ -330,23 +339,25 @@ def _classify(
     cols = _column_indices(symbol, columns)
     structure = structural_isometry(symbol)
     iso = _isometry_check(symbol, structure, tol, cols)
+    nica_res = off_vacuum_residual(symbol, cols)
+    is_constant = off_vacuum_residual(symbol) <= tol
+    block, defect = _level0(symbol, tol)
     residuals = {
         "gram_residual": iso.gram_residual,
         "e1_support_residual": iso.e1_support_residual,
         "isometry_residual": iso.isometry_residual,
         "probe_residual": iso.probe_residual,
-        "nica_residual": off_vacuum_residual(symbol, cols),
-        "surjectivity_defect": float(surjectivity_defect(symbol, tol)),
+        "nica_residual": nica_res,
+        "surjectivity_defect": float(defect),
     }
     selected = None if columns is None else tuple(int(c) for c in cols)
     if not iso.passed:
-        is_constant = off_vacuum_residual(symbol) <= tol
         return ClassificationReport(
             False, False, False, is_constant, residuals, iso.window, selected
         ), None
     wmap = _dense_odometer(symbol)
-    nica = _nica(symbol, structure, tol, cols, wmap)
-    uni = _unitary(symbol, tol, wmap)
+    nica = _nica(symbol, structure, tol, cols, wmap, nica_res)
+    uni = _unitary(symbol, tol, wmap, (is_constant, block, defect))
     residuals["relation_residual"] = nica.relation_residual
     residuals["block_unitary_residual"] = uni.block_unitary_residual
     residuals["level_block_residual"] = uni.level_block_residual

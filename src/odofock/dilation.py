@@ -17,7 +17,7 @@ import numpy as np
 from .config import resolve_tol
 from .errors import DilationInexactError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
-from .linalg import op_norm
+from .linalg import op_norm, orthonormal_columns
 from .odometer import (
     OdometerMap,
     Symbol,
@@ -173,8 +173,7 @@ def poisson_kernel(
         raise DilationInexactError(purity_residual, max_level)
 
     d_root = defect_root(t, tol)
-    u, s, _ = np.linalg.svd(d_root)
-    basis = u[:, s > tol]
+    basis = orthonormal_columns(d_root, tol)
     defect_dim = int(basis.shape[1])
     if defect_dim == 0:
         raise ValueError("zero defect space: the row contraction is a coisometry")

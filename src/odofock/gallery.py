@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ClassificationReport, _classify, classify
+from .classify import ClassificationReport, _classify, classify, level0_block
 from .config import resolve_tol
 from .errors import NotIsometricError
 from .fock import TruncatedFockSpace, apply_annihilation
 from .linalg import hausdorff_distance, max_angular_gap, op_norm
-from .odometer import Symbol, build_odometer, constant_symbol, symbol_from_entries
+from .odometer import Symbol, build_odometer, constant_symbol, scalar_symbol, symbol_from_entries
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,7 @@ def spectrum_per_level(
         raise NotIsometricError("spectrum prediction requires a constant unitary symbol")
 
     w = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
-    d = space.coeff_dim
-    block0 = symbol.csc[:d, :].toarray()
-    base_eigs = np.linalg.eigvals(block0)
+    base_eigs = np.linalg.eigvals(level0_block(symbol))
     levels = []
     all_eigs = []
     unimod = 0.0
@@ -233,12 +231,7 @@ def gallery_golden_ratio(
     if max_level is None:
         max_level = terms
     space = TruncatedFockSpace(n, max_level, 1)
-    entries = [
-        (space.all_ones_index(p), 0, c)
-        for p, c in enumerate(coeffs[: max_level + 1])
-        if c != 0
-    ]
-    symbol = symbol_from_entries(space, entries)
+    symbol = scalar_symbol(space, coeffs)
 
     c0sq = coeffs[0] ** 2
     omega = GOLDEN_OMEGA
@@ -269,10 +262,7 @@ def gallery_shift_symbol(
     if d < 2:
         raise ValueError("the shift needs d >= 2 (one interior column at least)")
     space = TruncatedFockSpace(n, max_level, d)
-    block = np.zeros((d, d), dtype=complex)
-    for p in range(d - 1):
-        block[p + 1, p] = 1.0
-    symbol = constant_symbol(space, block)
+    symbol = constant_symbol(space, np.eye(d, k=-1, dtype=complex))
     interior = tuple(range(d - 1))
     report = classify(symbol, tol, columns=interior)
     return GalleryEntry(

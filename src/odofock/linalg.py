@@ -71,13 +71,21 @@ def _sparse_norm(a: CSC) -> float:
     return norm
 
 
+def _rank_split(mat: np.ndarray, tol: float, kernel: bool = True):
+    """Orthonormal range basis and kernel coordinates of a 2-D matrix, rank by singular
+    values > tol, from one SVD: thin unless a wide matrix's kernel is asked for."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=kernel and mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(s > tol))
+    return u[:, s > tol], (vh[rank:, :].conj().T if kernel else None)
+
+
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span, rank decided by singular values > tol."""
+    """Orthonormal basis of the column span (a 1-D array is one column), rank
+    decided by singular values > tol."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[1] == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, s > tol]
+    if mat.ndim not in (1, 2):
+        raise ValueError(f"columns must be a 1-D or 2-D array, got {mat.ndim} dimensions")
+    return _rank_split(mat if mat.ndim == 2 else mat[:, None], tol, kernel=False)[0]
 
 
 def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) -> np.ndarray:
@@ -85,8 +93,8 @@ def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) 
 
     Both column sets must live in the same ambient space. With `columns`
     contained in span(within) this is the orthogonal difference of the two
-    spans; in general it is the set of vectors of span(within) orthogonal to
-    every column.
+    spans, in general the vectors of span(within) orthogonal to every column.
+    It orthonormalizes `within` first; the tests use it as the dense oracle.
     """
     if tol <= 0:
         raise ValueError(f"rank tolerance must be positive, got {tol}")
@@ -102,11 +110,7 @@ def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) 
     if q.shape[1] == 0 or columns.shape[1] == 0:
         return q
     # v = q x is orthogonal to the columns iff (columns^H q) x = 0.
-    overlap = columns.conj().T @ q
-    u, s, vh = np.linalg.svd(overlap, full_matrices=True)
-    rank = int(np.sum(s > tol))
-    null_coords = vh[rank:, :].conj().T
-    return q @ null_coords
+    return q @ _rank_split(columns.conj().T @ q, tol)[1]
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

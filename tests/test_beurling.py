@@ -1,8 +1,8 @@
 """Wandering subspaces, inner factorizations, and induced subrepresentations."""
 
-import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +251,8 @@ def creation_generated_subspace(space, level, rng):
 
 
 def test_factorization_matches_word_by_word_oracle_bit_for_bit():
+    # the wandering basis spans the dense oracle's complement; Phi is the
+    # word-by-word oracle fed that basis, bit for bit
     rng = np.random.default_rng(41)
     for n, d, levels in [(2, 1, range(2, 7)), (3, 2, range(2, 5))]:
         for max_level in levels:
@@ -264,47 +266,74 @@ def test_factorization_matches_word_by_word_oracle_bit_for_bit():
                 fact = beurling_factorize(sub)
                 images = np.hstack([s @ sub.basis for s in dense_creations])
                 wandering = orthonormal_complement(images, sub.basis, 1e-10)
-                phi = reference_phi(space, wandering, fact.domain.max_level)
-                assert same_bits(fact.wandering_basis, wandering)
+                basis = fact.wandering_basis
+                assert basis.shape == wandering.shape
+                assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+                projector_gap = basis @ basis.conj().T - wandering @ wandering.conj().T
+                assert np.abs(projector_gap).max() <= 1e-12
+                phi = reference_phi(space, basis, fact.domain.max_level)
                 assert same_bits(fact.phi, phi)
 
 
 def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
-    beurling = sys.modules["odofock.beurling"]
+    # three SVDs per invariant_subspace call: the basis, its part below the
+    # top level and the wandering basis; the later steps read the stored basis
     calls = Counter()
+    svd = np.linalg.svd
 
     def counting(*args, **kwargs):
-        calls["orthonormal_complement"] += 1
-        return orthonormal_complement(*args, **kwargs)
+        calls[stage] += 1
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(beurling, "orthonormal_complement", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     rng = np.random.default_rng(62)
     space = TruncatedFockSpace(2, 5, 2)
     wmap = build_odometer(constant_symbol(space, haar_unitary(2, rng)))
     for lo in (0, 1, 2):
         calls.clear()
+        stage = "invariant_subspace"
         sub = levels_subspace(space, lo)
+        stage = "later"
         wander = wandering_subspace(sub)
         fact = beurling_factorize(sub)
         result = induced_symbol(sub, wmap, factorization=fact)
-        assert calls == Counter({"orthonormal_complement": 1})
+        assert calls == Counter({"invariant_subspace": 3})
         assert wander is sub.wandering_basis and fact.wandering_basis is wander
         assert result.intertwining_residual <= 1e-10
 
 
+def test_one_dimensional_column_is_one_generator():
+    space = TruncatedFockSpace(2, 3, 1)
+    e0 = np.zeros(space.dim)
+    e0[0] = 1.0
+    sub = invariant_subspace(space, e0)
+    assert sub.dim == 1 and np.abs(sub.basis[:, 0]).tolist() == e0.tolist()
+    with pytest.raises(ValueError):
+        invariant_subspace(space, e0.reshape(space.dim, 1, 1))
+
+
+def test_levels_subspace_rejects_ranges_outside_the_levels():
+    space = TruncatedFockSpace(2, 3, 2)
+    for lo, hi in [(1, 0), (2, 5), (-1, None), (4, None)]:
+        with pytest.raises(ValueError):
+            levels_subspace(space, lo, hi)
+    assert levels_subspace(space, 2, 3).dim == space.dim - space.dim_upto(1)
+
+
 def test_levels_subspace_allocates_only_its_columns():
-    # D = 4094: an identity of size D would take 256 MB. One letter keeps the
-    # top level, whose full-U SVD `invariant_subspace` takes, at one row
-    space = TruncatedFockSpace(1, 4093, 1)
-    tracemalloc.start()
-    try:
-        sub = levels_subspace(space, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sub.dim == space.dim_upto(1)
-    assert span_equals(sub.basis, range(space.dim_upto(1)), space.dim)
-    assert peak < 32 * 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB"
+    # D = 4094 both times: an identity of size D would take 256 MB. One letter
+    # makes the top level a single row; at n = 2, d = 2 the top-level block
+    # has 2048 rows, whose full U (64 MB) a thin SVD does not form
+    for space, limit in [(TruncatedFockSpace(1, 4093, 1), 32), (TruncatedFockSpace(2, 10, 2), 8)]:
+        tracemalloc.start()
+        try:
+            sub = levels_subspace(space, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.dim == space.dim_upto(1)
+        assert span_equals(sub.basis, range(space.dim_upto(1)), space.dim)
+        assert peak < limit * 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB"
 
 
 def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
@@ -318,3 +347,10 @@ def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB before refusing"
+
+
+def test_only_linalg_calls_the_svd():
+    # every rank decision goes through one routine in `linalg`
+    src = Path(__file__).resolve().parents[1] / "src" / "odofock"
+    callers = sorted(f.name for f in src.glob("*.py") if "np.linalg.svd" in f.read_text())
+    assert callers == ["linalg.py"]

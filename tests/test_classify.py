@@ -14,7 +14,6 @@ from helpers import (
     reference_level_block_residual,
     reference_probe_deviation,
     reference_shifted_columns,
-    same_bits,
 )
 from scipy import sparse
 
@@ -284,6 +283,8 @@ def test_unitary_requires_isometric_input():
 
 
 def test_E_L_matches_reference_shifted_columns_bit_for_bit():
+    # E_L is orthonormal, lies on the all-ones coordinates and spans the dense
+    # oracle's complement of the shifted columns within them
     rng = np.random.default_rng(77)
     for n, max_level, d in [(1, 6, 2), (2, 4, 1), (2, 4, 3), (3, 3, 2)]:
         space = TruncatedFockSpace(n, max_level, d)
@@ -291,9 +292,15 @@ def test_E_L_matches_reference_shifted_columns_bit_for_bit():
         for m in range(max_level + 1):
             for s in range(d):
                 within[space.all_ones_index(m) * d + s, m * d + s] = 1.0
+        off_ones = ~within.any(axis=1)
         for symbol in (random_symbol(space, 1, rng), random_ones_diagonal_symbol(space, rng)):
             expected = orthonormal_complement(reference_shifted_columns(symbol), within, 1e-10)
-            assert same_bits(compute_E_L(symbol), expected)
+            e_l = compute_E_L(symbol)
+            assert e_l.shape == expected.shape
+            assert np.abs(e_l.conj().T @ e_l - np.eye(e_l.shape[1])).max() <= 1e-12
+            assert not e_l[off_ones].any()
+            gap = e_l @ e_l.conj().T - expected @ expected.conj().T
+            assert np.abs(gap).max() <= 1e-12
 
 
 def padded_symbol():
@@ -366,10 +373,22 @@ def test_classify_runs_one_isometry_kernel_and_at_most_one_build(monkeypatch):
     for module in (sys.modules["odofock.classify"], sys.modules["odofock.odometer"]):
         for name in ("structural_isometry", "build_odometer"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    classify_module = sys.modules["odofock.classify"]
+    for name in ("level0_block", "off_vacuum_residual"):
+        monkeypatch.setattr(classify_module, name, counting(name, getattr(classify_module, name)))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     for symbol, columns, builds in classify_cases():
         calls.clear()
         classify(symbol, columns=columns)
-        assert calls == Counter({"structural_isometry": 1, "build_odometer": builds})
+        # one level-0 block and one SVD (its rank); the off-vacuum mass of the
+        # selected columns and, for constancy, of all columns
+        assert calls == Counter({
+            "structural_isometry": 1,
+            "build_odometer": builds,
+            "level0_block": 1,
+            "svd": 1,
+            "off_vacuum_residual": 2,
+        })
 
 
 def test_classify_residuals_equal_single_checks():
