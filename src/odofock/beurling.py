@@ -189,11 +189,17 @@ def beurling_factorize(
 
 @dataclass(frozen=True)
 class InducedSymbolResult:
+    """An empty window (window < 0) tests nothing: the check is vacuous, its residual NaN."""
+
     symbol: Symbol
     wmap: OdometerMap
     factorization: BeurlingFactorization
     intertwining_residual: float
     window: int
+
+    @property
+    def vacuous(self) -> bool:
+        return self.window < 0
 
 
 def induced_symbol(
@@ -208,7 +214,8 @@ def induced_symbol(
     (range-inclusion measured as the projection residual of W restricted to
     the subspace). The induced symbol is the wandering compression of W, and
     the reported residual measures W Phi - Phi W_induced on the columns the
-    word budget keeps exact.
+    word budget keeps exact. With no such column the check is vacuous and the
+    residual is NaN.
     """
     tol = resolve_tol(tol)
     space = sub.ambient
@@ -226,9 +233,8 @@ def induced_symbol(
     induced_map = build_odometer(symbol)
 
     window = domain.max_level - max(symbol.support_degree, wmap.symbol.support_degree)
-    ncols = domain.dim_upto(window) if window >= 0 else 0
     diff = w @ fact.phi - fact.phi @ induced_map.operator.csc
-    residual = op_norm(diff[:, :ncols])
+    residual = op_norm(diff[:, : domain.dim_upto(window)]) if window >= 0 else float("nan")
     fact_with_symbol = replace(fact, induced_symbol=symbol)
     return InducedSymbolResult(symbol, induced_map, fact_with_symbol, residual, window)
 

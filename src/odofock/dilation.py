@@ -6,18 +6,27 @@ positive map X -> sum T_i X T_i*: its trace at step m is the total tail mass
 sum over length-m words of ||T_mu* h||^2 over an orthonormal basis. The
 dilation embeds the space into the defect-valued Fock truncation by
 h -> sum_mu e_mu (x) D T_mu* h with D the positive square root of the defect.
+
+One Hermitian eigendecomposition of sum T_i T_i* per row contraction gives
+the contraction check, the row norm, D and the defect basis. Pi stacks the
+blocks D T_mu* in canonical word order, level by level: level 0 is D in the
+defect basis, and level L stacks level L-1 times T_i* for i = 1..n, first
+letter outermost, as T_(i mu)* = T_mu* T_i*. The purity tail at level M+1
+is the largest diagonal entry of Phi^(M+1)(I), with Phi iterated as in
+`purity_test`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import resolve_tol
 from .errors import DilationInexactError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
-from .linalg import op_norm, orthonormal_columns
+from .linalg import op_norm
 from .odometer import (
     OdometerMap,
     Symbol,
@@ -43,7 +52,7 @@ class RowContraction:
                 raise ValueError(f"all components must be {h} x {h}, got {t.shape}")
             if not np.all(np.isfinite(t)):
                 raise ValueError("row contraction component has non-finite entries")
-        top = float(np.linalg.eigvalsh(self.row_gram())[-1])
+        top = float(self.gram_eigh[0][-1])
         if top > 1.0 + ROW_CONTRACTION_SLACK:
             raise ValueError(f"not a row contraction: largest eigenvalue {top} of sum T_i T_i*")
 
@@ -59,9 +68,14 @@ class RowContraction:
         """sum_i T_i T_i*."""
         return sum(t @ t.conj().T for t in self.tuples)
 
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenpairs of sum_i T_i T_i*, the one decomposition of the tuple."""
+        return np.linalg.eigh(self.row_gram())
+
     def row_norm(self) -> float:
-        """Norm of the row operator [T_1 ... T_n]."""
-        return op_norm(np.hstack(self.tuples))
+        """Norm of the row operator [T_1 ... T_n], the root of the top Gram eigenvalue."""
+        return float(np.sqrt(max(self.gram_eigh[0][-1], 0.0)))
 
     def cp_map(self, x: np.ndarray) -> np.ndarray:
         """The completely positive map X -> sum_i T_i X T_i*."""
@@ -135,25 +149,16 @@ class DilationData:
     isometry_defect: float
 
 
-def defect_root(t: RowContraction, tol: float | None = None) -> np.ndarray:
-    """PSD square root of I - sum T_i T_i* via Hermitian eigendecomposition."""
-    tol = resolve_tol(tol)
-    gap = np.eye(t.dim, dtype=complex) - t.row_gram()
-    vals, vecs = np.linalg.eigh(gap)
-    if vals[0] < -ROW_CONTRACTION_SLACK:
-        raise ValueError(f"defect operator has negative eigenvalue {vals[0]}")
-    vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
+def _defect_eigh(t: RowContraction) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues of the defect root D, with their eigenvectors."""
+    vals, vecs = t.gram_eigh
+    return np.sqrt(np.clip(1.0 - vals, 0.0, None)), vecs
 
 
-def _word_adjoint_products(t: RowContraction, max_level: int) -> list[list[np.ndarray]]:
-    """T_mu* for every word, grouped by level, in canonical word order."""
-    adjoints = [t_i.conj().T for t_i in t.tuples]
-    levels = [[np.eye(t.dim, dtype=complex)]]
-    for _ in range(max_level):
-        # word i.mu has adjoint T_mu* T_i*; canonical order iterates i outermost
-        levels.append([p @ ti_adj for ti_adj in adjoints for p in levels[-1]])
-    return levels
+def defect_root(t: RowContraction) -> np.ndarray:
+    """PSD square root D of I - sum T_i T_i*."""
+    gaps, vecs = _defect_eigh(t)
+    return (vecs * gaps) @ vecs.conj().T
 
 
 def poisson_kernel(
@@ -166,24 +171,30 @@ def poisson_kernel(
     an isometry.
     """
     tol = resolve_tol(tol)
-    adjs = _word_adjoint_products(t, max_level + 1)
-    tail = sum(p.conj().T @ p for p in adjs[max_level + 1])
-    purity_residual = float(np.max(np.diag(tail).real)) if t.dim else 0.0
+    tail = np.eye(t.dim, dtype=complex)
+    for _ in range(max_level + 1):
+        tail = t.cp_map(tail)
+    purity_residual = float(np.max(np.diag(tail).real))
     if purity_residual > tol:
         raise DilationInexactError(purity_residual, max_level)
 
-    d_root = defect_root(t, tol)
-    basis = orthonormal_columns(d_root, tol)
+    gaps, vecs = _defect_eigh(t)
+    keep = gaps > tol
+    basis = vecs[:, keep]
     defect_dim = int(basis.shape[1])
     if defect_dim == 0:
         raise ValueError("zero defect space: the row contraction is a coisometry")
 
     space = TruncatedFockSpace(t.n, max_level, defect_dim)
-    reduce = basis.conj().T @ d_root
-    # the block of rows of each word mu is D T_mu*, in canonical word order
-    pi = np.vstack([reduce @ adj for level in adjs[: max_level + 1] for adj in level])
+    # D in the defect basis; the rows of word i.mu are those of mu times T_i*
+    levels = [gaps[keep][:, None] * basis.conj().T]
+    adjoints = [t_i.conj().T for t_i in t.tuples]
+    for _ in range(max_level):
+        levels.append(np.vstack([levels[-1] @ adj for adj in adjoints]))
+    pi = np.vstack(levels)
     gram = pi.conj().T @ pi
     isometry_defect = float(np.abs(gram - np.eye(t.dim)).max())
+    d_root = defect_root(t)
     return DilationData(space, defect_dim, d_root, basis, pi, purity_residual, isometry_defect)
 
 
@@ -210,9 +221,7 @@ def verify_pair(pair: ContractivePair, tol: float | None = None) -> PairCheck:
     """Residuals of the n defining relations plus the purity verdict."""
     tol = resolve_tol(tol)
     t, w = pair.t, pair.w
-    residuals = []
-    for i in range(t.n - 1):
-        residuals.append(op_norm(w @ t.tuples[i] - t.tuples[i + 1]))
+    residuals = [op_norm(w @ t.tuples[i] - t.tuples[i + 1]) for i in range(t.n - 1)]
     residuals.append(op_norm(w @ t.tuples[-1] - t.tuples[0] @ w))
     purity = purity_test(t, tol=tol)
     passed = purity.pure and all(r <= tol for r in residuals)
@@ -266,12 +275,9 @@ def odometer_lift(
     map exact.
     """
     tol = resolve_tol(tol)
-    check = verify_pair(pair, tol)
-    if not check.purity.pure:
-        raise DilationInexactError(
-            check.purity.residuals[-1] if check.purity.residuals else float("inf"),
-            max_level,
-        )
+    purity = purity_test(pair.t, tol=tol)
+    if not purity.pure:
+        raise DilationInexactError(purity.residuals[-1], max_level)
     data = poisson_kernel(pair.t, max_level, tol)
     space = data.space
     d = data.defect_dim
@@ -279,8 +285,8 @@ def odometer_lift(
     lift_matrix = pi @ (pair.w @ pi.conj().T[:, :d])
     symbol = symbol_from_dense(space, lift_matrix, prune=1e-13)
     wmap = build_odometer(symbol)
+    # a symbol's support degree is at most its top level, so the window is never empty
     window = space.max_level - symbol.support_degree
-    rows = space.dim_upto(window) if window >= 0 else 0
     diff = pi @ pair.w.conj().T - wmap.operator.csc.H @ pi
-    residual = op_norm(diff[:rows, :])
+    residual = op_norm(diff[: space.dim_upto(window), :])
     return LiftResult(symbol, wmap, data, residual, window)

@@ -1,5 +1,7 @@
 """Wandering subspaces, inner factorizations, and induced subrepresentations."""
 
+import math
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -349,8 +351,38 @@ def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
     assert peak < 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB before refusing"
 
 
-def test_only_linalg_calls_the_svd():
-    # every rank decision goes through one routine in `linalg`
+# the modules that may call each np.linalg decomposition: every rank decision and
+# dense norm goes through `linalg`, each row contraction is decomposed by one
+# `eigh` in `dilation`, and the gallery's spectra are the only eigenvalue solves
+DECOMPOSITION_CALLERS = {
+    "svd": {"linalg.py"},
+    "eigvalsh": {"linalg.py"},
+    "eigh": {"dilation.py"},
+    "eigvals": {"gallery.py"},
+}
+
+
+def test_decompositions_are_called_only_where_the_table_allows():
     src = Path(__file__).resolve().parents[1] / "src" / "odofock"
-    callers = sorted(f.name for f in src.glob("*.py") if "np.linalg.svd" in f.read_text())
-    assert callers == ["linalg.py"]
+    calls = Counter()
+    for module in src.glob("*.py"):
+        for name in re.findall(r"np\.linalg\.(\w+)\(", module.read_text()):
+            if name != "norm":
+                calls[name, module.name] += 1
+    callers = {}
+    for name, module in calls:
+        callers.setdefault(name, set()).add(module)
+    assert callers == DECOMPOSITION_CALLERS
+    assert calls["eigh", "dilation.py"] == 1
+
+
+def test_induced_symbol_on_an_empty_window_is_vacuous():
+    # support degree 3 at level 3 leaves the word budget of levels 1..3 no exact column
+    space = TruncatedFockSpace(2, 3, 1)
+    sub = levels_subspace(space, 1)
+    vacuous = induced_symbol(sub, build_odometer(scalar_symbol(space, [0.0, 0.0, 0.0, 1.0])))
+    assert vacuous.window == -1 and vacuous.vacuous
+    assert math.isnan(vacuous.intertwining_residual)
+    tested = induced_symbol(sub, build_odometer(scalar_symbol(space, [1.0])))
+    assert tested.window >= 0 and not tested.vacuous
+    assert tested.intertwining_residual <= 1e-12

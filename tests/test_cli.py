@@ -12,7 +12,8 @@ from helpers import (
 )
 
 from odofock import ContractivePair, TruncatedFockSpace, compress_pair, constant_symbol
-from odofock import gallery_weak_bishift, jsonio, scalar_symbol, symbol_from_dense
+from odofock import gallery_weak_bishift, jsonio, levels_subspace, scalar_symbol
+from odofock import symbol_from_dense
 from odofock.cli import main
 
 
@@ -210,6 +211,20 @@ def test_factor_command(tmp_path, capsys):
                        "--out", str(tmp_path / "induced.json"))
     assert code == 0 and report["passed"]
     assert report["parameters"]["wandering_dim"] == 2
+
+
+def test_factor_on_an_empty_window_is_vacuous_and_fails(tmp_path, capsys):
+    # support degree 3 at level 3 leaves the induced check no exact column
+    space = TruncatedFockSpace(2, 3, 1)
+    sym_path = write_symbol(tmp_path, "sym.json", scalar_symbol(space, [0.0, 0.0, 0.0, 1.0]))
+    spath = str(tmp_path / "sub.json")
+    jsonio.dump_path(jsonio.subspace_to_json(space, levels_subspace(space, 1).basis), spath)
+    code, report = run(capsys, "factor", "--subspace", spath, "--symbol", sym_path)
+    assert code == 1
+    assert not report["passed"]
+    assert report["parameters"]["vacuous"] is True
+    check = next(c for c in report["checks"] if c["name"] == "induced_intertwining")
+    assert check["window"] == -1 and check["residual"] is None and not check["passed"]
 
 
 def test_spectrum_command_with_histogram(tmp_path, capsys):

@@ -1,10 +1,16 @@
 """Purity, Poisson kernels, compressions, and odometer lifts."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import random_coisometry, random_pure_row_contraction, random_symbol
+from helpers import (
+    random_coisometry,
+    random_pure_row_contraction,
+    random_symbol,
+    word_adjoint_oracle,
+)
 
 from odofock import (
     ContractivePair,
@@ -12,7 +18,9 @@ from odofock import (
     TruncatedFockSpace,
     WindowError,
     compress_pair,
+    constant_symbol,
     creation_operator,
+    defect_root,
     intertwining_residuals,
     odometer_lift,
     op_norm,
@@ -262,3 +270,57 @@ def test_lift_rejects_non_pure_pair_directly():
     pair = ContractivePair(RowContraction((one,)), one)
     with pytest.raises(DilationInexactError):
         odometer_lift(pair, 4)
+
+
+def oracle_contractions():
+    """Strict random contractions (full defect) and compressed pairs, whose
+    defect rank is below h, for n = 1, 2, 3, each with an exact kernel level."""
+    rng = np.random.default_rng(909)
+    for n in (1, 2, 3):
+        for h in (1, 3):
+            yield random_pure_row_contraction(n, h, rng, row_norm=0.08), 4
+        yield compress_pair(scalar_symbol(TruncatedFockSpace(n, 4, 1), [1.0]), 2).t, 3
+        yield compress_pair(constant_symbol(TruncatedFockSpace(n, 3, 2), np.eye(2)), 1).t, 2
+
+
+def test_poisson_kernel_matches_the_word_product_oracle():
+    tol = 1e-10
+    deficient = 0
+    for t, level in oracle_contractions():
+        data = poisson_kernel(t, level, tol)
+        square = np.eye(t.dim) - t.row_gram()
+        rank = int(np.sum(np.sqrt(np.linalg.svd(square, compute_uv=False)) > tol))
+        assert data.defect_dim == rank
+        deficient += rank < t.dim
+        k = data.defect_dim
+        blocks = data.poisson.reshape(-1, k, t.dim)
+        words = [adj for m in range(level + 1) for adj in word_adjoint_oracle(t, m)]
+        assert len(words) == blocks.shape[0]
+        for block, adj in zip(blocks, words):
+            # Pi_mu^H Pi_mu = T_mu D^2 T_mu*
+            expected = adj.conj().T @ square @ adj
+            assert np.abs(block.conj().T @ block - expected).max() <= 1e-13
+        tail = sum(adj.conj().T @ adj for adj in word_adjoint_oracle(t, level + 1))
+        assert abs(data.purity_residual - np.diag(tail).real.max()) <= 1e-15
+    assert deficient == 6
+
+
+def test_each_row_contraction_is_decomposed_once(monkeypatch):
+    strict = [0.05 * np.eye(3, dtype=complex), 0.05j * np.ones((3, 3)) / 3.0]
+    compressed = compress_pair(scalar_symbol(TruncatedFockSpace(2, 4, 1), [1.0]), 2).t.tuples
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for matrices in (strict, compressed):
+        calls.clear()
+        t = row_contraction(matrices)
+        purity_test(t)
+        defect_root(t)
+        poisson_kernel(t, 4)
+        assert dict(calls) == {"eigh": 1}
