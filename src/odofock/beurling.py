@@ -15,6 +15,7 @@ of the factorization stay exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .config import resolve_tol
 from .errors import InvarianceError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
-from .linalg import _rank_split, op_norm, orthonormal_columns
+from .linalg import _certified_kernel, op_norm, orthonormal_columns
 from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
 
 
@@ -55,21 +56,29 @@ def invariant_subspace(
     """Orthonormalize spanning columns, measure the creation-invariance defect
     and compute the wandering basis, all at the rank tolerance `tol`.
 
-    A 1-D array is one column. Three thin SVDs decide the ranks: the basis Q,
-    its part below the top level (kernel of the top-level rows), where the
-    residuals are taken, and the wandering basis (kernel of stacked Q^H S_i* Q).
+    A 1-D array is one column. Three ranks are decided: the basis Q, its part
+    below the top level (kernel of the top-level rows), where the residuals
+    are taken, and the wandering basis (kernel of stacked Q^H S_i* Q). Columns
+    C with ||C^H C - I||_F <= tol have singular values within sqrt(1 -+ tol), so
+    Q is C, orthonormal to that accuracy; other columns take a thin SVD. Both
+    kernels are `_certified_kernel`s. With no vector below the top level the
+    invariance check tests nothing: it is vacuous, its residuals NaN.
     """
     tol = resolve_tol(tol)
     space.require_dense()
-    basis = orthonormal_columns(columns, tol)
+    cols = np.asarray(columns, dtype=complex)
+    cols = cols[:, None] if cols.ndim == 1 else cols
+    gap = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) if cols.ndim == 2 else 1.0
+    basis = cols if gap <= tol < 0.5 else orthonormal_columns(cols, tol)
     if basis.shape[0] != space.dim:
         raise ValueError("subspace columns do not match the ambient dimension")
     low = space.dim_upto(space.max_level - 1)
-    interior = basis @ _rank_split(basis[low:], tol)[1]
+    interior = basis @ _certified_kernel(basis[low:], tol)
     letters = range(1, space.n + 1)
-    residuals = tuple(_orthogonal_part(basis, apply_creation(space, i, interior)) for i in letters)
+    images = (apply_creation(space, i, interior) for i in letters)
+    residuals = tuple(_orthogonal_part(basis, x) if interior.size else math.nan for x in images)
     overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis) for i in letters])
-    wandering = basis @ _rank_split(overlap, tol)[1]
+    wandering = basis @ _certified_kernel(overlap, tol)
     return InvariantSubspace(space, basis, residuals, wandering)
 
 
@@ -85,7 +94,9 @@ def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -
 
 
 def _require_invariant(sub: InvariantSubspace, tol: float):
-    worst = max(sub.invariance_residuals) if sub.invariance_residuals else 0.0
+    if any(math.isnan(r) for r in sub.invariance_residuals):
+        raise WindowError("creation invariance is vacuous: no vector lies below the top level")
+    worst = max(sub.invariance_residuals, default=0.0)
     if worst > tol:
         raise InvarianceError("subspace is not invariant under the creation tuple", worst)
 

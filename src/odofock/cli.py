@@ -311,7 +311,8 @@ def cmd_lift(args) -> int:
     pair_check = verify_pair(pair, tol)
     worst = max(pair_check.relation_residuals)
     report.add("pair_relations", worst, tol)
-    report.add("pair_purity", 0.0, tol, pair_check.purity.pure)
+    purity = pair_check.purity
+    report.add("pair_purity", purity.residuals[-1] if purity.residuals else 0.0, tol, purity.pure)
     if not pair_check.passed:
         return report.finish()
     try:
@@ -336,8 +337,10 @@ def cmd_factor(args) -> int:
     report = Report("factor", {"subspace": args.subspace, "symbol": args.symbol, "tol": tol})
     sub = invariant_subspace(space, columns, tol)
     worst = max(sub.invariance_residuals)
+    # with no vector below the top level the residuals are NaN: the check is vacuous and fails
     report.add("creation_invariance", worst, tol)
-    if worst > tol:
+    if not worst <= tol:
+        report.extra(vacuous=math.isnan(worst))
         return report.finish()
     fact = beurling_factorize(sub, tol)
     report.add("inner", fact.inner_residual, tol)

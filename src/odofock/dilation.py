@@ -272,12 +272,10 @@ def odometer_lift(
 
     The lift symbol is the vacuum compression of Pi W Pi*; the reported
     residual measures Pi W* - W_lift* Pi on rows whose level keeps the lift
-    map exact.
+    map exact. A pair whose purity tail at level max_level + 1 exceeds the
+    tolerance raises DilationInexactError from the Poisson kernel.
     """
     tol = resolve_tol(tol)
-    purity = purity_test(pair.t, tol=tol)
-    if not purity.pure:
-        raise DilationInexactError(purity.residuals[-1], max_level)
     data = poisson_kernel(pair.t, max_level, tol)
     space = data.space
     d = data.defect_dim

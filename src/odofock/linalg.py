@@ -79,6 +79,22 @@ def _rank_split(mat: np.ndarray, tol: float, kernel: bool = True):
     return u[:, s > tol], (vh[rank:, :].conj().T if kernel else None)
 
 
+def _certified_kernel(mat: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel coordinates of a 2-D matrix A, its rank decided as `_rank_split` decides it,
+    from one `eigh` of A^H A when a certificate allows: the p eigenvectors V of eigenvalue
+    < 1/2 are accepted iff ||A V|| <= tol < 1/2. By min-max that gives sigma_(r+1)(A) <= tol
+    for r = k - p (k columns), and the other eigenvalues give sigma_r(A) >= sqrt(1/2) > tol,
+    so the SVD's `s > tol` rule decides rank r and only the kernel basis may turn by a
+    unitary; otherwise `_rank_split` decides. On graded subspaces the Grams are projections
+    (eigenvalues within 5e-15 of 0 or 1) and the certificate passes; correctness does not
+    rest on that."""
+    vals, vecs = np.linalg.eigh(mat.conj().T @ mat)
+    kernel = vecs[:, vals < 0.5]
+    if tol < 0.5 and op_norm(mat @ kernel) <= tol:
+        return kernel
+    return _rank_split(mat, tol)[1]
+
+
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the column span (a 1-D array is one column), rank
     decided by singular values > tol."""

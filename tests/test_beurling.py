@@ -28,6 +28,8 @@ from odofock import (
     scalar_symbol,
     wandering_subspace,
 )
+from odofock.fock import apply_annihilation, apply_creation
+from odofock.linalg import _certified_kernel, _rank_split, orthonormal_columns
 
 
 def span_equals(basis, indices, dim, tol=1e-12):
@@ -278,16 +280,19 @@ def test_factorization_matches_word_by_word_oracle_bit_for_bit():
 
 
 def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
-    # three SVDs per invariant_subspace call: the basis, its part below the
-    # top level and the wandering basis; the later steps read the stored basis
+    # the identity columns are their own basis, and the part below the top
+    # level and the wandering basis take one certified Gram eigh each, so
+    # invariant_subspace runs no SVD; the later steps read the stored basis
     calls = Counter()
-    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls[stage] += 1
-        return svd(*args, **kwargs)
+    def counting(name, decomposition):
+        def counted(*args, **kwargs):
+            calls[stage, name] += 1
+            return decomposition(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     rng = np.random.default_rng(62)
     space = TruncatedFockSpace(2, 5, 2)
     wmap = build_odometer(constant_symbol(space, haar_unitary(2, rng)))
@@ -299,7 +304,7 @@ def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
         wander = wandering_subspace(sub)
         fact = beurling_factorize(sub)
         result = induced_symbol(sub, wmap, factorization=fact)
-        assert calls == Counter({"invariant_subspace": 3})
+        assert calls == Counter({("invariant_subspace", "eigh"): 2})
         assert wander is sub.wandering_basis and fact.wandering_basis is wander
         assert result.intertwining_residual <= 1e-10
 
@@ -352,12 +357,13 @@ def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
 
 
 # the modules that may call each np.linalg decomposition: every rank decision and
-# dense norm goes through `linalg`, each row contraction is decomposed by one
-# `eigh` in `dilation`, and the gallery's spectra are the only eigenvalue solves
+# dense norm goes through `linalg` (its certified kernels by a Gram `eigh`), each
+# row contraction is decomposed by one `eigh` in `dilation`, and the gallery's
+# spectra are the only eigenvalue solves
 DECOMPOSITION_CALLERS = {
     "svd": {"linalg.py"},
     "eigvalsh": {"linalg.py"},
-    "eigh": {"dilation.py"},
+    "eigh": {"dilation.py", "linalg.py"},
     "eigvals": {"gallery.py"},
 }
 
@@ -386,3 +392,111 @@ def test_induced_symbol_on_an_empty_window_is_vacuous():
     tested = induced_symbol(sub, build_odometer(scalar_symbol(space, [1.0])))
     assert tested.window >= 0 and not tested.vacuous
     assert tested.intertwining_residual <= 1e-12
+
+
+def projector_gap(a, b):
+    return np.abs(a @ a.conj().T - b @ b.conj().T).max()
+
+
+def with_singular_values(rng, rows, cols, values):
+    """A rows x cols matrix with nonzero singular values `values`, between Haar-random
+    orthonormal columns and rows."""
+    m = len(values)
+    u = haar_unitary(rows, rng)[:, :m]
+    v = haar_unitary(cols, rng)[:, :m]
+    return (u * np.asarray(values)) @ v.conj().T
+
+
+def test_certified_kernel_decides_the_svd_rank(monkeypatch):
+    # ranks equal exactly and kernels by projector; a singular value between
+    # tol and 1/2 fails the certificate and takes the SVD
+    svds = Counter()
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svds["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(1103)
+    space = TruncatedFockSpace(2, 4, 1)
+    grams = []  # projection Grams: the top rows and the overlaps of graded subspaces
+    for sub in (levels_subspace(space, lo) for lo in range(4)):
+        grams.append(sub.basis[space.dim_upto(space.max_level - 1):])
+        grams.append(np.vstack([sub.basis.conj().T @ apply_annihilation(space, i, sub.basis)
+                                for i in (1, 2)]))
+    separated = [with_singular_values(rng, rows, cols, vals) for rows, cols, vals in
+                 [(12, 5, [2.0, 1.0, 0.8]), (3, 6, [1.5, 0.9]), (9, 4, [1.0] * 4),
+                  (7, 3, []), (4, 9, [3.0, 1.0, 1.0, 0.75])]]
+    gaussian = [rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+                for r, c in [(11, 4), (4, 11), (6, 6)]]
+    planted = with_singular_values(rng, 8, 4, [1.0, 1.0, 1e-9])
+    cases = [(m, 0) for m in grams + separated] + [(planted, 1)]
+    cases += [(m, None) for m in gaussian]  # either path
+    for mat, svds_expected in cases:
+        svds.clear()
+        kernel = _certified_kernel(mat, 1e-10)
+        assert svds_expected is None or svds["svd"] == svds_expected
+        expected = _rank_split(mat, 1e-10)[1]
+        assert kernel.shape == expected.shape
+        assert projector_gap(kernel, expected) <= 1e-12
+    # the planted value counts toward the rank, as the SVD's s > tol decides
+    assert _certified_kernel(planted, 1e-10).shape == (4, 1)
+
+
+def mixed_level_columns(space, levels, rng):
+    """Columns S_mu v for random v at each of `levels` and every word mu that fits."""
+    blocks = []
+    for level in levels:
+        sl = space.level_slice(level)
+        gen = np.zeros((space.dim, 1), dtype=complex)
+        gen[sl, 0] = rng.standard_normal(sl.stop - sl.start) + 1j * rng.standard_normal(
+            sl.stop - sl.start)
+        blocks.append(gen)
+        for _ in range(space.max_level - level):
+            blocks.append(np.hstack([apply_creation(space, i, blocks[-1])
+                                     for i in range(1, space.n + 1)]))
+    return np.hstack(blocks)
+
+
+def svd_path(space, columns, tol):
+    """The subspace, residuals and wandering basis with every rank decided by an SVD."""
+    basis = orthonormal_columns(columns, tol)
+    interior = basis @ _rank_split(basis[space.dim_upto(space.max_level - 1):], tol)[1]
+    letters = range(1, space.n + 1)
+    images = [apply_creation(space, i, interior) for i in letters]
+    residuals = [op_norm(x - basis @ (basis.conj().T @ x)) for x in images]
+    overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis) for i in letters])
+    return basis, residuals, basis @ _rank_split(overlap, tol)[1]
+
+
+def test_certified_subspaces_match_the_svd_path_on_mixed_levels():
+    rng = np.random.default_rng(77)
+    tol = 1e-10
+    for n, max_level, d in [(2, 7, 1), (3, 4, 2), (2, 6, 2)]:
+        space = TruncatedFockSpace(n, max_level, d)
+        generated = mixed_level_columns(space, (1, 2), rng)
+        cases = [generated, generated[:, :-1], generated @ haar_unitary(generated.shape[1], rng),
+                 levels_subspace(space, 2).basis, np.hstack([levels_subspace(space, 3).basis,
+                                                              generated[:, :1]])]
+        for columns in cases:
+            sub = invariant_subspace(space, columns, tol)
+            basis, residuals, wandering = svd_path(space, columns, tol)
+            assert sub.dim == basis.shape[1] and projector_gap(sub.basis, basis) <= 1e-12
+            assert sub.wandering_basis.shape == wandering.shape
+            assert projector_gap(sub.wandering_basis, wandering) <= 1e-12
+            assert [r <= tol for r in sub.invariance_residuals] == [r <= tol for r in residuals]
+            assert np.allclose(sub.invariance_residuals, residuals, rtol=0, atol=1e-12)
+
+
+def test_subspace_with_nothing_below_the_top_level_is_vacuous():
+    # three random columns own three independent top-level parts, so no vector
+    # of S lies below the top level: creation invariance tests nothing
+    space = TruncatedFockSpace(2, 4, 1)
+    columns = np.random.default_rng(5).standard_normal((space.dim, 3))
+    sub = invariant_subspace(space, columns)
+    assert len(sub.invariance_residuals) == 2
+    assert all(math.isnan(r) for r in sub.invariance_residuals)
+    for call in (wandering_subspace, beurling_factorize):
+        with pytest.raises(WindowError, match="vacuous"):
+            call(sub)

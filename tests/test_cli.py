@@ -199,6 +199,43 @@ def test_lift_rejects_non_pure_pair(tmp_path, capsys):
     assert not report["passed"]
 
 
+def unitary_scalar_pair(tmp_path):
+    # W = T_1 = 1 satisfies the n = 1 relations, and its purity tail stays 1
+    from odofock import RowContraction
+
+    one = np.array([[1.0 + 0.0j]])
+    ppath = str(tmp_path / "unitary.json")
+    jsonio.dump_path(ContractivePair(RowContraction((one,)), one), ppath)
+    return ppath
+
+
+def test_lift_reports_the_purity_tail(tmp_path, capsys):
+    code, report = run(capsys, "lift", "--pair", unitary_scalar_pair(tmp_path), "--level", "4")
+    assert code == 1
+    check = next(c for c in report["checks"] if c["name"] == "pair_purity")
+    assert check["residual"] >= 0.9 and not check["passed"]
+
+
+def test_lift_runs_one_purity_test(tmp_path, capsys, monkeypatch):
+    from odofock import dilation
+
+    calls = []
+    purity_test = dilation.purity_test
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return purity_test(*args, **kwargs)
+
+    monkeypatch.setattr(dilation, "purity_test", counting)
+    space = TruncatedFockSpace(2, 5, 1)
+    ppath = str(tmp_path / "pair.json")
+    jsonio.dump_path(compress_pair(scalar_symbol(space, [0.8, 0.6]), 2), ppath)
+    for pair in (ppath, unitary_scalar_pair(tmp_path)):
+        calls.clear()
+        run(capsys, "lift", "--pair", pair, "--level", "5")
+        assert len(calls) == 1
+
+
 def test_factor_command(tmp_path, capsys):
     space = TruncatedFockSpace(2, 4, 1)
     sym_path = write_symbol(tmp_path, "const.json", scalar_symbol(space, [1.0]))
@@ -225,6 +262,23 @@ def test_factor_on_an_empty_window_is_vacuous_and_fails(tmp_path, capsys):
     assert report["parameters"]["vacuous"] is True
     check = next(c for c in report["checks"] if c["name"] == "induced_intertwining")
     assert check["window"] == -1 and check["residual"] is None and not check["passed"]
+
+
+def test_factor_with_nothing_below_the_top_level_is_vacuous_and_fails(tmp_path, capsys):
+    # three random columns leave no vector below the top level: creation
+    # invariance tests nothing, so it is reported with no residual and fails
+    space = TruncatedFockSpace(2, 4, 1)
+    sym_path = write_symbol(tmp_path, "const.json", scalar_symbol(space, [1.0]))
+    columns = np.random.default_rng(5).standard_normal((space.dim, 3)).astype(complex)
+    spath = str(tmp_path / "sub.json")
+    jsonio.dump_path(jsonio.subspace_to_json(space, columns), spath)
+    code, report = run(capsys, "factor", "--subspace", spath, "--symbol", sym_path)
+    assert code == 1
+    assert not report["passed"]
+    assert report["parameters"]["vacuous"] is True
+    [check] = report["checks"]
+    assert check["name"] == "creation_invariance"
+    assert check["residual"] is None and not check["passed"]
 
 
 def test_spectrum_command_with_histogram(tmp_path, capsys):
