@@ -48,6 +48,7 @@ from .dilation import (
     verify_pair,
 )
 from .errors import (
+    CertificateError,
     DilationInexactError,
     DimensionLimitError,
     InvarianceError,

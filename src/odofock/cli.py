@@ -32,6 +32,7 @@ from .dilation import (
     verify_pair,
 )
 from .errors import (
+    CertificateError,
     DilationInexactError,
     DimensionLimitError,
     InvarianceError,
@@ -365,11 +366,13 @@ def cmd_spectrum(args) -> int:
     report = Report("spectrum", {"symbol": args.symbol, "level": args.level, "tol": tol})
     try:
         spec = spectrum_per_level(symbol, args.level, tol)
-    except (NotIsometricError, ValueError) as exc:
+    except (NotIsometricError, CertificateError) as exc:
         report.fail("spectrum", str(exc))
         return report.finish()
     for lv in spec.per_level:
         report.add(f"level_{lv.level}_hausdorff", lv.hausdorff, tol)
+        report.add(f"level_{lv.level}_eigpair_residual", lv.eigpair_residual, tol,
+                   window=lv.level)
     report.add("unimodularity", spec.unimodularity_residual, tol)
     payload = {
         "max_gap": spec.max_gap,

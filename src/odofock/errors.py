@@ -50,3 +50,7 @@ class InvarianceError(OdofockError):
     def __init__(self, message: str, residual: float):
         self.residual = residual
         super().__init__(f"{message} (residual {residual:.3e})")
+
+
+class CertificateError(OdofockError):
+    """A structural certificate read off an operator does not hold."""

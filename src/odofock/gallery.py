@@ -4,8 +4,11 @@ The gallery holds four families: the phase-twisted adding machine on the
 half-line sequence space (kept outside the Fock indexing, with its own index
 window), the block-diagonal weak bi-shift, the vacuum shift symbol with a
 padded boundary column, and the golden-ratio coefficient sequence. Spectrum
-reports compare each level block of a constant unitary symbol against the
-predicted root sets.
+reports read each level block of a constant unitary symbol's W off its
+stored entries, certify it as one cycle of the carry closed by the level-0
+block, take its eigenvalues as roots of the cycle product, spot-check
+eigenpairs by matvec, and compare them against the root sets predicted from
+the symbol.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from .classify import ClassificationReport, _classify, classify, level0_block
 from .config import resolve_tol
-from .errors import NotIsometricError
+from .csc import CSC
+from .errors import CertificateError, NotIsometricError
 from .fock import TruncatedFockSpace, apply_annihilation
 from .linalg import hausdorff_distance, max_angular_gap, op_norm
 from .odometer import Symbol, build_odometer, constant_symbol, scalar_symbol, symbol_from_entries
@@ -25,10 +29,15 @@ from .odometer import Symbol, build_odometer, constant_symbol, scalar_symbol, sy
 
 @dataclass(frozen=True)
 class LevelSpectrum:
+    """One level block's eigenvalues (read off W), the roots predicted from the
+    symbol, their Hausdorff distance, and the largest eigenpair residual of the
+    spot check by matvec."""
+
     level: int
     eigenvalues: np.ndarray
     predicted: np.ndarray
     hausdorff: float
+    eigpair_residual: float
 
 
 @dataclass(frozen=True)
@@ -38,23 +47,100 @@ class SpectrumReport:
     unimodularity_residual: float
 
 
+# eigenpairs each level's matvec spot check tests at most
+EIGPAIR_SAMPLES = 32
+
+
+def _roots(values: np.ndarray, order: int) -> np.ndarray:
+    """The order-th roots of each value, value-major: row i holds the roots of values[i]."""
+    principal = np.abs(values) ** (1.0 / order) * np.exp(1j * np.angle(values) / order)
+    return np.outer(principal, np.exp(2j * np.pi * np.arange(order) / order)).ravel()
+
+
+def _level_cycle_spectrum(
+    space: TruncatedFockSpace, w: CSC, level: int
+) -> tuple[np.ndarray, float]:
+    """Eigenvalues of W's level block from its cycle certificate, and the largest
+    residual ||W_m v - lambda v|| over a spot check of unit eigenvectors.
+
+    The stored entries of W on the level's rows and columns must send each
+    column word into exactly one row word, and that word map must be one
+    N = n^m cycle through position 0; otherwise `CertificateError` names the
+    level. Along the cycle x_0 -> x_1 -> ... -> x_{N-1} -> x_0 with d x d
+    blocks B_k, the block is a cyclic block shift up to the order of the
+    words, whose characteristic polynomial is det(lambda^N - P) for
+    P = B_{N-1}...B_0. So the eigenvalues are the N-th roots of those of P,
+    with eigenvector v_j = lambda^(-j) B_{j-1}...B_0 u on x_j for
+    P u = lambda^N u.
+    """
+    d, size = space.coeff_dim, space.n**level
+    sl = space.level_slice(level)
+    block = w[sl, sl]
+    row_word, row_coord = np.divmod(block.indices, d)
+    col_word, col_coord = np.divmod(block.entry_cols, d)
+    succ = np.full(size, -1, dtype=np.int64)
+    succ[col_word] = row_word
+    if (succ < 0).any() or (succ[col_word] != row_word).any():
+        raise CertificateError(f"level {level}: a column word of W does not map into one row word")
+    # order[k] = succ^k(0): each pass doubles the known prefix, jumping it 2^i steps
+    order, jump = np.zeros(1, dtype=np.int64), succ
+    while order.size < size:
+        order, jump = np.concatenate([order, jump[order]]), jump[jump]
+    order = order[:size]
+    if np.unique(order).size != size or succ[order[-1]] != 0:
+        raise CertificateError(f"level {level}: the carry of W is not one {size}-cycle")
+    place = np.empty(size, dtype=np.int64)
+    place[order] = np.arange(size)
+    blocks = np.zeros((size, d, d), dtype=complex)
+    blocks[place[col_word], row_coord, col_coord] = block.data
+    # prefix[k] = B_k ... B_0 by doubling scans
+    prefix, step = blocks, 1
+    while step < size:
+        prefix = np.concatenate([prefix[:step], prefix[step:] @ prefix[:-step]])
+        step *= 2
+    mu, u = np.linalg.eig(prefix[-1])
+    eigs = _roots(mu, size)
+
+    samples = min(EIGPAIR_SAMPLES, eigs.size)
+    picked = np.unique(np.linspace(0, eigs.size - 1, samples).round().astype(np.int64))
+    lam = eigs[picked]
+    # C_j u for C_0 = I and C_j = B_{j-1}...B_0, then the powers of lambda
+    carried = np.concatenate([u[None], prefix[:-1] @ u])[:, :, picked // size]
+    vecs = np.zeros((size * d, lam.size), dtype=complex)
+    coords = (order[:, None] * d + np.arange(d)).ravel()
+    steps = np.arange(size)[:, None, None]
+    powers = np.abs(lam) ** -steps * np.exp(-1j * np.angle(lam) * steps)
+    vecs[coords] = (carried * powers).reshape(size * d, -1)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    residual = np.linalg.norm(block @ vecs - vecs * lam, axis=0).max()
+    return eigs, float(residual)
+
+
 def spectrum_per_level(
     symbol: Symbol, max_level: int | None = None, tol: float | None = None
 ) -> SpectrumReport:
     """Eigenvalues of each level block of a constant unitary odometer map.
 
-    Constant symbols preserve levels, so the blocks are exact; the level-m
-    block raised to the n^m-th power is the level-0 block amplified, hence
-    its eigenvalues are the n^m-th roots of the block spectrum. The report
-    carries the Hausdorff distance to that prediction per level and the
-    largest angular gap across all computed eigenvalues.
+    Constant symbols preserve levels. Each level-m block of W, read off its
+    stored entries, is certified to be one n^m-cycle of d x d blocks, the
+    carry's identities closed by the level-0 block U on the all-n column;
+    its eigenvalues are the n^m-th roots of the eigenvalues of the product
+    of the blocks around the cycle, one d x d eigensolve per level. A matvec
+    with W checks up to `EIGPAIR_SAMPLES` evenly spaced eigenpairs of the
+    closed-form eigenvectors (`eigpair_residual`, for unit vectors). The
+    prediction is the n^m-th roots of eig(U), taken from the symbol and not
+    from W, and `hausdorff` is their distance to the eigenvalues. Each
+    `LevelSpectrum` holds level, eigenvalues, predicted, hausdorff and
+    eigpair_residual; the report adds the largest angular gap across all
+    computed eigenvalues and the largest distance of one from the unit
+    circle. Levels run 0..max_level, which must lie in 0..M.
     """
     tol = resolve_tol(tol)
     space = symbol.space
     if max_level is None:
         max_level = space.max_level
-    if max_level > space.max_level:
-        raise ValueError("requested level exceeds the truncation")
+    if not 0 <= max_level <= space.max_level:
+        raise ValueError(f"spectrum level {max_level} outside 0..{space.max_level}")
     report, wmap = _classify(symbol, tol)
     if not report.is_unitary:
         raise NotIsometricError("spectrum prediction requires a constant unitary symbol")
@@ -62,24 +148,15 @@ def spectrum_per_level(
     w = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
     base_eigs = np.linalg.eigvals(level0_block(symbol))
     levels = []
-    all_eigs = []
-    unimod = 0.0
     for m in range(max_level + 1):
-        sl = space.level_slice(m)
-        eigs = np.linalg.eigvals(w[sl, sl].toarray())
-        order = space.n**m
-        predicted = []
-        for a in base_eigs:
-            radius = abs(a) ** (1.0 / order)
-            theta = np.angle(a)
-            for k in range(order):
-                predicted.append(radius * np.exp(1j * (theta + 2 * np.pi * k) / order))
-        predicted = np.asarray(predicted)
-        levels.append(LevelSpectrum(m, eigs, predicted, hausdorff_distance(eigs, predicted)))
-        all_eigs.append(eigs)
-        unimod = max(unimod, float(np.abs(np.abs(eigs) - 1.0).max()))
-    gap = max_angular_gap(np.concatenate(all_eigs))
-    return SpectrumReport(tuple(levels), gap, unimod)
+        eigs, residual = _level_cycle_spectrum(space, w, m)
+        predicted = _roots(base_eigs, space.n**m)
+        levels.append(
+            LevelSpectrum(m, eigs, predicted, hausdorff_distance(eigs, predicted), residual)
+        )
+    all_eigs = np.concatenate([lv.eigenvalues for lv in levels])
+    unimod = float(np.abs(np.abs(all_eigs) - 1.0).max())
+    return SpectrumReport(tuple(levels), max_angular_gap(all_eigs), unimod)
 
 
 def angle_histogram(points: np.ndarray, bins: int = 24, width: int = 50) -> list[str]:
@@ -241,6 +318,11 @@ def gallery_golden_ratio(
     corrs = []
     bounds = []
     for r in range(1, max_corr + 1):
+        if r > terms:
+            # no two of the terms + 1 coefficients lie r apart
+            corrs.append(0j)
+            bounds.append(0.0)
+            continue
         corrs.append(complex(np.sum(coeffs[r:] * coeffs[: terms + 1 - r])))
         bounds.append(geom * abs(omega) ** (2 * terms - r))
     return GoldenRatioSequence(

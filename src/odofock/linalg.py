@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csc import CSC, as_csc
+from .csc import _CHUNK, CSC, as_csc
 from .fock import Operator
 
 
@@ -130,13 +130,26 @@ def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) 
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two finite point sets in the complex plane."""
+    """Hausdorff distance between two finite point sets in the complex plane.
+
+    The distances are formed a block of rows of a at a time, at most about
+    `_CHUNK` of them at once, so memory is O(|b| * rows) rather than
+    O(|a| * |b|); min and max are exact, so the value does not depend on the
+    blocks.
+    """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size == 0 or b.size == 0:
         return float("inf") if a.size != b.size else 0.0
-    dist = np.abs(a[:, None] - b[None, :])
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    step = max(1, _CHUNK // b.size)
+    a_to_b = 0.0
+    b_to_a = np.full(b.size, np.inf)
+    # np.maximum and np.minimum pass a NaN on, as one-shot min and max do
+    for lo in range(0, a.size, step):
+        dist = np.abs(a[lo : lo + step, None] - b[None, :])
+        a_to_b = np.maximum(a_to_b, dist.min(axis=1).max())
+        np.minimum(b_to_a, dist.min(axis=0), out=b_to_a)
+    return float(np.maximum(a_to_b, b_to_a.max()))
 
 
 def max_angular_gap(points: np.ndarray) -> float:

@@ -332,3 +332,9 @@ def reference_phi(space: TruncatedFockSpace, wandering_basis: np.ndarray, budget
             pcols = slice(parent * wdim, (parent + 1) * wdim)
             phi[:, cols] = screations[word.letters[0] - 1] @ phi[:, pcols]
     return phi
+
+
+def reference_level_spectrum(space: TruncatedFockSpace, w, level: int) -> np.ndarray:
+    """Oracle: the eigenvalues of W's level block, copied dense, by `np.linalg.eigvals`."""
+    sl = space.level_slice(level)
+    return np.linalg.eigvals(w[sl, sl].toarray())

@@ -359,11 +359,13 @@ def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
 # the modules that may call each np.linalg decomposition: every rank decision and
 # dense norm goes through `linalg` (its certified kernels by a Gram `eigh`), each
 # row contraction is decomposed by one `eigh` in `dilation`, and the gallery's
-# spectra are the only eigenvalue solves
+# spectra are the only eigenvalue solves: `eig` of each level's cycle product
+# and `eigvals` of the symbol's level-0 block
 DECOMPOSITION_CALLERS = {
     "svd": {"linalg.py"},
     "eigvalsh": {"linalg.py"},
     "eigh": {"dilation.py", "linalg.py"},
+    "eig": {"gallery.py"},
     "eigvals": {"gallery.py"},
 }
 

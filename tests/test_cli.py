@@ -290,6 +290,29 @@ def test_spectrum_command_with_histogram(tmp_path, capsys):
     assert len(report["histogram"]) == 24
 
 
+def test_spectrum_reports_eigenpair_residuals_per_level(tmp_path, capsys):
+    space = TruncatedFockSpace(2, 3, 2)
+    u = haar_unitary(2, np.random.default_rng(9))
+    path = write_symbol(tmp_path, "u.json", constant_symbol(space, u))
+    code, report = run(capsys, "spectrum", "--symbol", path)
+    assert code == 0 and report["passed"]
+    checks = {c["name"]: c for c in report["checks"]}
+    for m in range(4):
+        check = checks[f"level_{m}_eigpair_residual"]
+        assert check["window"] == m
+        assert check["passed"] and check["residual"] <= 1e-12
+
+
+def test_spectrum_level_outside_the_truncation_is_malformed(tmp_path, capsys):
+    space = TruncatedFockSpace(2, 3, 1)
+    path = write_symbol(tmp_path, "ph.json", scalar_symbol(space, [np.exp(0.3j)]))
+    for level in ("-1", "4"):
+        code = main(["spectrum", "--symbol", path, "--level", level])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert f"spectrum level {level} outside 0..3" in captured.err
+
+
 def test_cli_verdict_reproducible_from_library(tmp_path, capsys):
     from odofock import check_nica, off_vacuum_residual
 
@@ -323,6 +346,13 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, "check", "isometry", "--symbol", path)
     assert code == 1
     monkeypatch.delenv("ODOFOCK_TOL")
+
+
+def test_golden_ratio_with_fewer_terms_than_correlation_lags(capsys):
+    code, report = run(capsys, "gen-example", "golden-ratio", "--terms", "2", "--level", "2")
+    assert code == 0 and report["passed"]
+    checks = {c["name"]: c["residual"] for c in report["checks"]}
+    assert checks["correlation_3"] == checks["correlation_4"] == 0.0
 
 
 def test_gen_example_names_and_failure(capsys):

@@ -5,8 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from helpers import haar_unitary, reference_level_spectrum
 
 from odofock import (
+    CertificateError,
     NotIsometricError,
     TruncatedFockSpace,
     build_odometer,
@@ -17,9 +19,12 @@ from odofock import (
     gallery_shift_symbol,
     gallery_weak_bishift,
     golden_ratio_coeffs,
+    hausdorff_distance,
     scalar_symbol,
     spectrum_per_level,
 )
+from odofock.csc import CSC
+from odofock.gallery import _level_cycle_spectrum
 
 
 def test_adding_machine_untwisted_relations():
@@ -103,6 +108,16 @@ def test_golden_ratio_partial_sums_within_tails():
         assert abs(corr) <= bound + 1e-15
     # the infinite identities force the tails themselves to shrink
     assert data.unit_tail_bound < 1e-16
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 5])
+def test_golden_ratio_lags_beyond_the_terms_are_zero(terms):
+    data = gallery_golden_ratio(terms)
+    assert len(data.correlations) == len(data.correlation_tail_bounds) == 4
+    for r, (corr, bound) in enumerate(zip(data.correlations, data.correlation_tail_bounds), 1):
+        assert abs(corr) <= bound + 1e-15
+        if r > terms:
+            assert corr == 0 and bound == 0.0
 
 
 def test_golden_ratio_coefficient_coincidence():
@@ -253,3 +268,89 @@ def test_gallery_builds_w_once_per_call(monkeypatch):
     entry = gallery_weak_bishift(3, 4)
     assert entry.classification.is_isometric
     assert builds == Counter({"build_odometer": 1})
+
+
+@pytest.mark.parametrize("n, max_level", [(1, 6), (2, 6), (3, 4)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cycle_spectrum_matches_dense_eigvals(n, max_level, d):
+    rng = np.random.default_rng(100 * n + 10 * max_level + d)
+    space = TruncatedFockSpace(n, max_level, d)
+    symbol = constant_symbol(space, haar_unitary(d, rng))
+    report = spectrum_per_level(symbol)
+    w = build_odometer(symbol).operator.csc
+    tol = 1e-10
+    for lv in report.per_level:
+        oracle = reference_level_spectrum(space, w, lv.level)
+        assert lv.eigenvalues.size == oracle.size == d * n**lv.level
+        assert hausdorff_distance(lv.eigenvalues, oracle) <= 1e-12
+        assert lv.eigpair_residual <= 1e-12
+        unimodular = np.abs(np.abs(lv.eigenvalues) - 1.0).max() <= tol
+        assert unimodular == (np.abs(np.abs(oracle) - 1.0).max() <= tol)
+
+
+def swap_rows(w: CSC, a: int, b: int) -> CSC:
+    dense = w.toarray()
+    dense[[a, b]] = dense[[b, a]]
+    return CSC.from_dense(dense)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cycle_certificate_refuses_permuted_carry_rows(d):
+    space = TruncatedFockSpace(2, 3, d)
+    w = build_odometer(constant_symbol(space, np.eye(d, dtype=complex))).operator.csc
+    for m in range(space.max_level + 1):
+        _level_cycle_spectrum(space, w, m)
+    # the rows of the level-2 words at positions 1 and 2, which the carry
+    # reaches from positions 2 and 0
+    lo = space.level_offset(2)
+    tampered = swap_rows(w, (lo + 1) * d, (lo + 2) * d)
+    # with d = 1 the cycle splits in two; with d > 1 one coordinate of each
+    # column word moves, so the column words reach two row words
+    message = "one 4-cycle" if d == 1 else "one row word"
+    with pytest.raises(CertificateError, match=f"level 2: .*{message}"):
+        _level_cycle_spectrum(space, tampered, 2)
+    for m in (0, 1, 3):
+        _level_cycle_spectrum(space, tampered, m)
+
+
+def test_spectrum_solves_only_coefficient_sized_eigenproblems(monkeypatch):
+    shapes = []
+
+    def recording(fn):
+        def inner(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return inner
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    rng = np.random.default_rng(4)
+    space = TruncatedFockSpace(2, 6, 3)
+    report = spectrum_per_level(constant_symbol(space, haar_unitary(3, rng)))
+    assert len(report.per_level) == 7
+    # one eigensolve per level from W and one of the symbol's level-0 block
+    assert shapes == [(3, 3)] * 8
+
+
+def test_spectrum_at_the_top_of_the_dense_cap():
+    # n = 2, M = 12: D = 8191, the top level block has N = 4096
+    space = TruncatedFockSpace(2, 12, 1)
+    report = spectrum_per_level(scalar_symbol(space, [np.exp(0.77j)]))
+    assert sum(lv.eigenvalues.size for lv in report.per_level) == space.dim == 8191
+    assert all(lv.hausdorff <= 1e-9 for lv in report.per_level)
+    assert all(lv.eigpair_residual <= 1e-10 for lv in report.per_level)
+    assert report.unimodularity_residual <= 1e-10
+
+
+@pytest.mark.parametrize("sizes", [(1, 7), (37, 5), (300, 2000), (20000, 3)])
+def test_hausdorff_distance_matches_the_one_shot_formula(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    a, b = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in sizes)
+    for x, y in ((a, b), (b, a)):
+        dist = np.abs(x[:, None] - y[None, :])
+        want = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+        assert hausdorff_distance(x, y) == want
+    # a NaN point leaves the distance NaN, as it does the one-shot formula
+    assert np.isnan(hausdorff_distance(np.r_[a, np.nan], b))
+    assert np.isnan(hausdorff_distance(a, np.r_[np.nan, b]))
