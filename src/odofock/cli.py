@@ -289,7 +289,8 @@ def cmd_dilate(args) -> int:
     pair = _load_as(args.pair, ContractivePair, "pair")
     report = Report("dilate", {"pair": args.pair, "level": args.level, "tol": tol})
     purity = purity_test(pair.t, tol=tol)
-    report.add("purity", purity.residuals[-1] if purity.residuals else 0.0, tol, purity.pure)
+    report.add("purity", purity.bound, 1.0 - tol)
+    report.extra(level_needed=purity.level_needed)
     if not purity.pure:
         return report.finish()
     try:
@@ -313,12 +314,13 @@ def cmd_lift(args) -> int:
     worst = max(pair_check.relation_residuals)
     report.add("pair_relations", worst, tol)
     purity = pair_check.purity
-    report.add("pair_purity", purity.residuals[-1] if purity.residuals else 0.0, tol, purity.pure)
+    report.add("pair_purity", purity.bound, 1.0 - tol)
+    report.extra(level_needed=purity.level_needed)
     if not pair_check.passed:
         return report.finish()
     try:
         lift = odometer_lift(pair, args.level, tol)
-    except (DilationInexactError, OdofockError) as exc:
+    except DilationInexactError as exc:
         report.fail("odometer_lift", str(exc))
         return report.finish()
     report.add("lift_intertwining", lift.intertwining_residual, tol, window=lift.window)

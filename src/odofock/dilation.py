@@ -1,23 +1,29 @@
 """Pure row contractions, their Poisson-kernel dilation, and odometer lifts.
 
-A row contraction is an n-tuple T on a finite-dimensional space with
-sum T_i T_i* <= I. Purity is decided through the iterated completely
-positive map X -> sum T_i X T_i*: its trace at step m is the total tail mass
-sum over length-m words of ||T_mu* h||^2 over an orthonormal basis. The
-dilation embeds the space into the defect-valued Fock truncation by
-h -> sum_mu e_mu (x) D T_mu* h with D the positive square root of the defect.
+A row contraction is an n-tuple T on an h-dimensional space with
+sum T_i T_i* <= I. Purity is decided through the completely positive map
+Phi(X) = sum T_i X T_i*, whose powers Phi^m(I) decrease to a limit Q with
+Phi(Q) = Q; T is pure when Q = 0. The kernels E_m = ker(I - Phi^m(I))
+decrease, and E_(m+1) = E_1 meet the preimages of E_m under every T_i*, so
+once two of them agree the chain is constant: from m = h + 1 on at the
+latest. The top eigenspace of a nonzero Q is T*-invariant and lies in E_1,
+so Q != 0 forces ||Q|| = 1. Hence T is pure if and only if
+||Phi^(h+1)(I)|| < 1, and q = ||Phi^m(I)|| < 1 bounds the tail by
+||Phi^L(I)|| <= q^floor(L/m). The dilation embeds the space into the
+defect-valued Fock truncation by h -> sum_mu e_mu (x) D T_mu* h with D the
+positive square root of the defect.
 
 One Hermitian eigendecomposition of sum T_i T_i* per row contraction gives
-the contraction check, the row norm, D and the defect basis. Pi stacks the
-blocks D T_mu* in canonical word order, level by level: level 0 is D in the
-defect basis, and level L stacks level L-1 times T_i* for i = 1..n, first
-letter outermost, as T_(i mu)* = T_mu* T_i*. The purity tail at level M+1
-is the largest diagonal entry of Phi^(M+1)(I), with Phi iterated as in
-`purity_test`.
+the contraction check, D and the defect basis. Pi stacks the blocks D T_mu*
+in canonical word order, level by level: level 0 is D in the defect basis,
+and level L stacks level L-1 times T_i* for i = 1..n, first letter
+outermost, as T_(i mu)* = T_mu* T_i*. The purity tail at level M+1 is the
+largest diagonal entry of Phi^(M+1)(I).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,10 +79,6 @@ class RowContraction:
         """Ascending eigenpairs of sum_i T_i T_i*, the one decomposition of the tuple."""
         return np.linalg.eigh(self.row_gram())
 
-    def row_norm(self) -> float:
-        """Norm of the row operator [T_1 ... T_n], the root of the top Gram eigenvalue."""
-        return float(np.sqrt(max(self.gram_eigh[0][-1], 0.0)))
-
     def cp_map(self, x: np.ndarray) -> np.ndarray:
         """The completely positive map X -> sum_i T_i X T_i*."""
         return sum(t @ x @ t.conj().T for t in self.tuples)
@@ -101,33 +103,42 @@ class ContractivePair:
 
 @dataclass(frozen=True)
 class PurityResult:
+    """Purity verdict with the traces r_m = trace(Phi^m(I)) of each step m.
+
+    `bound` is q >= ||Phi^m(I)|| at the last step m; `level_needed` is the
+    smallest Poisson level M with q^floor((M+1)/m) <= tol, None if not pure.
+    """
+
     pure: bool
     residuals: tuple[float, ...]
-    strict_row: bool
+    bound: float
+    level_needed: int | None
 
 
-def purity_test(t: RowContraction, m_max: int = 64, tol: float | None = None) -> PurityResult:
-    """Decide purity through the trace of the iterated CP map.
+def purity_test(t: RowContraction, tol: float | None = None) -> PurityResult:
+    """Decide purity at the horizon h + 1, where ||Phi^(h+1)(I)|| < 1 iff T is pure.
 
-    r_m = trace(Phi^m(I)) sums ||T_mu* h||^2 over all length-m words and an
-    orthonormal basis h; the contraction is pure when r_m -> 0. A strict row
-    contraction forces geometric decay, so it passes immediately, but only
-    with a margin: a coisometry's row norm may compute to just below 1, so
-    the shortcut needs row norm < 1 - tol. Otherwise the iteration stops at
-    the first r_m below tol or at m_max.
+    Phi is iterated from I for at most h + 1 steps. The first trace r_m
+    <= 1 - tol certifies purity with q = r_m, since the top eigenvalue is at
+    most the trace; otherwise q = ||Phi^(h+1)(I)||, its top eigenvalue, and
+    T is pure iff q <= 1 - tol.
     """
     tol = resolve_tol(tol)
-    if t.row_norm() < 1.0 - tol:
-        return PurityResult(True, (), True)
     x = np.eye(t.dim, dtype=complex)
     residuals: list[float] = []
-    for _ in range(m_max):
+    for _ in range(t.dim + 1):
         x = t.cp_map(x)
-        r = float(np.trace(x).real)
-        residuals.append(r)
-        if r < tol:
-            return PurityResult(True, tuple(residuals), False)
-    return PurityResult(False, tuple(residuals), False)
+        residuals.append(float(np.trace(x).real))
+        if residuals[-1] <= 1.0 - tol:
+            bound = residuals[-1]
+            break
+    else:
+        bound = op_norm(x)
+    if bound > 1.0 - tol:
+        return PurityResult(False, tuple(residuals), bound, None)
+    # the least power k with q^k <= tol; log1p keeps log q accurate near q = 1
+    k = 1 if bound <= tol else math.ceil(math.log(tol) / math.log1p(bound - 1.0))
+    return PurityResult(True, tuple(residuals), bound, k * len(residuals) - 1)
 
 
 @dataclass(frozen=True)
@@ -166,26 +177,29 @@ def poisson_kernel(
 ) -> DilationData:
     """Truncated Poisson kernel, with the defect space in an orthonormal basis.
 
-    Raises DilationInexactError when the purity tail at level max_level + 1
-    exceeds the tolerance: the truncated kernel would then visibly fail to be
-    an isometry.
+    Raises ValueError for a negative level, DimensionLimitError before any
+    iteration when the kernel's space exceeds the dense limit, and
+    DilationInexactError when the purity tail at level max_level + 1
+    exceeds the tolerance: the truncated kernel would then visibly fail to
+    be an isometry.
     """
     tol = resolve_tol(tol)
+    gaps, vecs = _defect_eigh(t)
+    keep = gaps > tol
+    basis = vecs[:, keep]
+    defect_dim = int(basis.shape[1])
+    # refuses a negative level; a zero defect fails the tail check or the test after it
+    space = TruncatedFockSpace(t.n, max_level, max(defect_dim, 1))
+    space.require_dense()
     tail = np.eye(t.dim, dtype=complex)
     for _ in range(max_level + 1):
         tail = t.cp_map(tail)
     purity_residual = float(np.max(np.diag(tail).real))
     if purity_residual > tol:
         raise DilationInexactError(purity_residual, max_level)
-
-    gaps, vecs = _defect_eigh(t)
-    keep = gaps > tol
-    basis = vecs[:, keep]
-    defect_dim = int(basis.shape[1])
     if defect_dim == 0:
         raise ValueError("zero defect space: the row contraction is a coisometry")
 
-    space = TruncatedFockSpace(t.n, max_level, defect_dim)
     # D in the defect basis; the rows of word i.mu are those of mu times T_i*
     levels = [gaps[keep][:, None] * basis.conj().T]
     adjoints = [t_i.conj().T for t_i in t.tuples]

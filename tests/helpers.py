@@ -15,6 +15,7 @@ from odofock import (
     carry_successor,
     creation_operator,
     op_norm,
+    row_contraction,
     symbol_from_dense,
     symbol_from_entries,
 )
@@ -135,6 +136,84 @@ def random_coisometry(n: int, dim: int, rng: np.random.Generator) -> RowContract
     so sum T_i T_i* = I and the tuple is never pure."""
     rows = haar_unitary(n * dim, rng)[:dim, :]
     return RowContraction(tuple(rows[:, i * dim : (i + 1) * dim] for i in range(n)))
+
+
+def unit_row_contraction(a: float) -> RowContraction:
+    """T_1 = [[a, sqrt(1 - a^2)], [0, 0]]: row norm 1, yet Phi^m(I) = diag(a^(2m-2), 0)
+    for m >= 1, so the tuple is pure for |a| < 1 and its tail decays like a^2."""
+    return row_contraction([np.array([[a, np.sqrt(1.0 - a * a)], [0.0, 0.0]])])
+
+
+def weighted_cycle(h: int, weight: float = 0.5) -> RowContraction:
+    """The cyclic shift e_j -> e_(j+1 mod h) with one weight: T^h = weight * I,
+    so ||Phi^m(I)|| = 1 for m < h and Phi^h(I) = weight^2 I."""
+    shift = np.roll(np.eye(h), 1, axis=0)
+    shift[0, h - 1] = weight
+    return row_contraction([shift])
+
+
+def random_unit_row_pure(
+    n: int, dim: int, ones: int, rng: np.random.Generator
+) -> RowContraction:
+    """A row [T_1 ... T_n] with `ones` singular values exactly 1 and the rest at most
+    0.95, between Haar factors: row norm 1, and generically (ones < dim) pure."""
+    s = np.concatenate([np.ones(ones), rng.uniform(0.0, 0.95, dim - ones)])
+    rows = haar_unitary(dim, rng) @ (s[:, None] * haar_unitary(n * dim, rng)[:dim, :])
+    return RowContraction(tuple(rows[:, i * dim : (i + 1) * dim] for i in range(n)))
+
+
+def random_conjugated_coisometry_sum(
+    n: int, c: int, p: int, rng: np.random.Generator
+) -> RowContraction:
+    """U (C_i + P_i) U* for a coisometry C on c dimensions and a strict P on p:
+    the C block is T*-invariant with sum T_i T_i* = I there, so never pure."""
+    cois = random_coisometry(n, c, rng).tuples
+    pure = random_pure_row_contraction(n, p, rng, row_norm=0.9).tuples
+    u = haar_unitary(c + p, rng)
+    blocks = []
+    for ci, pi in zip(cois, pure):
+        block = np.zeros((c + p, c + p), dtype=complex)
+        block[:c, :c], block[c:, c:] = ci, pi
+        blocks.append(u @ block @ u.conj().T)
+    return RowContraction(tuple(blocks))
+
+
+def kernel_chain_is_pure(t: RowContraction, tol: float = 1e-8) -> bool:
+    """Oracle: the chain E_1 = ker(I - sum T_i T_i*), E_(m+1) = {v in E_1 : T_i* v
+    in E_m for every i} ends at {0} iff T is pure; kernels by SVD, rank tolerance tol."""
+
+    def kernel(a):
+        _, s, vh = np.linalg.svd(a)
+        return vh[int(np.sum(s > tol)) :].conj().T
+
+    e1 = kernel(np.eye(t.dim) - t.row_gram())
+    e = e1
+    for _ in range(t.dim + 1):
+        if e.shape[1] == 0:
+            return True
+        outside = np.eye(t.dim) - e @ e.conj().T
+        e = e1 @ kernel(np.vstack([outside @ ti.conj().T @ e1 for ti in t.tuples]))
+    return e.shape[1] == 0
+
+
+def capped_purity(t: RowContraction, tol: float = 1e-10, steps: int = 64) -> bool:
+    """The superseded verdict: pure when the row norm is below 1 - tol, or when some
+    trace(Phi^m(I)) with m <= steps is below tol."""
+    if np.sqrt(max(np.linalg.eigvalsh(t.row_gram())[-1], 0.0)) < 1.0 - tol:
+        return True
+    x = np.eye(t.dim, dtype=complex)
+    for _ in range(steps):
+        x = t.cp_map(x)
+        if np.trace(x).real < tol:
+            return True
+    return False
+
+
+def cp_power_at_identity(t: RowContraction, power: int) -> np.ndarray:
+    """Phi^power(I) by repeated squaring of sum_i T_i (x) conj(T_i) on row-major vec."""
+    kron = sum(np.kron(ti, ti.conj()) for ti in t.tuples)
+    vec = np.linalg.matrix_power(kron, power) @ np.eye(t.dim, dtype=complex).ravel()
+    return vec.reshape(t.dim, t.dim)
 
 
 def reference_odometer(symbol: Symbol) -> np.ndarray:

@@ -9,6 +9,8 @@ from helpers import (
     random_symbol,
     reference_adjoint,
     reference_odometer,
+    unit_row_contraction,
+    weighted_cycle,
 )
 
 from odofock import ContractivePair, TruncatedFockSpace, compress_pair, constant_symbol
@@ -234,6 +236,61 @@ def test_lift_runs_one_purity_test(tmp_path, capsys, monkeypatch):
         calls.clear()
         run(capsys, "lift", "--pair", pair, "--level", "5")
         assert len(calls) == 1
+
+
+def zero_w_pair(tmp_path, name, t):
+    ppath = str(tmp_path / name)
+    jsonio.dump_path(ContractivePair(t, np.zeros((t.dim, t.dim), dtype=complex)), ppath)
+    return ppath
+
+
+def test_dilate_and_lift_pass_at_the_reported_level_needed(tmp_path, capsys):
+    # row norm 1 but pure: too low a level fails, and the report names the level
+    # that the purity bound proves enough
+    pairs = [("a09.json", unit_row_contraction(0.9), 219),
+             ("a095.json", unit_row_contraction(0.95), 449),
+             ("a099.json", unit_row_contraction(0.99), 2291),
+             ("cycle5.json", weighted_cycle(5), 101), ("cycle8.json", weighted_cycle(8), 152)]
+    for name, t, needed in pairs:
+        ppath = zero_w_pair(tmp_path, name, t)
+        code, report = run(capsys, "dilate", "--pair", ppath, "--level", "10")
+        assert code == 1 and report["parameters"]["level_needed"] == needed
+        purity = next(c for c in report["checks"] if c["name"] == "purity")
+        assert purity["passed"] and purity["tolerance"] == 1.0 - 1e-10
+        for command in ("dilate", "lift"):
+            code, report = run(capsys, command, "--pair", ppath, "--level", str(needed))
+            assert code == 0 and report["passed"]
+            assert report["parameters"]["level_needed"] == needed
+
+
+def test_non_pure_pair_reports_no_level_needed(tmp_path, capsys):
+    for command in ("dilate", "lift"):
+        code, report = run(capsys, command, "--pair", unitary_scalar_pair(tmp_path), "--level", "4")
+        assert code == 1 and report["parameters"]["level_needed"] is None
+
+
+def test_dilate_and_lift_refuse_a_kernel_above_the_dense_limit(tmp_path, capsys, monkeypatch):
+    # n = 2 at level 40 would stack 2^41 - 1 blocks: refused before any stacking
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel was stacked before the size check")
+
+    monkeypatch.setattr(np, "vstack", refuse)
+    ppath = str(tmp_path / "pair.json")
+    jsonio.dump_path(compress_pair(scalar_symbol(TruncatedFockSpace(2, 6, 1), [0.8, 0.6]), 2), ppath)
+    for command in ("dilate", "lift"):
+        code = main([command, "--pair", ppath, "--level", "40"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "dense-matrix limit" in captured.err
+
+
+def test_negative_level_is_malformed(tmp_path, capsys):
+    ppath = zero_w_pair(tmp_path, "a09.json", unit_row_contraction(0.9))
+    for command in ("dilate", "lift"):
+        code = main([command, "--pair", ppath, "--level", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "level must be >= 0" in captured.err
 
 
 def test_factor_command(tmp_path, capsys):

@@ -6,14 +6,22 @@ from collections import Counter
 import numpy as np
 import pytest
 from helpers import (
+    capped_purity,
+    cp_power_at_identity,
+    kernel_chain_is_pure,
     random_coisometry,
+    random_conjugated_coisometry_sum,
     random_pure_row_contraction,
     random_symbol,
+    random_unit_row_pure,
+    unit_row_contraction,
+    weighted_cycle,
     word_adjoint_oracle,
 )
 
 from odofock import (
     ContractivePair,
+    DimensionLimitError,
     RowContraction,
     TruncatedFockSpace,
     WindowError,
@@ -55,7 +63,7 @@ def test_purity_zero_row():
 def test_purity_compressed_creation_is_nilpotent():
     space = TruncatedFockSpace(2, 4, 1)
     pair = compress_pair(scalar_symbol(space, [1.0]), 2)
-    result = purity_test(pair.t, m_max=5, tol=1e-30)
+    result = purity_test(pair.t, tol=1e-30)
     assert result.pure
     assert result.residuals[-1] == 0.0
     assert len(result.residuals) == 3
@@ -63,30 +71,113 @@ def test_purity_compressed_creation_is_nilpotent():
 
 def test_purity_unitary_scalar_fails():
     t = row_contraction([np.array([[1.0]])])
-    result = purity_test(t, m_max=12)
+    result = purity_test(t)
     assert not result.pure
     assert all(abs(r - 1.0) <= 1e-14 for r in result.residuals)
 
 
 def test_coisometries_are_never_pure():
-    # sum T_i T_i* = I keeps every r_m at h; the row norm may compute to just
-    # below 1, which must not take the strict-contraction shortcut
+    # sum T_i T_i* = I keeps every r_m at h, up to the horizon h + 1
     rng = np.random.default_rng(2024)
     for k in range(300):
         n, h = 2 + k % 2, 1 + k % 5
         result = purity_test(random_coisometry(n, h, rng))
-        assert not result.pure and not result.strict_row
+        assert not result.pure
         assert abs(result.residuals[-1] - h) <= 1e-10
     half = np.eye(2, dtype=complex) / np.sqrt(2.0)
     result = purity_test(row_contraction([half, half]))
-    assert not result.pure and not result.strict_row
+    assert not result.pure
 
 
-def test_strict_row_contractions_take_the_shortcut():
+def test_strict_row_contractions_are_pure_after_one_step():
     rng = np.random.default_rng(15)
+    row_norm = 0.15
     for n, h in itertools.product((1, 2, 3), (1, 3, 5)):
-        result = purity_test(random_pure_row_contraction(n, h, rng, row_norm=0.15))
-        assert result.pure and result.strict_row and result.residuals == ()
+        result = purity_test(random_pure_row_contraction(n, h, rng, row_norm=row_norm))
+        assert result.pure and len(result.residuals) == 1
+        # the bound is the trace of Phi(I), at most h times its top eigenvalue
+        assert result.bound == result.residuals[0] <= h * row_norm**2
+
+
+def test_row_norm_one_contractions_and_weighted_cycles_are_pure():
+    # the row norm is 1 for all of them, and ||Phi^m(I)|| stays 1 up to m = 1
+    # (contractions) or m = h - 1 (cycles); each kernel is exact at level_needed
+    tol = 1e-10
+    cases = [(unit_row_contraction(a), None) for a in (0.95, 0.99)]
+    cases += [(unit_row_contraction(0.9), 219), (weighted_cycle(3), None)]
+    cases += [(weighted_cycle(5), 101), (weighted_cycle(8), None)]
+    for t, level in cases:
+        result = purity_test(t, tol=tol)
+        assert result.pure and len(result.residuals) <= t.dim + 1
+        assert level is None or result.level_needed == level
+        assert poisson_kernel(t, result.level_needed, tol).purity_residual <= tol
+
+
+def differential_tuples():
+    """Pure tuples with row norm 1 (h >= 2, one or two unit singular values),
+    strict ones near row norm 1, and unitary conjugates of coisometry (+) strict."""
+    rng = np.random.default_rng(1515)
+    for k in range(240):
+        n, h = 1 + k % 3, 2 + k % 5
+        kind = k % 4
+        if kind == 0:
+            yield random_unit_row_pure(n, h, 1, rng)
+        elif kind == 1:
+            yield random_unit_row_pure(n, h, min(2, h - 1), rng)
+        elif kind == 2:
+            yield random_pure_row_contraction(n, h, rng, row_norm=0.99)
+        else:
+            yield random_conjugated_coisometry_sum(n, 1 + k % 2, h - 1, rng)
+
+
+def test_purity_matches_the_kernel_chain_oracle():
+    tol = 1e-10
+    verdicts = Counter()
+    for t in differential_tuples():
+        result = purity_test(t, tol=tol)
+        assert result.pure == kernel_chain_is_pure(t)
+        assert len(result.residuals) <= t.dim + 1
+        verdicts[result.pure] += 1
+        if not result.pure:
+            assert len(result.residuals) == t.dim + 1 and result.level_needed is None
+            assert result.bound > 1.0 - tol
+            continue
+        # the bound holds at every multiple of the stopping step m
+        m, level = len(result.residuals), result.level_needed
+        for power in (m, 2 * m):
+            top = np.linalg.eigvalsh(cp_power_at_identity(t, power))[-1]
+            assert top <= result.bound ** (power // m) + 1e-13
+        assert np.linalg.eigvalsh(cp_power_at_identity(t, level + 1))[-1] <= tol
+    assert verdicts[True] == 180 and verdicts[False] == 60
+
+
+def test_capped_purity_verdicts_stay_pure():
+    rng = np.random.default_rng(64)
+    strict = [random_pure_row_contraction(1 + k % 3, 1 + k % 5, rng, row_norm=0.15 + 0.05 * k)
+              for k in range(16)]
+    cases = list(differential_tuples()) + strict
+    cases += [unit_row_contraction(0.9), weighted_cycle(3)]
+    capped = [t for t in cases if capped_purity(t)]
+    assert len(capped) >= 80
+    assert all(purity_test(t).pure for t in capped)
+
+
+def test_poisson_kernel_refuses_a_negative_level():
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        poisson_kernel(zero_row(2, 3), -1)
+
+
+def test_poisson_kernel_refuses_above_the_dense_limit_before_iterating(monkeypatch):
+    # n = 2 at level 40 stacks 2^41 - 1 blocks; neither the tail loop nor the
+    # stacking may start
+    t = compress_pair(scalar_symbol(TruncatedFockSpace(2, 6, 1), [0.8, 0.6]), 2).t
+
+    def refuse(self, x):
+        raise AssertionError("the tail loop ran before the size check")
+
+    monkeypatch.setattr(RowContraction, "cp_map", refuse)
+    with pytest.raises(DimensionLimitError):
+        poisson_kernel(t, 40)
 
 
 def test_row_contraction_validation():
