@@ -11,6 +11,17 @@ Truncation semantics: a subspace is certified when it is generated below the
 boundary and closed under creation up to the top level; the level-M boundary
 is excluded from every residual, and words are budgeted so that all columns
 of the factorization stay exact.
+
+Graded subspaces are decided level by level. When every spanning column is
+exactly zero outside one level, the subspace is the direct sum of level
+blocks Q_m, and S_i maps level m into level m + 1 only. The invariance
+defect is then block diagonal, one block per level, and Q^H S_i* Q has
+blocks only from level m to level m - 1, so its kernel, the wandering
+subspace, is one small kernel per level. The factorization map Phi sends
+each word and graded wandering vector to a single level as well, so its
+residuals split by that level too. Columns with entries on two levels,
+however small, take the decisions over the whole basis. Both paths put the
+wandering basis in one gauge that depends on the subspace alone.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import InvarianceError, WindowError
-from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
-from .linalg import _certified_kernel, op_norm, orthonormal_columns
+from .fock import TruncatedFockSpace, apply_annihilation, apply_creation, creation_basis_map
+from .linalg import _certified_kernel, canonical_basis, op_norm, orthonormal_columns
 from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
 
 
@@ -57,29 +68,101 @@ def invariant_subspace(
     and compute the wandering basis, all at the rank tolerance `tol`.
 
     A 1-D array is one column. Three ranks are decided: the basis Q, its part
-    below the top level (kernel of the top-level rows), where the residuals
-    are taken, and the wandering basis (kernel of stacked Q^H S_i* Q). Columns
-    C with ||C^H C - I||_F <= tol have singular values within sqrt(1 -+ tol), so
-    Q is C, orthonormal to that accuracy; other columns take a thin SVD. Both
-    kernels are `_certified_kernel`s. With no vector below the top level the
-    invariance check tests nothing: it is vacuous, its residuals NaN.
+    below the top level, where the residuals are taken, and the wandering
+    basis (kernel of stacked Q^H S_i* Q). Columns C with ||C^H C - I||_F <= tol
+    have singular values within sqrt(1 -+ tol), so Q is C, orthonormal to that
+    accuracy; other columns take a thin SVD. With no vector below the top level
+    the invariance check tests nothing: it is vacuous, its residuals NaN.
+    Graded columns (`_column_levels`) are decided level by level; others over
+    the whole basis, both kernels `_certified_kernel`s. Either way the
+    wandering basis is put in the gauge of `canonical_basis`.
     """
     tol = resolve_tol(tol)
     space.require_dense()
     cols = np.asarray(columns, dtype=complex)
     cols = cols[:, None] if cols.ndim == 1 else cols
-    gap = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) if cols.ndim == 2 else 1.0
-    basis = cols if gap <= tol < 0.5 else orthonormal_columns(cols, tol)
-    if basis.shape[0] != space.dim:
+    if cols.ndim != 2:
+        raise ValueError(f"columns must be a 1-D or 2-D array, got {cols.ndim} dimensions")
+    if cols.shape[0] != space.dim:
         raise ValueError("subspace columns do not match the ambient dimension")
-    low = space.dim_upto(space.max_level - 1)
-    interior = basis @ _certified_kernel(basis[low:], tol)
-    letters = range(1, space.n + 1)
-    images = (apply_creation(space, i, interior) for i in letters)
-    residuals = tuple(_orthogonal_part(basis, x) if interior.size else math.nan for x in images)
-    overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis) for i in letters])
-    wandering = basis @ _certified_kernel(overlap, tol)
-    return InvariantSubspace(space, basis, residuals, wandering)
+    levels = _column_levels(space, cols)
+    if levels is not None:
+        basis, residuals, wandering = _graded_parts(space, cols, levels, tol)
+    else:
+        gap = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
+        basis = cols if gap <= tol < 0.5 else orthonormal_columns(cols, tol)
+        low = space.dim_upto(space.max_level - 1)
+        interior = basis @ _certified_kernel(basis[low:], tol)
+        letters = range(1, space.n + 1)
+        images = (apply_creation(space, i, interior) for i in letters)
+        residuals = tuple(_orthogonal_part(basis, x) if interior.size else math.nan
+                          for x in images)
+        overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis)
+                             for i in letters])
+        wandering = basis @ _certified_kernel(overlap, tol)
+    return InvariantSubspace(space, basis, residuals, canonical_basis(wandering))
+
+
+def _column_levels(space: TruncatedFockSpace, columns: np.ndarray) -> np.ndarray | None:
+    """The level of each column when every column is exactly zero (`!= 0`, no
+    threshold) outside one level, an all-zero column counting as level 0;
+    None when some column has nonzero entries on two levels."""
+    nonzero = columns != 0
+    occupied = np.stack([nonzero[space.level_slice(m)].any(axis=0)
+                         for m in range(space.max_level + 1)])
+    return occupied.argmax(axis=0) if np.all(occupied.sum(axis=0) <= 1) else None
+
+
+def _graded_parts(space: TruncatedFockSpace, cols: np.ndarray, levels: np.ndarray, tol: float):
+    """Basis, invariance residuals and wandering basis of the span of graded columns.
+
+    Each level block Q_m is held on its level's rows, and S_i maps level m
+    into the i-th chunk of n^m d rows of level m + 1. The Gram C^H C and the
+    singular values are the blocks' (one thin SVD per block when C is not
+    orthonormal); the part below the top level is the blocks Q_m, m < M; the
+    defect of S_i is the largest ||S_i Q_m - Q_(m+1) Q_(m+1)^H S_i Q_m||; the
+    wandering part of level m is all of Q_m when level m - 1 is empty, and
+    otherwise the certified kernel of the stacked Q_(m-1)^H (chunk i of Q_m).
+    """
+    blocks = {int(m): cols[space.level_slice(m)][:, levels == m] for m in np.unique(levels)}
+    grams = (q.conj().T @ q - np.eye(q.shape[1]) for q in blocks.values())
+    if math.sqrt(sum(np.linalg.norm(g) ** 2 for g in grams)) <= tol < 0.5:
+        basis = cols
+    else:
+        blocks = {m: orthonormal_columns(q, tol) for m, q in blocks.items()}
+        blocks = {m: q for m, q in blocks.items() if q.shape[1]}
+        basis = _place(space, blocks)
+    defects = [[] for _ in range(space.n)]
+    wandering = {}
+    for m, q in blocks.items():
+        width = q.shape[0]
+        nxt = blocks.get(m + 1, np.zeros((space.n * width, 0), dtype=complex))
+        for i in range(space.n if m < space.max_level else 0):
+            # S_i Q_m is Q_m on chunk i of level m + 1; Q_(m+1)^H reads that chunk only
+            chunk = slice(i * width, (i + 1) * width)
+            defect = -(nxt @ (nxt[chunk].conj().T @ q))
+            defect[chunk] += q
+            defects[i].append(op_norm(defect))
+        prev = blocks.get(m - 1)
+        if prev is None:
+            wandering[m] = q
+        else:
+            step = prev.shape[0]
+            overlap = np.vstack([prev.conj().T @ q[i * step : (i + 1) * step]
+                                 for i in range(space.n)])
+            wandering[m] = q @ _certified_kernel(overlap, tol)
+    residuals = tuple(max(d, default=math.nan) for d in defects)
+    return basis, residuals, _place(space, wandering)
+
+
+def _place(space: TruncatedFockSpace, blocks: dict[int, np.ndarray]) -> np.ndarray:
+    """The D-row array of level blocks, each on its level's rows, in level order."""
+    out = np.zeros((space.dim, sum(q.shape[1] for q in blocks.values())), dtype=complex)
+    start = 0
+    for m in sorted(blocks):
+        out[space.level_slice(m), start : start + blocks[m].shape[1]] = blocks[m]
+        start += blocks[m].shape[1]
+    return out
 
 
 def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -> InvariantSubspace:
@@ -166,7 +249,11 @@ def beurling_factorize(
     if wdim == 0:
         raise WindowError("the wandering subspace is trivial; nothing to factor")
 
-    star_level = _columns_max_level(space, wandering_basis)
+    levels = _column_levels(space, wandering_basis)
+    if levels is None:
+        star_level = _columns_max_level(space, wandering_basis)
+    else:
+        star_level = int(levels.max())  # exactly the highest nonempty wandering block
     budget = space.max_level - star_level
     if budget < 1:
         raise WindowError(
@@ -183,19 +270,61 @@ def beurling_factorize(
         blocks.append(np.hstack([apply_creation(space, i, blocks[-1]) for i in letters]))
     phi = np.hstack(blocks)
 
-    inner_residual = op_norm(phi.conj().T @ phi - np.eye(domain.dim))
-    ma_residual = 0.0
-    low = domain.dim_upto(budget - 1) if budget >= 1 else 0
-    for i in letters:
-        # Phi (S_i x I) on the domain, in F order as a dense-times-sparse product gives it
-        diff = apply_annihilation(domain, i, phi.T).T - apply_creation(space, i, phi)
-        ma_residual = max(ma_residual, op_norm(diff[:, :low]))
-
+    if levels is None:
+        inner_residual = op_norm(phi.conj().T @ phi - np.eye(domain.dim))
+        ma_residual = 0.0
+        low = domain.dim_upto(budget - 1)
+        for i in letters:
+            # Phi (S_i x I) on the domain, in F order as a dense-times-sparse product gives it
+            diff = apply_annihilation(domain, i, phi.T).T - apply_creation(space, i, phi)
+            ma_residual = max(ma_residual, op_norm(diff[:, :low]))
+        pi = sub.basis.conj().T @ phi
+    else:
+        inner_residual, ma_residual, pi = _graded_checks(sub, domain, levels, phi)
     covers = domain.dim == sub.dim
-    pi = sub.basis.conj().T @ phi
     return BeurlingFactorization(
         sub, wandering_basis, domain, phi, pi, inner_residual, ma_residual, covers
     )
+
+
+def _graded_checks(sub: InvariantSubspace, domain: TruncatedFockSpace, levels: np.ndarray,
+                   phi: np.ndarray):
+    """Inner and multi-analytic residuals and pi, one ambient level of Phi at a time.
+
+    With graded wandering vectors, column (mu, j) of Phi lies on level
+    |mu| + level(j) alone. Columns on different levels have disjoint rows, so
+    Phi^H Phi - I is block diagonal over them; Phi (S_i x I) - (S_i x I) Phi
+    sends the level-l columns to the rows of level l + 1 only; and pi = Q^H Phi
+    pairs each level's columns with the basis columns on that level, or is one
+    product when the basis is not graded.
+    """
+    space = sub.ambient
+    words = domain.word_levels(np.arange(domain.num_words))
+    column_levels = (words[:, None] + levels[None, :]).ravel()
+    below = np.repeat(words < domain.max_level, levels.size)
+    images = [creation_basis_map(domain, i, np.arange(domain.dim_upto(domain.max_level - 1)))
+              for i in range(1, space.n + 1)]
+    basis_levels = _column_levels(space, sub.basis)
+    if basis_levels is None:
+        pi = sub.basis.conj().T @ phi
+    else:
+        pi = np.zeros((sub.dim, domain.dim), dtype=complex)
+    inner = multi_analytic = 0.0
+    for level in np.unique(column_levels):
+        rows = space.level_slice(level)
+        cols = np.nonzero(column_levels == level)[0]
+        block = phi[rows, cols]
+        inner = max(inner, op_norm(block.conj().T @ block - np.eye(cols.size)))
+        if basis_levels is not None:
+            on = np.nonzero(basis_levels == level)[0]
+            pi[np.ix_(on, cols)] = sub.basis[rows, on].conj().T @ block
+        low = below[cols]
+        width = rows.stop - rows.start
+        for i, image in enumerate(images if low.any() else ()):
+            diff = phi[space.level_slice(level + 1), image[cols[low]]]
+            diff[i * width : (i + 1) * width] -= block[:, low]
+            multi_analytic = max(multi_analytic, op_norm(diff))
+    return inner, multi_analytic, pi
 
 
 @dataclass(frozen=True)
@@ -251,6 +380,8 @@ def induced_symbol(
 
 
 def _columns_max_level(space: TruncatedFockSpace, columns: np.ndarray) -> int:
+    """Highest level with an entry above 1e-14 in modulus (0 if none), for columns
+    that are not graded."""
     d = space.coeff_dim
     mass = np.abs(columns).max(axis=1) if columns.size else np.zeros(space.dim)
     live = np.nonzero(mass > 1e-14)[0]

@@ -104,6 +104,29 @@ def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
     return _rank_split(mat if mat.ndim == 2 else mat[:, None], tol, kernel=False)[0]
 
 
+def canonical_basis(basis: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the span of the orthonormal columns `basis` that
+    depends on the span alone: Gram-Schmidt of the projector's columns P e_r.
+
+    Each step takes as pivot the first row r, in index order, whose residual
+    norm is at least half the largest one, so rounding cannot move the choice
+    unless two residuals sit at that ratio, and gives the new vector a positive
+    real entry at its pivot. The squared residual norms are ||P e_r||^2 less
+    row r's squared moduli in the vectors found so far. Exact 0 and 1 entries
+    stay exact, so a permuted, sign-changed unit basis maps to the same bits.
+    """
+    out = np.zeros_like(basis)
+    left = np.sum(basis.real**2 + basis.imag**2, axis=1)
+    for j in range(basis.shape[1]):
+        r = int(np.argmax(left >= left.max() / 4))
+        v = basis @ basis[r].conj() - out[:, :j] @ out[r, :j].conj()
+        v -= out[:, :j] @ (out[:, :j].conj().T @ v)
+        v[r] = v[r].real  # ||P e_r||^2 less squared moduli: real but for rounding
+        out[:, j] = v / np.linalg.norm(v)
+        left -= out[:, j].real ** 2 + out[:, j].imag ** 2
+    return out + 0.0  # -0.0 + 0.0 is +0.0: no zero keeps a sign from the input's gauge
+
+
 def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of span(within) intersected with span(columns)^perp.
 

@@ -28,8 +28,9 @@ from odofock import (
     scalar_symbol,
     wandering_subspace,
 )
+from odofock import beurling
 from odofock.fock import apply_annihilation, apply_creation
-from odofock.linalg import _certified_kernel, _rank_split, orthonormal_columns
+from odofock.linalg import _certified_kernel, _rank_split, canonical_basis, orthonormal_columns
 
 
 def span_equals(basis, indices, dim, tol=1e-12):
@@ -229,6 +230,20 @@ def test_factorize_rejects_boundary_wandering_vectors():
     sub = levels_subspace(space, 3)
     with pytest.raises(WindowError):
         beurling_factorize(sub)
+    # the words ending in 1 and the top-level word 112: a wandering vector
+    # on the top level leaves no word budget, on the graded path, where the star
+    # level is the highest wandering block, and on the mixed-level path, where
+    # turned columns put it where the mass is
+    words = [w for w in enumerate_words(2, 3) if w.letters[-1:] == (1,) or w.letters == (1, 1, 2)]
+    cols = np.zeros((space.dim, len(words)), dtype=complex)
+    cols[[space.word_index(w) for w in words], range(len(words))] = 1.0
+    turned = cols @ haar_unitary(len(words), np.random.default_rng(3))
+    for columns, graded in [(cols, True), (turned, False)]:
+        assert (beurling._column_levels(space, columns) is not None) == graded
+        sub = invariant_subspace(space, columns)
+        assert max(sub.invariance_residuals) <= 1e-12 and sub.wandering_basis.shape[1] == 2
+        with pytest.raises(WindowError, match="no room"):
+            beurling_factorize(sub)
 
 
 def test_wandering_requires_creation_invariance():
@@ -280,14 +295,18 @@ def test_factorization_matches_word_by_word_oracle_bit_for_bit():
 
 
 def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
-    # the identity columns are their own basis, and the part below the top
-    # level and the wandering basis take one certified Gram eigh each, so
-    # invariant_subspace runs no SVD; the later steps read the stored basis
+    # the identity columns are graded and their own basis: the part below the
+    # top level is the blocks under it, with no kernel, and the wandering basis
+    # takes one certified Gram eigh per level whose predecessor block is
+    # nonempty, each no larger than a level block, so invariant_subspace runs
+    # no SVD; the later steps read the stored basis
     calls = Counter()
+    sizes = []
 
     def counting(name, decomposition):
         def counted(*args, **kwargs):
             calls[stage, name] += 1
+            sizes.append(args[0].shape[0])
             return decomposition(*args, **kwargs)
         return counted
 
@@ -295,16 +314,20 @@ def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     rng = np.random.default_rng(62)
     space = TruncatedFockSpace(2, 5, 2)
+    top = space.level_slice(space.max_level)
+    largest_block = top.stop - top.start
     wmap = build_odometer(constant_symbol(space, haar_unitary(2, rng)))
     for lo in (0, 1, 2):
         calls.clear()
+        sizes.clear()
         stage = "invariant_subspace"
         sub = levels_subspace(space, lo)
         stage = "later"
         wander = wandering_subspace(sub)
         fact = beurling_factorize(sub)
         result = induced_symbol(sub, wmap, factorization=fact)
-        assert calls == Counter({("invariant_subspace", "eigh"): 2})
+        assert calls == Counter({("invariant_subspace", "eigh"): space.max_level - lo})
+        assert max(sizes) <= largest_block
         assert wander is sub.wandering_basis and fact.wandering_basis is wander
         assert result.intertwining_residual <= 1e-10
 
@@ -502,3 +525,145 @@ def test_subspace_with_nothing_below_the_top_level_is_vacuous():
     for call in (wandering_subspace, beurling_factorize):
         with pytest.raises(WindowError, match="vacuous"):
             call(sub)
+
+
+def on_level(space, level, count, rng):
+    """`count` Gaussian columns that are exactly zero outside `level`."""
+    sl = space.level_slice(level)
+    shape = (sl.stop - sl.start, count)
+    cols = np.zeros((space.dim, count), dtype=complex)
+    cols[sl] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return cols
+
+
+def graded_cases(space, rng):
+    """(name, columns, graded) with each column on one level, covering the graded
+    path's edge cases, and one set that a single 1e-300 entry makes mixed-level."""
+    n, top = space.n, space.max_level
+    closed = mixed_level_columns(space, (1,), rng)  # v, then n columns on level 2, ...
+    broken = closed.copy()
+    broken[:, 1 : 1 + n] = on_level(space, 2, n, rng)
+    off_level = closed.copy()
+    off_level[-1, 0] = 1e-300
+    return [
+        ("level-0 generator", mixed_level_columns(space, (0,), rng), True),
+        ("two generators", mixed_level_columns(space, (1, 2), rng), True),
+        ("empty middle level", np.hstack([on_level(space, 1, 2, rng),
+                                          levels_subspace(space, 3).basis]), True),
+        ("top level", on_level(space, top, 2, rng), True),
+        ("not invariant", broken, True),
+        ("repeated column", np.hstack([closed, closed[:, 1:2]]), True),
+        ("off-level entry", off_level, False),
+    ]
+
+
+GRADED_SPACES = [(1, 7, 2), (2, 7, 1), (2, 5, 2), (3, 4, 1), (3, 3, 2)]
+
+
+def test_graded_subspaces_match_the_svd_path(monkeypatch):
+    runs = Counter()
+    graded_parts = beurling._graded_parts
+
+    def spy(*args):
+        runs["graded"] += 1
+        return graded_parts(*args)
+
+    monkeypatch.setattr(beurling, "_graded_parts", spy)
+    rng = np.random.default_rng(1601)
+    tol = 1e-10
+    for n, max_level, d in GRADED_SPACES:
+        space = TruncatedFockSpace(n, max_level, d)
+        for name, columns, graded in graded_cases(space, rng):
+            runs.clear()
+            sub = invariant_subspace(space, columns, tol)
+            assert runs["graded"] == graded, name
+            basis, residuals, wandering = svd_path(space, columns, tol)
+            assert sub.dim == basis.shape[1] and projector_gap(sub.basis, basis) <= 1e-12, name
+            assert sub.wandering_basis.shape == wandering.shape, name
+            assert projector_gap(sub.wandering_basis, wandering) <= 1e-12, name
+            if name == "top level":
+                assert all(math.isnan(r) for r in sub.invariance_residuals)
+                for call in (wandering_subspace, beurling_factorize):
+                    with pytest.raises(WindowError, match="vacuous"):
+                        call(sub)
+                continue
+            assert [r <= tol for r in sub.invariance_residuals] == [r <= tol for r in residuals]
+            assert np.allclose(sub.invariance_residuals, residuals, rtol=0, atol=1e-12), name
+            if name in ("not invariant", "empty middle level"):
+                assert max(residuals) > tol
+                with pytest.raises(InvarianceError):
+                    wandering_subspace(sub, tol)
+
+
+def factor_both_ways(space, columns, monkeypatch, wmap=None):
+    """The factorization (and induced symbol) on the path the columns take and on
+    the mixed-level path, forced by reporting no grading."""
+    results = []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr(beurling, "_column_levels", lambda space, columns: None)
+            sub = invariant_subspace(space, columns)
+            fact = beurling_factorize(sub)
+            induced = induced_symbol(sub, wmap, factorization=fact) if wmap else None
+        results.append((sub, fact, induced))
+    return results
+
+
+def test_graded_factorization_matches_the_mixed_level_path(monkeypatch):
+    rng = np.random.default_rng(1602)
+    for n, max_level, d in GRADED_SPACES:
+        space = TruncatedFockSpace(n, max_level, d)
+        wmap = build_odometer(constant_symbol(space, haar_unitary(d, rng)))
+        cases = [(mixed_level_columns(space, (0,), rng), None),
+                 (mixed_level_columns(space, (1, 2), rng), None),
+                 (levels_subspace(space, 1).basis, wmap)]
+        for columns, w in cases:
+            (sub, fact, induced), (sub2, fact2, induced2) = factor_both_ways(
+                space, columns, monkeypatch, w)
+            assert np.allclose(sub.invariance_residuals, sub2.invariance_residuals,
+                               rtol=0, atol=1e-12)
+            assert np.abs(sub.wandering_basis - sub2.wandering_basis).max() <= 1e-12
+            assert fact.wandering_dim == fact2.wandering_dim
+            assert fact.covers_subspace == fact2.covers_subspace
+            assert fact.domain == fact2.domain
+            assert abs(fact.inner_residual - fact2.inner_residual) <= 1e-12
+            assert abs(fact.multi_analytic_residual - fact2.multi_analytic_residual) <= 1e-12
+            assert np.abs(fact.phi - fact2.phi).max() <= 1e-12
+            # pi is in subspace coordinates, whose gauge differs between the paths
+            assert np.abs(sub.basis @ fact.pi - sub2.basis @ fact2.pi).max() <= 1e-12
+            if w is not None:
+                gap = induced.symbol.matrix.toarray() - induced2.symbol.matrix.toarray()
+                assert np.abs(gap).max() <= 1e-12
+
+
+def test_canonical_wandering_gauge_depends_on_the_span_alone():
+    rng = np.random.default_rng(1603)
+    for rows, k in [(9, 1), (12, 3), (40, 5)]:
+        basis = haar_unitary(rows, rng)[:, :k]
+        canon = canonical_basis(basis)
+        assert np.abs(canon - canonical_basis(basis @ haar_unitary(k, rng))).max() <= 1e-12
+        assert np.abs(canon.conj().T @ canon - np.eye(k)).max() <= 1e-12
+        assert projector_gap(canon, basis) <= 1e-12
+        # column j has a positive real pivot at a row where the later columns vanish
+        for j in range(k):
+            later = np.abs(canon[:, j + 1 :]).max(axis=1, initial=0.0)
+            assert np.any((canon[:, j].imag == 0) & (canon[:, j].real > 0) & (later <= 1e-12))
+    # turning the spanning columns by a unitary mixes their levels and forces the
+    # mixed-level path; the induced symbol moves by rounding only
+    space = TruncatedFockSpace(2, 5, 2)
+    wmap = build_odometer(constant_symbol(space, haar_unitary(2, rng)))
+    columns = levels_subspace(space, 1).basis
+    turned = columns @ haar_unitary(columns.shape[1], rng)
+    assert beurling._column_levels(space, turned) is None
+    graded = induced_symbol(invariant_subspace(space, columns), wmap)
+    mixed = induced_symbol(invariant_subspace(space, turned), wmap)
+    assert graded.symbol.matrix.shape == mixed.symbol.matrix.shape
+    gap = graded.symbol.matrix.toarray() - mixed.symbol.matrix.toarray()
+    assert np.abs(gap).max() <= 1e-10
+    # a sign change of a wandering column keeps the columns graded and exact:
+    # the symbol is the same to the bit
+    flipped = columns.copy()
+    flipped[:, 0] *= -1
+    again = induced_symbol(invariant_subspace(space, flipped), wmap)
+    assert same_bits(graded.symbol.matrix.toarray(), again.symbol.matrix.toarray())

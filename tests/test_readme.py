@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from odofock import cli
+from odofock import beurling, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -46,6 +46,21 @@ def run_session() -> int:
 def test_readme_session_runs_with_the_stated_exit_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_session() >= 15
+
+
+def test_readme_factor_writes_the_same_bytes_on_both_beurling_paths(tmp_path, monkeypatch):
+    # the README subspace is graded; reporting no grading forces the mixed-level
+    # path, and the canonical wandering gauge makes the induced symbol the same
+    written = []
+    for path in ("graded", "mixed"):
+        work = tmp_path / path
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if path == "mixed":
+            monkeypatch.setattr(beurling, "_column_levels", lambda space, columns: None)
+        run_session()
+        written.append((work / "induced.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def fresh_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
