@@ -10,7 +10,6 @@ overridable with --tol or the ODOFOCK_TOL environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import resource
 import sys
@@ -112,7 +111,7 @@ class Report:
         }
         if payload:
             doc.update(_jsonable(payload))
-        print(json.dumps(doc, sort_keys=True, indent=1))
+        print(jsonio.dumps(doc))
         return 0 if passed else 1
 
 

@@ -4,12 +4,17 @@ Sparse objects store [row, col, re, im] quadruples with zero entries omitted
 and indices ascending row-major; dense matrices are flat row-major lists of
 [re, im] pairs. Serialization is canonical, so identical objects produce
 byte-identical documents and doubles round-trip exactly.
+
+The text is what `json.dumps(doc, sort_keys=True, indent=1)` writes, but with
+an `indent` set `json` skips its C encoder, so `dumps` lays the text out itself
+and formats each table (equal-length lists of plain ints and finite floats,
+such as `entries`) in one pass. The loader checks tables as whole arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -33,7 +38,8 @@ def _space_header(space: TruncatedFockSpace) -> dict:
 def _read_space(doc: dict) -> TruncatedFockSpace:
     for key in ("n", "max_level", "coeff_dim"):
         _require(key in doc, f"missing field {key!r}")
-        _require(isinstance(doc[key], int), f"field {key!r} must be an integer")
+        # `type(...) is int` also refuses JSON booleans, which Python reads as ints
+        _require(type(doc[key]) is int, f"field {key!r} must be an integer")
     try:
         return TruncatedFockSpace(doc["n"], doc["max_level"], doc["coeff_dim"])
     except ValueError as exc:
@@ -44,100 +50,86 @@ def _sparse_entries(mat: CSC) -> list[list]:
     rows, cols, vals = mat.row_major()
     live = vals != 0
     rows, cols, vals = rows[live].tolist(), cols[live].tolist(), vals[live]
-    return [list(entry) for entry in zip(rows, cols, vals.real.tolist(), vals.imag.tolist())]
+    return list(map(list, zip(rows, cols, vals.real.tolist(), vals.imag.tolist())))
 
 
-def _read_entries(doc: dict, rows: int, cols: int) -> list[tuple[int, int, complex]]:
-    _require("entries" in doc, "missing field 'entries'")
-    raw = doc["entries"]
-    _require(isinstance(raw, list), "'entries' must be a list")
-    out = []
-    seen = set()
-    for item in raw:
-        _require(
-            isinstance(item, list) and len(item) == 4,
-            "each entry must be [row, col, re, im]",
-        )
-        r, c, re, im = item
-        _require(isinstance(r, int) and isinstance(c, int), "entry indices must be integers")
-        _require(0 <= r < rows, f"entry row {r} out of range 0..{rows - 1}")
-        _require(0 <= c < cols, f"entry column {c} out of range 0..{cols - 1}")
-        _require((r, c) not in seen, f"entry ({r}, {c}) is repeated")
-        seen.add((r, c))
-        _require(
-            isinstance(re, (int, float)) and isinstance(im, (int, float)),
-            "entry values must be numbers",
-        )
-        _require(math.isfinite(re) and math.isfinite(im), "entry values must be finite")
-        out.append((r, c, complex(re, im)))
+def _flat_rows(raw: list, width: int, message: str) -> list:
+    """The items of `raw`, a list of `width`-item lists, row after row."""
+    _require(set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}, message)
+    return list(chain.from_iterable(raw))
+
+
+def _floats(values: list, what: str) -> np.ndarray:
+    _require(set(map(type, values)) <= {int, float}, f"{what} values must be numbers")
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond float range
+        raise SchemaError(f"{what} values must be finite") from None
+    _require(bool(np.isfinite(out).all()), f"{what} values must be finite")
     return out
+
+
+def _read_entries(doc: dict, shape: tuple[int, int]) -> CSC:
+    _require("entries" in doc, "missing field 'entries'")
+    _require(isinstance(doc["entries"], list), "'entries' must be a list")
+    flat = _flat_rows(doc["entries"], 4, "each entry must be [row, col, re, im]")
+    index = (flat[0::4], flat[1::4])
+    _require(set(map(type, index[0] + index[1])) <= {int}, "entry indices must be integers")
+    for name, idx, bound in zip(("row", "column"), index, shape):
+        if idx and (min(idx) < 0 or max(idx) >= bound):
+            bad = next(i for i in idx if not 0 <= i < bound)
+            raise SchemaError(f"entry {name} {bad} out of range 0..{bound - 1}")
+    rows, cols = (np.array(idx, dtype=np.int64) for idx in index)
+    first = np.unique(rows * shape[1] + cols, return_index=True)[1]
+    if first.size < rows.size:
+        k = np.setdiff1d(np.arange(rows.size), first)[0]  # first to repeat an earlier one
+        raise SchemaError(f"entry ({rows[k]}, {cols[k]}) is repeated")
+    re, im = _floats(flat[2::4] + flat[3::4], "entry").reshape(2, -1)
+    vals = re.astype(complex)
+    vals.imag = im  # set in place: re + 1j * im would turn an imaginary -0.0 into +0.0
+    return CSC.from_triplets(rows, cols, vals, shape)
 
 
 def _dense_flat(mat: np.ndarray) -> list[list[float]]:
     flat = np.asarray(mat, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+    return np.column_stack((flat.real, flat.imag)).tolist()
 
 
 def _read_dense(raw, rows: int, cols: int, what: str) -> np.ndarray:
     _require(isinstance(raw, list), f"{what} must be a list of [re, im] pairs")
     _require(len(raw) == rows * cols, f"{what} must have {rows * cols} entries")
-    values = np.empty(rows * cols, dtype=complex)
-    for i, item in enumerate(raw):
-        _require(
-            isinstance(item, list) and len(item) == 2,
-            f"{what} entries must be [re, im] pairs",
-        )
-        re, im = item
-        _require(
-            isinstance(re, (int, float)) and isinstance(im, (int, float)),
-            f"{what} values must be numbers",
-        )
-        _require(math.isfinite(re) and math.isfinite(im), f"{what} values must be finite")
-        values[i] = complex(re, im)
-    return values.reshape(rows, cols)
+    flat = _flat_rows(raw, 2, f"{what} entries must be [re, im] pairs")
+    # interleaved re, im float64 pairs are complex128 values, signed zeros included
+    return _floats(flat, what).view(complex).reshape(rows, cols)
 
 
 def symbol_to_json(symbol: Symbol) -> dict:
-    doc = {"kind": "symbol", **_space_header(symbol.space)}
-    doc["entries"] = _sparse_entries(symbol.csc)
-    return doc
+    return {"kind": "symbol", **_space_header(symbol.space), "entries": _sparse_entries(symbol.csc)}
 
 
 def operator_to_json(op: Operator) -> dict:
     _require(op.space is not None, "only operators on Fock spaces serialize")
-    doc = {"kind": "operator", **_space_header(op.space)}
-    doc["exact_below"] = op.exact_below
-    doc["entries"] = _sparse_entries(op.csc)
-    return doc
+    return {"kind": "operator", **_space_header(op.space), "exact_below": op.exact_below,
+            "entries": _sparse_entries(op.csc)}
 
 
 def pair_to_json(pair: ContractivePair) -> dict:
-    return {
-        "kind": "pair",
-        "n": pair.t.n,
-        "dim": pair.t.dim,
-        "t": [_dense_flat(t) for t in pair.t.tuples],
-        "w": _dense_flat(pair.w),
-    }
+    tuples = [_dense_flat(t) for t in pair.t.tuples]
+    return {"kind": "pair", "n": pair.t.n, "dim": pair.t.dim, "t": tuples, "w": _dense_flat(pair.w)}
 
 
 def subspace_to_json(space: TruncatedFockSpace, columns: np.ndarray) -> dict:
     cols = np.asarray(columns, dtype=complex)
     _require(cols.shape[0] == space.dim, "subspace columns do not match the space dimension")
-    return {
-        "kind": "subspace",
-        **_space_header(space),
-        "columns": [_dense_flat(cols[:, j]) for j in range(cols.shape[1])],
-    }
+    return {"kind": "subspace", **_space_header(space),
+            "columns": [_dense_flat(cols[:, j]) for j in range(cols.shape[1])]}
 
 
 def to_json(obj) -> dict:
-    if isinstance(obj, Symbol):
-        return symbol_to_json(obj)
-    if isinstance(obj, Operator):
-        return operator_to_json(obj)
-    if isinstance(obj, ContractivePair):
-        return pair_to_json(obj)
+    for kind, write in ((Symbol, symbol_to_json), (Operator, operator_to_json),
+                        (ContractivePair, pair_to_json)):
+        if isinstance(obj, kind):
+            return write(obj)
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -148,27 +140,16 @@ def from_json(doc: Any):
     _require(isinstance(kind, str), "missing or invalid 'kind'")
     if kind == "symbol":
         space = _read_space(doc)
-        entries = _read_entries(doc, space.dim, space.coeff_dim)
-        from .odometer import symbol_from_entries
-
-        try:
-            return symbol_from_entries(space, entries)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        return Symbol(space, _read_entries(doc, (space.dim, space.coeff_dim)))
     if kind == "operator":
         space = _read_space(doc)
-        exact_below = doc.get("exact_below", space.max_level + 1)
-        _require(isinstance(exact_below, int), "'exact_below' must be an integer")
-        entries = _read_entries(doc, space.dim, space.dim)
         space.require_dense()
-        # entries are distinct, so each value is stored as read, signed zeros included
-        coords = np.array([(r, c) for r, c, _ in entries], dtype=np.int64).reshape(-1, 2)
-        vals = np.array([v for _, _, v in entries], dtype=complex)
-        mat = CSC.from_triplets(coords[:, 0], coords[:, 1], vals, (space.dim, space.dim))
-        return Operator(mat, space, exact_below)
+        exact_below = doc.get("exact_below", space.max_level + 1)
+        _require(type(exact_below) is int, "'exact_below' must be an integer")
+        return Operator(_read_entries(doc, (space.dim, space.dim)), space, exact_below)
     if kind == "pair":
         for key in ("n", "dim"):
-            _require(isinstance(doc.get(key), int), f"field {key!r} must be an integer")
+            _require(type(doc.get(key)) is int, f"field {key!r} must be an integer")
         n, h = doc["n"], doc["dim"]
         _require(n >= 1 and h >= 1, "'n' and 'dim' must be positive")
         _require(isinstance(doc.get("t"), list) and len(doc["t"]) == n, f"'t' must list {n} matrices")
@@ -182,16 +163,49 @@ def from_json(doc: Any):
         space = _read_space(doc)
         raw = doc.get("columns")
         _require(isinstance(raw, list) and raw, "'columns' must be a non-empty list")
-        cols = np.hstack(
-            [_read_dense(c, space.dim, 1, f"columns[{j}]") for j, c in enumerate(raw)]
-        )
-        return space, cols
+        cols = [_read_dense(c, space.dim, 1, f"columns[{j}]") for j, c in enumerate(raw)]
+        return space, np.hstack(cols)
     raise SchemaError(f"unknown kind {kind!r}")
 
 
+_scalar = json.JSONEncoder().encode
+
+
+def _key(key) -> str:
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _scalar(key if isinstance(key, str) else _scalar(key))
+
+
+def _table(rows: list | tuple, pad: str) -> str | None:
+    """`rows` as `json` lays them out at `pad` if they form a table, else None."""
+    widths = set(map(len, rows)) if set(map(type, rows)) <= {list, tuple} else ()
+    cells = tuple(chain.from_iterable(rows)) if len(widths) == 1 else ()
+    if not cells or not set(map(type, cells)) <= {int, float}:
+        return None
+    row = "[" + pad + "  " + ("," + pad + "  ").join(["%r"] * widths.pop()) + pad + " ]"
+    text = ("[" + pad + " " + ("," + pad + " ").join([row] * len(rows)) + pad + "]") % cells
+    # `%r` writes ints and finite floats as `json` does; nan and inf, which it
+    # writes as NaN and Infinity, are the only cells that put an "n" in the text
+    return None if "n" in text else text
+
+
+def _text(value, pad: str) -> str:
+    """`value` as `json.dumps(..., sort_keys=True, indent=1)` writes it at the
+    indent of `pad` (a newline and one space per level)."""
+    inner = pad + " "
+    if isinstance(value, (list, tuple)):
+        table = _table(value, pad) if value else "[]"
+        return table or "[" + inner + ("," + inner).join(_text(v, inner) for v in value) + pad + "]"
+    if isinstance(value, dict):
+        items = [_key(k) + ": " + _text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    return _scalar(value)
+
+
 def dumps(obj) -> str:
-    doc = obj if isinstance(obj, dict) else to_json(obj)
-    return json.dumps(doc, sort_keys=True, indent=1)
+    """The canonical text of a document or object."""
+    return _text(obj if isinstance(obj, dict) else to_json(obj), "\n")
 
 
 def loads(text: str):

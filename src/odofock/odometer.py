@@ -96,24 +96,15 @@ def symbol_from_dense(
     return Symbol(space, CSC.from_dense(arr))
 
 
-def symbol_from_entries(
-    space: TruncatedFockSpace, entries: list[tuple[int, int, complex]]
-) -> Symbol:
-    rows, cols, vals = [], [], []
-    for r, c, v in entries:
-        if not 0 <= r < space.dim:
-            raise ValueError(f"symbol row {r} outside 0..{space.dim - 1}")
-        if not 0 <= c < space.coeff_dim:
-            raise ValueError(f"symbol column {c} outside 0..{space.coeff_dim - 1}")
-        rows.append(r)
-        cols.append(c)
-        vals.append(complex(v))
-    mat = CSC.from_triplets(
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=complex),
-        (space.dim, space.coeff_dim),
-    )
+def symbol_from_entries(space: TruncatedFockSpace, entries: list[tuple[int, int, complex]]) -> Symbol:
+    """The symbol with entries (row, col, value); values at a repeated coordinate add up."""
+    rows, cols, vals = (list(part) for part in zip(*entries)) if entries else ([], [], [])
+    for name, idx, bound in (("row", rows, space.dim), ("column", cols, space.coeff_dim)):
+        bad = [i for i in idx if not 0 <= i < bound]
+        if bad:
+            raise ValueError(f"symbol {name} {bad[0]} outside 0..{bound - 1}")
+    coords = np.array([rows, cols], dtype=np.int64).reshape(2, -1)
+    mat = CSC.from_triplets(*coords, np.array(vals, dtype=complex), (space.dim, space.coeff_dim))
     return Symbol(space, mat)
 
 
@@ -138,12 +129,8 @@ def scalar_symbol(space: TruncatedFockSpace, coeffs_by_level) -> Symbol:
     """
     if space.coeff_dim != 1:
         raise ValueError("scalar symbols require coeff_dim = 1")
-    entries = []
-    for level, c in enumerate(np.asarray(coeffs_by_level, dtype=complex)):
-        if c != 0:
-            if level > space.max_level:
-                break
-            entries.append((space.all_ones_index(level), 0, c))
+    coeffs = np.asarray(coeffs_by_level, dtype=complex)[: space.max_level + 1]
+    entries = [(space.all_ones_index(lv), 0, c) for lv, c in enumerate(coeffs) if c != 0]
     return symbol_from_entries(space, entries)
 
 

@@ -1,6 +1,7 @@
 """Shared random generators and oracles for the test suite."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from odofock import (
+    ContractivePair,
+    Operator,
     RowContraction,
     Symbol,
     TruncatedFockSpace,
@@ -19,6 +22,8 @@ from odofock import (
     symbol_from_dense,
     symbol_from_entries,
 )
+from odofock.csc import CSC
+from odofock.errors import SchemaError
 
 
 # every space with n <= 3, M <= 5, d <= 3: the range of the property tests
@@ -417,3 +422,105 @@ def reference_level_spectrum(space: TruncatedFockSpace, w, level: int) -> np.nda
     """Oracle: the eigenvalues of W's level block, copied dense, by `np.linalg.eigvals`."""
     sl = space.level_slice(level)
     return np.linalg.eigvals(w[sl, sl].toarray())
+
+
+def reference_dumps(doc) -> str:
+    """Oracle for `jsonio.dumps` and the CLI reports: the standard library's
+    indented encoder, which runs in pure Python."""
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _require(cond: bool, message: str):
+    if not cond:
+        raise SchemaError(message)
+
+
+def _reference_space(doc: dict) -> TruncatedFockSpace:
+    for key in ("n", "max_level", "coeff_dim"):
+        _require(key in doc, f"missing field {key!r}")
+        _require(isinstance(doc[key], int), f"field {key!r} must be an integer")
+    try:
+        return TruncatedFockSpace(doc["n"], doc["max_level"], doc["coeff_dim"])
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _reference_entries(doc: dict, rows: int, cols: int) -> list[tuple[int, int, complex]]:
+    _require("entries" in doc, "missing field 'entries'")
+    raw = doc["entries"]
+    _require(isinstance(raw, list), "'entries' must be a list")
+    out = []
+    seen = set()
+    for item in raw:
+        _require(isinstance(item, list) and len(item) == 4, "each entry must be [row, col, re, im]")
+        r, c, re, im = item
+        _require(isinstance(r, int) and isinstance(c, int), "entry indices must be integers")
+        _require(0 <= r < rows, f"entry row {r} out of range 0..{rows - 1}")
+        _require(0 <= c < cols, f"entry column {c} out of range 0..{cols - 1}")
+        _require((r, c) not in seen, f"entry ({r}, {c}) is repeated")
+        seen.add((r, c))
+        _require(isinstance(re, (int, float)) and isinstance(im, (int, float)),
+                 "entry values must be numbers")
+        _require(math.isfinite(re) and math.isfinite(im), "entry values must be finite")
+        out.append((r, c, complex(re, im)))
+    return out
+
+
+def _reference_dense(raw, rows: int, cols: int, what: str) -> np.ndarray:
+    _require(isinstance(raw, list), f"{what} must be a list of [re, im] pairs")
+    _require(len(raw) == rows * cols, f"{what} must have {rows * cols} entries")
+    values = np.empty(rows * cols, dtype=complex)
+    for i, item in enumerate(raw):
+        _require(isinstance(item, list) and len(item) == 2, f"{what} entries must be [re, im] pairs")
+        re, im = item
+        _require(isinstance(re, (int, float)) and isinstance(im, (int, float)),
+                 f"{what} values must be numbers")
+        _require(math.isfinite(re) and math.isfinite(im), f"{what} values must be finite")
+        values[i] = complex(re, im)
+    return values.reshape(rows, cols)
+
+
+def reference_from_json(doc):
+    """Oracle for `jsonio.from_json`: the per-entry loader, one Python check per
+    entry. It reads booleans as integers and lets an integer beyond float
+    range raise OverflowError; the package loader refuses both."""
+    _require(isinstance(doc, dict), "top-level JSON value must be an object")
+    kind = doc.get("kind")
+    _require(isinstance(kind, str), "missing or invalid 'kind'")
+    if kind == "symbol":
+        space = _reference_space(doc)
+        entries = _reference_entries(doc, space.dim, space.coeff_dim)
+        try:
+            return symbol_from_entries(space, entries)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
+    if kind == "operator":
+        space = _reference_space(doc)
+        exact_below = doc.get("exact_below", space.max_level + 1)
+        _require(isinstance(exact_below, int), "'exact_below' must be an integer")
+        entries = _reference_entries(doc, space.dim, space.dim)
+        space.require_dense()
+        coords = np.array([(r, c) for r, c, _ in entries], dtype=np.int64).reshape(-1, 2)
+        vals = np.array([v for _, _, v in entries], dtype=complex)
+        mat = CSC.from_triplets(coords[:, 0], coords[:, 1], vals, (space.dim, space.dim))
+        return Operator(mat, space, exact_below)
+    if kind == "pair":
+        for key in ("n", "dim"):
+            _require(isinstance(doc.get(key), int), f"field {key!r} must be an integer")
+        n, h = doc["n"], doc["dim"]
+        _require(n >= 1 and h >= 1, "'n' and 'dim' must be positive")
+        _require(isinstance(doc.get("t"), list) and len(doc["t"]) == n, f"'t' must list {n} matrices")
+        tuples = [_reference_dense(raw, h, h, f"t[{i}]") for i, raw in enumerate(doc["t"])]
+        w = _reference_dense(doc.get("w"), h, h, "w")
+        try:
+            return ContractivePair(RowContraction(tuple(tuples)), w)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
+    if kind == "subspace":
+        space = _reference_space(doc)
+        raw = doc.get("columns")
+        _require(isinstance(raw, list) and raw, "'columns' must be a non-empty list")
+        return space, np.hstack(
+            [_reference_dense(c, space.dim, 1, f"columns[{j}]") for j, c in enumerate(raw)]
+        )
+    raise SchemaError(f"unknown kind {kind!r}")
