@@ -30,7 +30,7 @@ from .classify import (
     off_vacuum_residual,
     surjectivity_defect,
 )
-from .config import MAX_DENSE_DIM, default_tol
+from .config import MAX_DENSE_DIM
 from .dilation import (
     ContractivePair,
     DilationData,
@@ -62,7 +62,6 @@ from .fock import (
     Operator,
     TruncatedFockSpace,
     creation_basis_map,
-    creation_operator,
     creation_word_map,
 )
 from .gallery import (
@@ -78,13 +77,7 @@ from .gallery import (
     golden_ratio_coeffs,
     spectrum_per_level,
 )
-from .linalg import (
-    hausdorff_distance,
-    max_angular_gap,
-    op_norm,
-    orthonormal_columns,
-    orthonormal_complement,
-)
+from .linalg import max_angular_gap, op_norm, orthonormal_columns
 from .odometer import (
     NormBounds,
     OdometerMap,
@@ -100,15 +93,6 @@ from .odometer import (
     symbol_from_dense,
     symbol_from_entries,
     verify_fock_representation,
-)
-from .words import (
-    Overflow,
-    Word,
-    carry_successor,
-    enumerate_words,
-    vacuum,
-    word_from_position,
-    words_at_level,
 )
 
 __version__ = "0.1.0"

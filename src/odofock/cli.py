@@ -4,7 +4,7 @@ Every subcommand prints one JSON report to stdout, with its wall time and
 the process's peak resident memory. Exit code 0 means all checks passed, 1
 means a mathematical check failed (the residuals are in the report), 2 means
 the input was malformed or unusable. The default tolerance is 1e-10,
-overridable with --tol or the ODOFOCK_TOL environment variable.
+overridable with --tol.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def cmd_gen_example(args) -> int:
     tol = resolve_tol(args.tol)
     report = Report("gen-example", {"name": args.name, "tol": tol})
     if args.name == "adding-machine":
-        entry = gallery_adding_machine(complex(args.q), args.size, tol)
+        entry = gallery_adding_machine(complex(args.q), args.size)
         report.extra(q=complex(args.q), size=args.size, window=entry.parameters["window"])
         for key in ("carry_relation", "twist_relation", "twisted_nica_relation"):
             report.add(key, entry.checks[key], tol)
@@ -396,7 +396,7 @@ def cmd_spectrum(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
-                        help="tolerance (default 1e-10 or ODOFOCK_TOL)")
+                        help="tolerance (default 1e-10)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     common.add_argument("--out", type=str, default=None,
                         help="write the produced artifact to this path")

@@ -153,7 +153,6 @@ class DilationData:
 
     space: TruncatedFockSpace
     defect_dim: int
-    defect_root: np.ndarray
     defect_basis: np.ndarray
     poisson: np.ndarray
     purity_residual: float
@@ -208,8 +207,7 @@ def poisson_kernel(
     pi = np.vstack(levels)
     gram = pi.conj().T @ pi
     isometry_defect = float(np.abs(gram - np.eye(t.dim)).max())
-    d_root = defect_root(t)
-    return DilationData(space, defect_dim, d_root, basis, pi, purity_residual, isometry_defect)
+    return DilationData(space, defect_dim, basis, pi, purity_residual, isometry_defect)
 
 
 def intertwining_residuals(data: DilationData, t: RowContraction) -> tuple[float, ...]:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_DENSE_DIM
-from .csc import CSC, as_csc, identity
+from .csc import CSC, as_csc
 from .errors import DimensionLimitError, LevelOverflowError
-from .words import Word, word_from_position
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,12 @@ class TruncatedFockSpace:
             raise ValueError(f"max level must be >= 0, got {self.max_level}")
         if self.coeff_dim < 1:
             raise ValueError(f"coefficient dimension must be >= 1, got {self.coeff_dim}")
+        # indices are int64; with n >= 2 and M >= 63 there are over 2^64 words
+        if (self.n > 1 and self.max_level >= 63) or self.dim >= 2**63:
+            raise ValueError(
+                f"space (n={self.n}, max_level={self.max_level}, coeff_dim={self.coeff_dim}) "
+                "has more basis vectors than int64 indices reach"
+            )
 
     def level_offset(self, level: int) -> int:
         """Word index of the first level-`level` word."""
@@ -61,15 +66,6 @@ class TruncatedFockSpace:
         d = self.coeff_dim
         return slice(self.level_offset(level) * d, self.level_offset(level + 1) * d)
 
-    def word_index(self, word: Word) -> int:
-        if word.n != self.n:
-            raise ValueError(f"word over alphabet {word.n} used in space with n={self.n}")
-        if word.level > self.max_level:
-            raise LevelOverflowError(
-                f"word of length {word.level} exceeds truncation level {self.max_level}"
-            )
-        return self.level_offset(word.level) + word.position()
-
     def level_of_word_index(self, index: int) -> int:
         if not 0 <= index < self.num_words:
             raise IndexError(f"word index {index} out of range")
@@ -83,31 +79,10 @@ class TruncatedFockSpace:
         """Levels of an array of word indices, by one search over the level offsets."""
         return np.searchsorted(self.level_offsets(), indices, side="right") - 1
 
-    def word_at(self, index: int) -> Word:
-        m = self.level_of_word_index(index)
-        return word_from_position(self.n, m, index - self.level_offset(m))
-
-    def basis_index(self, word: Word, p: int = 0) -> int:
-        if not 0 <= p < self.coeff_dim:
-            raise ValueError(f"coefficient coordinate {p} out of range 0..{self.coeff_dim - 1}")
-        return self.word_index(word) * self.coeff_dim + p
-
     def basis_indices(self, words: np.ndarray) -> np.ndarray:
         """Basis indices of (w, 0), ..., (w, d-1) for each word index w in turn."""
         d = self.coeff_dim
         return np.repeat(words, d) * d + np.tile(np.arange(d), len(words))
-
-    def shift_word_index(self, index: int, m: int) -> int | None:
-        """Word index of 1^{tensor m} prepended to the word at `index`.
-
-        Returns None when the result exceeds the truncation. Prepending ones
-        contributes leading zero digits, so the position within the new level
-        is unchanged.
-        """
-        level = self.level_of_word_index(index)
-        if level + m > self.max_level:
-            return None
-        return self.level_offset(level + m) + (index - self.level_offset(level))
 
     def all_ones_index(self, m: int) -> int:
         """Word index of the length-m all-ones word (the level offset itself)."""
@@ -130,12 +105,11 @@ class Operator:
     Any matrix-like input (a `CSC`, a scipy sparse array or a dense array) is
     stored as a `CSC`; `matrix` is a `scipy.sparse.csc_array` view of it,
     built when read. Columns indexed by basis vectors of level < exact_below
-    incur no truncation error. `space` may be None for operators on plain
-    finite-dimensional spaces outside the Fock indexing scheme.
+    incur no truncation error.
     """
 
     csc: CSC
-    space: TruncatedFockSpace | None
+    space: TruncatedFockSpace
     exact_below: int
 
     def __post_init__(self):
@@ -145,14 +119,12 @@ class Operator:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat.data)):
             raise ValueError("operator matrix contains non-finite entries")
-        if self.space is not None:
-            if mat.shape[0] != self.space.dim:
-                raise ValueError(
-                    f"matrix dimension {mat.shape[0]} does not match space dimension "
-                    f"{self.space.dim}"
-                )
-            if self.exact_below > self.space.max_level + 1:
-                raise ValueError("exact_below cannot exceed max_level + 1")
+        if mat.shape[0] != self.space.dim:
+            raise ValueError(
+                f"matrix dimension {mat.shape[0]} does not match space dimension {self.space.dim}"
+            )
+        if self.exact_below > self.space.max_level + 1:
+            raise ValueError("exact_below cannot exceed max_level + 1")
 
     @property
     def dim(self) -> int:
@@ -224,10 +196,3 @@ def apply_annihilation(space: TruncatedFockSpace, letter: int, x: np.ndarray) ->
     out = np.zeros(x.shape, dtype=np.result_type(x, complex))
     out[:low] += x[creation_basis_map(space, letter, np.arange(low))]
     return out
-
-
-def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:
-    """S_letter tensor I on the truncation as a `CSC` matrix: the creation map
-    applied to the identity. Columns below level M are exact."""
-    space.require_dense()
-    return Operator(apply_creation(space, letter, identity(space.dim)), space, space.max_level)

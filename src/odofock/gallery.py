@@ -23,7 +23,7 @@ from .config import resolve_tol
 from .csc import CSC
 from .errors import CertificateError, NotIsometricError
 from .fock import TruncatedFockSpace, apply_annihilation
-from .linalg import hausdorff_distance, max_angular_gap, op_norm
+from .linalg import max_angular_gap, op_norm
 from .odometer import Symbol, build_odometer, constant_symbol, scalar_symbol, symbol_from_entries
 
 
@@ -57,11 +57,29 @@ def _roots(values: np.ndarray, order: int) -> np.ndarray:
     return np.outer(principal, np.exp(2j * np.pi * np.arange(order) / order)).ravel()
 
 
+def _ring_hausdorff(mu: np.ndarray, u: np.ndarray, order: int) -> float:
+    """Hausdorff distance between the order-th roots of the values `mu` and of `u`.
+
+    The roots of each value form a ring of `order` equally spaced points that
+    a turn by 2 pi / order maps onto itself, so every point of the ring of
+    mu_a lies at one distance from the ring of u_b: |r_a - r_b e^(i delta)|,
+    with r = |.|^(1/order) and delta = (arg u_b - arg mu_a) / order wrapped
+    into [-pi/order, pi/order). The distance takes O(|mu| |u|) work.
+    """
+    turns = (np.angle(u)[None, :] - np.angle(mu)[:, None]) / (2.0 * np.pi)
+    delta = (turns - np.floor(turns + 0.5)) * (2.0 * np.pi / order)
+    ra = np.abs(mu)[:, None] ** (1.0 / order)
+    rb = np.abs(u)[None, :] ** (1.0 / order)
+    dist = np.abs(ra - rb * np.exp(1j * delta))
+    return float(np.maximum(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
 def _level_cycle_spectrum(
     space: TruncatedFockSpace, w: CSC, level: int
-) -> tuple[np.ndarray, float]:
-    """Eigenvalues of W's level block from its cycle certificate, and the largest
-    residual ||W_m v - lambda v|| over a spot check of unit eigenvectors.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues mu of the cycle product and those of W's level block, from its
+    cycle certificate, and the largest residual ||W_m v - lambda v|| over a spot
+    check of unit eigenvectors.
 
     The stored entries of W on the level's rows and columns must send each
     column word into exactly one row word, and that word map must be one
@@ -113,7 +131,7 @@ def _level_cycle_spectrum(
     vecs[coords] = (carried * powers).reshape(size * d, -1)
     vecs /= np.linalg.norm(vecs, axis=0)
     residual = np.linalg.norm(block @ vecs - vecs * lam, axis=0).max()
-    return eigs, float(residual)
+    return mu, eigs, float(residual)
 
 
 def spectrum_per_level(
@@ -129,11 +147,12 @@ def spectrum_per_level(
     with W checks up to `EIGPAIR_SAMPLES` evenly spaced eigenpairs of the
     closed-form eigenvectors (`eigpair_residual`, for unit vectors). The
     prediction is the n^m-th roots of eig(U), taken from the symbol and not
-    from W, and `hausdorff` is their distance to the eigenvalues. Each
-    `LevelSpectrum` holds level, eigenvalues, predicted, hausdorff and
-    eigpair_residual; the report adds the largest angular gap across all
-    computed eigenvalues and the largest distance of one from the unit
-    circle. Levels run 0..max_level, which must lie in 0..M.
+    from W, and `hausdorff` is their distance to the eigenvalues, taken from
+    the d x d distances between their rings of roots. Each `LevelSpectrum`
+    holds level, eigenvalues, predicted, hausdorff and eigpair_residual; the
+    report adds the largest angular gap across all computed eigenvalues and
+    the largest distance of one from the unit circle. Levels run
+    0..max_level, which must lie in 0..M.
     """
     tol = resolve_tol(tol)
     space = symbol.space
@@ -149,11 +168,9 @@ def spectrum_per_level(
     base_eigs = np.linalg.eigvals(level0_block(symbol))
     levels = []
     for m in range(max_level + 1):
-        eigs, residual = _level_cycle_spectrum(space, w, m)
-        predicted = _roots(base_eigs, space.n**m)
-        levels.append(
-            LevelSpectrum(m, eigs, predicted, hausdorff_distance(eigs, predicted), residual)
-        )
+        mu, eigs, residual = _level_cycle_spectrum(space, w, m)
+        hausdorff = _ring_hausdorff(mu, base_eigs, space.n**m)
+        levels.append(LevelSpectrum(m, eigs, _roots(base_eigs, space.n**m), hausdorff, residual))
     all_eigs = np.concatenate([lv.eigenvalues for lv in levels])
     unimod = float(np.abs(np.abs(all_eigs) - 1.0).max())
     return SpectrumReport(tuple(levels), max_angular_gap(all_eigs), unimod)
@@ -184,7 +201,7 @@ class GalleryEntry:
     classification: ClassificationReport | None = None
 
 
-def gallery_adding_machine(q: complex, size: int, tol: float | None = None) -> GalleryEntry:
+def gallery_adding_machine(q: complex, size: int) -> GalleryEntry:
     """Twisted adding machine on the truncated half-line sequence space.
 
     V_1 e_k = conj(q)^{2k} e_{2k}, V_2 e_k = conj(q)^{2k+1} e_{2k+1} and
@@ -193,7 +210,6 @@ def gallery_adding_machine(q: complex, size: int, tol: float | None = None) -> G
     satisfies the adjoint covariance relation exactly when q = 1. This lives
     on a plain sequence space, outside the Fock classification pipeline.
     """
-    tol = resolve_tol(tol)
     q = complex(q)
     if abs(abs(q) - 1.0) > 1e-12:
         raise ValueError(f"phase must be unimodular, got |q| = {abs(q)}")

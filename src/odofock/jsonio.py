@@ -108,7 +108,6 @@ def symbol_to_json(symbol: Symbol) -> dict:
 
 
 def operator_to_json(op: Operator) -> dict:
-    _require(op.space is not None, "only operators on Fock spaces serialize")
     return {"kind": "operator", **_space_header(op.space), "exact_below": op.exact_below,
             "entries": _sparse_entries(op.csc)}
 
@@ -146,6 +145,8 @@ def from_json(doc: Any):
         space.require_dense()
         exact_below = doc.get("exact_below", space.max_level + 1)
         _require(type(exact_below) is int, "'exact_below' must be an integer")
+        _require(0 <= exact_below <= space.max_level + 1,
+                 f"'exact_below' must lie in 0..{space.max_level + 1}")
         return Operator(_read_entries(doc, (space.dim, space.dim)), space, exact_below)
     if kind == "pair":
         for key in ("n", "dim"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csc import _CHUNK, CSC, as_csc
+from .csc import CSC, as_csc
 from .fock import Operator
 
 
@@ -125,54 +125,6 @@ def canonical_basis(basis: np.ndarray) -> np.ndarray:
         out[:, j] = v / np.linalg.norm(v)
         left -= out[:, j].real ** 2 + out[:, j].imag ** 2
     return out + 0.0  # -0.0 + 0.0 is +0.0: no zero keeps a sign from the input's gauge
-
-
-def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of span(within) intersected with span(columns)^perp.
-
-    Both column sets must live in the same ambient space. With `columns`
-    contained in span(within) this is the orthogonal difference of the two
-    spans, in general the vectors of span(within) orthogonal to every column.
-    It orthonormalizes `within` first; the tests use it as the dense oracle.
-    """
-    if tol <= 0:
-        raise ValueError(f"rank tolerance must be positive, got {tol}")
-    within = np.asarray(within, dtype=complex)
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim != 2:
-        columns = columns.reshape(within.shape[0], -1)
-    if within.shape[0] != columns.shape[0]:
-        raise ValueError(
-            f"ambient dimensions differ: {within.shape[0]} vs {columns.shape[0]}"
-        )
-    q = orthonormal_columns(within, tol)
-    if q.shape[1] == 0 or columns.shape[1] == 0:
-        return q
-    # v = q x is orthogonal to the columns iff (columns^H q) x = 0.
-    return q @ _rank_split(columns.conj().T @ q, tol)[1]
-
-
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two finite point sets in the complex plane.
-
-    The distances are formed a block of rows of a at a time, at most about
-    `_CHUNK` of them at once, so memory is O(|b| * rows) rather than
-    O(|a| * |b|); min and max are exact, so the value does not depend on the
-    blocks.
-    """
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.size == 0 or b.size == 0:
-        return float("inf") if a.size != b.size else 0.0
-    step = max(1, _CHUNK // b.size)
-    a_to_b = 0.0
-    b_to_a = np.full(b.size, np.inf)
-    # np.maximum and np.minimum pass a NaN on, as one-shot min and max do
-    for lo in range(0, a.size, step):
-        dist = np.abs(a[lo : lo + step, None] - b[None, :])
-        a_to_b = np.maximum(a_to_b, dist.min(axis=1).max())
-        np.minimum(b_to_a, dist.min(axis=0), out=b_to_a)
-    return float(np.maximum(a_to_b, b_to_a.max()))
 
 
 def max_angular_gap(points: np.ndarray) -> float:

@@ -269,9 +269,7 @@ class RepresentationCheck:
         return self.window < 0
 
 
-def verify_fock_representation(
-    op: Operator, space: TruncatedFockSpace | None = None, tol: float | None = None
-) -> RepresentationCheck:
+def verify_fock_representation(op: Operator, tol: float | None = None) -> RepresentationCheck:
     """Check W S_k = S_{k+1} (k < n) and W S_n = S_1 W on the exactness window.
 
     Both relations are tested on basis columns of level <= min(M-1,
@@ -282,12 +280,7 @@ def verify_fock_representation(
     A negative window makes the check vacuous, and a vacuous check never passes.
     """
     tol = resolve_tol(tol)
-    if space is None:
-        space = op.space
-    if space is None:
-        raise ValueError("an explicit space is required for a space-free operator")
-    if op.dim != space.dim:
-        raise ValueError("operator dimension does not match the space")
+    space = op.space
     n, d, top = space.n, space.coeff_dim, space.max_level
     mat = op.csc
     window = min(top - 1, op.exact_below - 2)

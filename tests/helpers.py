@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,16 +16,15 @@ from odofock import (
     RowContraction,
     Symbol,
     TruncatedFockSpace,
-    Word,
-    carry_successor,
-    creation_operator,
     op_norm,
+    orthonormal_columns,
     row_contraction,
     symbol_from_dense,
     symbol_from_entries,
 )
-from odofock.csc import CSC
-from odofock.errors import SchemaError
+from odofock.csc import _CHUNK, CSC
+from odofock.errors import LevelOverflowError, SchemaError
+from odofock.linalg import _rank_split
 
 
 # every space with n <= 3, M <= 5, d <= 3: the range of the property tests
@@ -33,6 +34,225 @@ small_spaces = st.builds(
     max_level=st.integers(0, 5),
     coeff_dim=st.integers(1, 3),
 )
+
+
+# --------------------------------------------------------------------------
+# words of the free semigroup and the carry, letter by letter: the oracles
+# the closed-form index maps of `odofock.fock` are held to
+#
+# A word is a finite sequence of letters from {1, ..., n}; the empty word is
+# the vacuum label. Words of length m label the level-m slice of the Fock
+# basis, ordered level-major and then by base-n numeric value with the first
+# letter most significant.
+
+
+@dataclass(frozen=True)
+class Word:
+    """An element of the free semigroup F_n^+, i.e. a Fock basis label.
+
+    `letters` is the (possibly empty) tuple of letters, each in 1..n.
+    The empty tuple is the vacuum label.
+    """
+
+    letters: tuple[int, ...]
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"alphabet size must be >= 1, got {self.n}")
+        for a in self.letters:
+            if not 1 <= a <= self.n:
+                raise ValueError(f"letter {a} outside alphabet 1..{self.n}")
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self):
+        return iter(self.letters)
+
+    @property
+    def level(self) -> int:
+        return len(self.letters)
+
+    def is_vacuum(self) -> bool:
+        return not self.letters
+
+    def prepend(self, letter: int) -> "Word":
+        """The word obtained by left tensoring with e_letter."""
+        return Word((letter,) + self.letters, self.n)
+
+    def position(self) -> int:
+        """Base-n numeric value of the word within its level.
+
+        First letter most significant; digits are letter - 1.
+        """
+        pos = 0
+        for a in self.letters:
+            pos = pos * self.n + (a - 1)
+        return pos
+
+    def __repr__(self) -> str:
+        body = ",".join(str(a) for a in self.letters) if self.letters else "vac"
+        return f"Word({body}; n={self.n})"
+
+
+class Overflow(NamedTuple):
+    """Marker returned by the carry action on the all-n word of length m."""
+
+    length: int
+
+
+def vacuum(n: int) -> Word:
+    return Word((), n)
+
+
+def word_from_position(n: int, level: int, position: int) -> Word:
+    """Inverse of Word.position at a fixed level."""
+    if not 0 <= position < n**level:
+        raise ValueError(f"position {position} out of range for level {level}")
+    digits = []
+    for _ in range(level):
+        digits.append(position % n)
+        position //= n
+    return Word(tuple(d + 1 for d in reversed(digits)), n)
+
+
+def carry_successor(word: Word) -> Word | Overflow:
+    """One step of the base-n adding machine on a nonempty word.
+
+    Leading letters equal to n reset to 1 and the first letter below n is
+    incremented. If every letter equals n the word overflows and the marker
+    carries its length.
+    """
+    if word.is_vacuum():
+        raise ValueError("carry action is undefined on the vacuum label")
+    n = word.n
+    letters = word.letters
+    k = 0
+    while k < len(letters) and letters[k] == n:
+        k += 1
+    if k == len(letters):
+        return Overflow(len(letters))
+    succ = (1,) * k + (letters[k] + 1,) + letters[k + 1 :]
+    return Word(succ, n)
+
+
+def words_at_level(n: int, level: int) -> Iterator[Word]:
+    """All level-`level` words in canonical (base-n numeric) order."""
+    for combo in itertools.product(range(1, n + 1), repeat=level):
+        yield Word(combo, n)
+
+
+def enumerate_words(n: int, max_level: int) -> list[Word]:
+    """Every word of length 0..max_level in canonical basis order."""
+    if n < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {n}")
+    if max_level < 0:
+        raise ValueError(f"max level must be >= 0, got {max_level}")
+    out: list[Word] = []
+    for m in range(max_level + 1):
+        out.extend(words_at_level(n, m))
+    return out
+
+
+def word_index(space: TruncatedFockSpace, word: Word) -> int:
+    if word.n != space.n:
+        raise ValueError(f"word over alphabet {word.n} used in space with n={space.n}")
+    if word.level > space.max_level:
+        raise LevelOverflowError(
+            f"word of length {word.level} exceeds truncation level {space.max_level}"
+        )
+    return space.level_offset(word.level) + word.position()
+
+
+def word_at(space: TruncatedFockSpace, index: int) -> Word:
+    m = space.level_of_word_index(index)
+    return word_from_position(space.n, m, index - space.level_offset(m))
+
+
+def basis_index(space: TruncatedFockSpace, word: Word, p: int = 0) -> int:
+    if not 0 <= p < space.coeff_dim:
+        raise ValueError(f"coefficient coordinate {p} out of range 0..{space.coeff_dim - 1}")
+    return word_index(space, word) * space.coeff_dim + p
+
+
+def shift_word_index(space: TruncatedFockSpace, index: int, m: int) -> int | None:
+    """Word index of 1^{tensor m} prepended to the word at `index`.
+
+    Returns None when the result exceeds the truncation. Prepending ones
+    contributes leading zero digits, so the position within the new level
+    is unchanged.
+    """
+    level = space.level_of_word_index(index)
+    if level + m > space.max_level:
+        return None
+    return space.level_offset(level + m) + (index - space.level_offset(level))
+
+
+def creation_oracle(space: TruncatedFockSpace, letter: int) -> sparse.csc_array:
+    """Oracle: S_letter x I entry by entry, (word, p) -> (letter . word, p) by
+    `Word.prepend` on the words below level M; the level-M columns are zero."""
+    d = space.coeff_dim
+    rows, cols = [], []
+    for m in range(space.max_level):
+        for word in words_at_level(space.n, m):
+            target = word_index(space, word.prepend(letter))
+            rows.extend(target * d + p for p in range(d))
+            cols.extend(word_index(space, word) * d + p for p in range(d))
+    ones = np.ones(len(rows), dtype=complex)
+    return sparse.csc_array((ones, (rows, cols)), shape=(space.dim, space.dim))
+
+
+# --------------------------------------------------------------------------
+# dense point-set oracles
+
+
+def orthonormal_complement(columns: np.ndarray, within: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of span(within) intersected with span(columns)^perp.
+
+    Both column sets must live in the same ambient space. With `columns`
+    contained in span(within) this is the orthogonal difference of the two
+    spans, in general the vectors of span(within) orthogonal to every column.
+    It orthonormalizes `within` first; the tests use it as the dense oracle.
+    """
+    if tol <= 0:
+        raise ValueError(f"rank tolerance must be positive, got {tol}")
+    within = np.asarray(within, dtype=complex)
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim != 2:
+        columns = columns.reshape(within.shape[0], -1)
+    if within.shape[0] != columns.shape[0]:
+        raise ValueError(
+            f"ambient dimensions differ: {within.shape[0]} vs {columns.shape[0]}"
+        )
+    q = orthonormal_columns(within, tol)
+    if q.shape[1] == 0 or columns.shape[1] == 0:
+        return q
+    # v = q x is orthogonal to the columns iff (columns^H q) x = 0.
+    return q @ _rank_split(columns.conj().T @ q, tol)[1]
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Hausdorff distance between two finite point sets in the complex plane.
+
+    The distances are formed a block of rows of a at a time, at most about
+    `_CHUNK` of them at once, so memory is O(|b| * rows) rather than
+    O(|a| * |b|); min and max are exact, so the value does not depend on the
+    blocks.
+    """
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    if a.size == 0 or b.size == 0:
+        return float("inf") if a.size != b.size else 0.0
+    step = max(1, _CHUNK // b.size)
+    a_to_b = 0.0
+    b_to_a = np.full(b.size, np.inf)
+    # np.maximum and np.minimum pass a NaN on, as one-shot min and max do
+    for lo in range(0, a.size, step):
+        dist = np.abs(a[lo : lo + step, None] - b[None, :])
+        a_to_b = np.maximum(a_to_b, dist.min(axis=1).max())
+        np.minimum(b_to_a, dist.min(axis=0), out=b_to_a)
+    return float(np.maximum(a_to_b, b_to_a.max()))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,16 +451,16 @@ def reference_odometer(symbol: Symbol) -> np.ndarray:
     for m in range(1, top + 1):
         lo = space.level_offset(m)
         for pos in range(n**m - 1):
-            succ = carry_successor(space.word_at(lo + pos))
+            succ = carry_successor(word_at(space, lo + pos))
             assert isinstance(succ, Word)
-            target = space.word_index(succ)
+            target = word_index(space, succ)
             mat[target * d + coords, (lo + pos) * d + coords] = 1.0
     coo = symbol.matrix.tocoo()
     for m in range(top + 1):
         src = space.level_offset(m + 1) - 1
         for r, q, v in zip(coo.row, coo.col, coo.data):
             word_idx, s = divmod(int(r), d)
-            shifted = space.shift_word_index(word_idx, m)
+            shifted = shift_word_index(space, word_idx, m)
             if shifted is not None:
                 mat[shifted * d + s, src * d + q] += v
     return mat
@@ -256,7 +476,7 @@ def reference_shifted_columns(symbol: Symbol) -> np.ndarray:
     for p in range(1, pmax + 1):
         for r, q, v in zip(coo.row, coo.col, coo.data):
             word_idx, s = divmod(int(r), d)
-            target = space.shift_word_index(word_idx, p)
+            target = shift_word_index(space, word_idx, p)
             if target is not None:
                 shifted[target * d + s, (p - 1) * d + q] += v
     return shifted
@@ -277,7 +497,7 @@ def reference_adjoint(symbol: Symbol) -> np.ndarray:
     for m in range(1, top + 1):
         lo = space.level_offset(m)
         for pos in range(n**m - 1):
-            succ = space.word_index(carry_successor(space.word_at(lo + pos)))
+            succ = word_index(space, carry_successor(word_at(space, lo + pos)))
             mat[(lo + pos) * d + coords, succ * d + coords] = 1.0
     c = np.zeros((top + 1, d, d), dtype=complex)
     coo = symbol.matrix.tocoo()
@@ -405,13 +625,13 @@ def reference_phi(space: TruncatedFockSpace, wandering_basis: np.ndarray, budget
     its first letter's creation operator applied to the block of the rest."""
     wdim = wandering_basis.shape[1]
     domain = TruncatedFockSpace(space.n, budget, wdim)
-    screations = [creation_operator(i, space).matrix for i in range(1, space.n + 1)]
+    screations = [creation_oracle(space, i) for i in range(1, space.n + 1)]
     phi = np.zeros((space.dim, domain.dim), dtype=complex)
     phi[:, 0:wdim] = wandering_basis
     for level in range(1, budget + 1):
         for wi in range(domain.level_offset(level), domain.level_offset(level + 1)):
-            word = domain.word_at(wi)
-            parent = domain.word_index(Word(word.letters[1:], word.n))
+            word = word_at(domain, wi)
+            parent = word_index(domain, Word(word.letters[1:], word.n))
             cols = slice(wi * wdim, (wi + 1) * wdim)
             pcols = slice(parent * wdim, (parent + 1) * wdim)
             phi[:, cols] = screations[word.letters[0] - 1] @ phi[:, pcols]
@@ -498,6 +718,8 @@ def reference_from_json(doc):
         space = _reference_space(doc)
         exact_below = doc.get("exact_below", space.max_level + 1)
         _require(isinstance(exact_below, int), "'exact_below' must be an integer")
+        _require(0 <= exact_below <= space.max_level + 1,
+                 f"'exact_below' must lie in 0..{space.max_level + 1}")
         entries = _reference_entries(doc, space.dim, space.dim)
         space.require_dense()
         coords = np.array([(r, c) for r, c, _ in entries], dtype=np.int64).reshape(-1, 2)

@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from helpers import (
+    creation_oracle,
+    orthonormal_complement,
     random_constant_unitary_symbol,
     random_isometric_symbol,
     random_ones_diagonal_symbol,
@@ -14,6 +16,7 @@ from helpers import (
     reference_level_block_residual,
     reference_probe_deviation,
     reference_shifted_columns,
+    shift_word_index,
 )
 from scipy import sparse
 
@@ -30,10 +33,8 @@ from odofock import (
     classify,
     compute_E_L,
     constant_symbol,
-    creation_operator,
     gallery_golden_ratio,
     off_vacuum_residual,
-    orthonormal_complement,
     scalar_symbol,
     surjectivity_defect,
     symbol_from_dense,
@@ -80,7 +81,7 @@ def test_E_L_membership_agrees_with_bruteforce_gram():
     for p in range(1, space.max_level - symbol.support_degree + 1):
         shifted = np.zeros(space.dim, dtype=complex)
         for idx in range(space.dim):
-            t = space.shift_word_index(idx, p)
+            t = shift_word_index(space, idx, p)
             if t is not None:
                 shifted[t] = xi[idx]
         overlaps.append(abs(np.vdot(shifted, xi)))
@@ -314,8 +315,8 @@ def padded_symbol():
 def dense_nica_residual(symbol, adjoint, cols):
     """Oracle: W*(S_1 x I) - (S_n x I)W* from dense matrices, normed by the SVD."""
     space = symbol.space
-    s1 = creation_operator(1, space).matrix.toarray()
-    sn = creation_operator(space.n, space).matrix.toarray()
+    s1 = creation_oracle(space, 1).toarray()
+    sn = creation_oracle(space, space.n).toarray()
     adj = adjoint.toarray()
     keep = np.arange(space.dim_upto(space.max_level - 1))
     keep = keep[np.isin(keep % space.coeff_dim, cols)]

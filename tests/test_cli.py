@@ -17,6 +17,7 @@ from odofock import ContractivePair, TruncatedFockSpace, compress_pair, constant
 from odofock import gallery_weak_bishift, jsonio, levels_subspace, scalar_symbol
 from odofock import symbol_from_dense
 from odofock.cli import main
+from odofock.config import DEFAULT_TOL, resolve_tol
 
 
 def run(capsys, *argv):
@@ -390,19 +391,23 @@ def test_gen_example_defaults(capsys):
     assert code == 0 and report["passed"]
 
 
-def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
+def test_env_tolerance_changes_neither_tol_nor_verdict(tmp_path, capsys, monkeypatch):
     # a symbol whose isometry defect sits between the loose and strict settings
     space = TruncatedFockSpace(2, 3, 1)
     coeffs = np.array([np.sqrt(1.0 - 1e-6), np.sqrt(1e-6)])
     path = write_symbol(tmp_path, "close.json", scalar_symbol(space, coeffs))
-    # shifted correlation at r = 1 is ~1e-3: inside 1e-2, outside 1e-12
-    monkeypatch.setenv("ODOFOCK_TOL", "1e-2")
-    code, _ = run(capsys, "check", "isometry", "--symbol", path)
-    assert code == 0
-    monkeypatch.setenv("ODOFOCK_TOL", "1e-12")
-    code, _ = run(capsys, "check", "isometry", "--symbol", path)
-    assert code == 1
-    monkeypatch.delenv("ODOFOCK_TOL")
+    # shifted correlation at r = 1 is ~1e-3: inside 1e-2, outside the default 1e-10
+    def verdict(*flags):
+        code, report = run(capsys, "check", "isometry", "--symbol", path, *flags)
+        return code, report["parameters"]["tol"], [c["passed"] for c in report["checks"]]
+
+    default = verdict()
+    assert default[:2] == (1, 1e-10)
+    for value in ("1e-2", "1e-12", "-1", "not a number"):
+        monkeypatch.setenv("ODOFOCK_TOL", value)
+        assert verdict() == default
+        assert verdict("--tol", "1e-2")[:2] == (0, 1e-2)
+    assert resolve_tol(None) == DEFAULT_TOL
 
 
 def test_golden_ratio_with_fewer_terms_than_correlation_lags(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     capped_purity,
+    creation_oracle,
     cp_power_at_identity,
     kernel_chain_is_pure,
     random_coisometry,
@@ -27,7 +28,6 @@ from odofock import (
     WindowError,
     compress_pair,
     constant_symbol,
-    creation_operator,
     defect_root,
     intertwining_residuals,
     odometer_lift,
@@ -219,7 +219,7 @@ def test_model_space_identity_reproduces_contraction():
     data = poisson_kernel(t, 6)
     pi = data.poisson
     for i in range(1, 3):
-        si = creation_operator(i, data.space).matrix
+        si = creation_oracle(data.space, i)
         compressed = pi.conj().T @ si @ pi
         assert op_norm(compressed - t.tuples[i - 1]) <= 1e-10
     for res in intertwining_residuals(data, t):
@@ -319,7 +319,7 @@ def test_model_space_invariance_under_adjoints():
     pi = lift.dilation.poisson
     proj = pi @ pi.conj().T
     eye = np.eye(proj.shape[0])
-    gens = [creation_operator(i, lift.dilation.space).matrix for i in (1, 2)]
+    gens = [creation_oracle(lift.dilation.space, i) for i in (1, 2)]
     gens.append(lift.wmap.operator.matrix)
     for x in gens:
         assert op_norm((eye - proj) @ x.conj().T @ proj) <= 1e-8
@@ -334,7 +334,7 @@ def test_minimality_of_compressed_dilation():
     lift = odometer_lift(pair, 5)
     dil_space = lift.dilation.space
     pi = lift.dilation.poisson
-    screate = [creation_operator(i, dil_space).matrix for i in (1, 2)]
+    screate = [creation_oracle(dil_space, i) for i in (1, 2)]
     blocks = [pi]
     frontier = [pi]
     for _ in range(dil_space.max_level - k):

@@ -1,23 +1,27 @@
 """Index maps, creation operators, operator norms, and orthonormal complements."""
 
 import io
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import same_bits, same_csc
-from scipy import sparse
-
-from odofock import (
-    TruncatedFockSpace,
+from helpers import (
     Word,
     carry_successor,
-    creation_operator,
-    creation_word_map,
-    op_norm,
+    creation_oracle,
     orthonormal_complement,
+    same_bits,
+    same_csc,
+    word_at,
+    word_index,
 )
+from scipy import sparse
+
+from odofock import TruncatedFockSpace, creation_word_map, op_norm
 from odofock.csc import as_csc
 from odofock.fock import apply_annihilation, apply_creation, carry_word_map
 
@@ -26,29 +30,28 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "odofock"
 
 def test_creation_moves_vacuum_to_letter():
     space = TruncatedFockSpace(2, 2, 1)
-    s1 = creation_operator(1, space).matrix
+    s1 = creation_oracle(space, 1)
     vec = np.zeros(space.dim, dtype=complex)
     vec[0] = 1.0
     out = s1 @ vec
     expected = np.zeros(space.dim, dtype=complex)
-    expected[space.word_index(Word((1,), 2))] = 1.0
+    expected[word_index(space, Word((1,), 2))] = 1.0
     assert np.array_equal(out, expected)
 
 
 def test_creation_frozen_matrix_n2_m1():
     space = TruncatedFockSpace(2, 1, 1)
-    s1 = creation_operator(1, space).matrix
+    s1 = creation_oracle(space, 1)
     expected = np.zeros((3, 3), dtype=complex)
     expected[1, 0] = 1.0
     assert s1.format == "csc" and s1.nnz == 1
     assert np.array_equal(s1.toarray(), expected)
-    assert creation_operator(1, space).exact_below == 1
 
 
 @pytest.mark.parametrize("n,max_level,d", [(2, 3, 1), (3, 2, 2), (1, 4, 2)])
 def test_row_isometry_identities(n, max_level, d):
     space = TruncatedFockSpace(n, max_level, d)
-    ss = [creation_operator(i, space).matrix.toarray() for i in range(1, n + 1)]
+    ss = [creation_oracle(space, i).toarray() for i in range(1, n + 1)]
     sub = space.dim_upto(max_level - 1)
     eye = np.eye(space.dim)
     for i in range(n):
@@ -121,7 +124,7 @@ def test_space_and_operator_validation():
 
     space = TruncatedFockSpace(2, 1, 1)
     with pytest.raises(ValueError):
-        Operator(np.zeros((2, 3), dtype=complex), None, 1)
+        Operator(np.zeros((2, 3), dtype=complex), space, 1)
     bad = np.zeros((space.dim, space.dim), dtype=complex)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
@@ -131,11 +134,28 @@ def test_space_and_operator_validation():
 
 
 def test_dense_guard_rejects_huge_spaces():
-    from odofock import DimensionLimitError, creation_operator
+    from odofock import DimensionLimitError
 
     huge = TruncatedFockSpace(2, 24, 1)
     with pytest.raises(DimensionLimitError):
-        creation_operator(1, huge)
+        huge.require_dense()
+
+
+@pytest.mark.parametrize("n, max_level, coeff_dim", [
+    (1000, 10, 1), (2, 63, 1), (2, 10**9, 1), (1, 2**63, 1), (2, 61, 4),
+])
+def test_spaces_beyond_int64_indices_are_refused(n, max_level, coeff_dim):
+    with pytest.raises(ValueError, match="more basis vectors than int64 indices reach"):
+        TruncatedFockSpace(n, max_level, coeff_dim)
+
+
+def test_a_space_just_inside_int64_keeps_exact_indices():
+    # n = 2, M = 61: 2^62 - 1 words; the offsets and the carry stay in int64 range
+    space = TruncatedFockSpace(2, 61, 1)
+    assert space.level_offsets()[-1] == space.num_words == 2**62 - 1
+    top = np.array([space.level_offset(61), space.num_words - 2, space.num_words - 1])
+    oracle = [word_index(space, carry_successor(word_at(space, int(w)))) for w in top[:2]]
+    assert carry_word_map(space, top).tolist() == oracle + [-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -145,14 +165,14 @@ def test_closed_form_index_maps_match_the_word_oracles(n):
     words = np.arange(space.num_words)
     oracle = [-1]  # the vacuum overflows, as the all-n words do
     for w in words[1:]:
-        step = carry_successor(space.word_at(int(w)))
-        oracle.append(space.word_index(step) if isinstance(step, Word) else -1)
+        step = carry_successor(word_at(space, int(w)))
+        oracle.append(word_index(space, step) if isinstance(step, Word) else -1)
     assert carry_word_map(space, words).tolist() == oracle
     # one-to-one onto the words off position 0, which the closed-form adjoint relies on
-    assert sorted(w for w in oracle if w >= 0) == [w for w in words if space.word_at(w).position()]
+    assert sorted(w for w in oracle if w >= 0) == [w for w in words if word_at(space, w).position()]
     below_top = words[space.word_levels(words) < space.max_level]
     for letter in range(1, n + 1):
-        prepended = [space.word_index(space.word_at(int(w)).prepend(letter)) for w in below_top]
+        prepended = [word_index(space, word_at(space, int(w)).prepend(letter)) for w in below_top]
         assert creation_word_map(space, letter).tolist() == prepended
 
 
@@ -179,7 +199,7 @@ def test_creation_gathers_and_scatters_match_the_sparse_products(n, max_level, d
     a.data.real[::3] = -0.0
     a.data[1::5] = 0.0
     for letter in range(1, n + 1):
-        s = creation_operator(letter, space).matrix
+        s = creation_oracle(space, letter)
         pairs = [
             (apply_creation(space, letter, x), s @ x),
             (apply_annihilation(space, letter, x), s.conj().T @ x),
@@ -193,8 +213,8 @@ def test_creation_gathers_and_scatters_match_the_sparse_products(n, max_level, d
 
 
 def test_the_package_applies_creation_operators_by_their_index_maps():
-    # no module builds or multiplies a creation matrix: the constructor is
-    # named only where it is defined and exported
+    # no module builds or multiplies a creation matrix, and none names a
+    # creation-matrix constructor
     names = {}
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
@@ -203,7 +223,24 @@ def test_the_package_applies_creation_operators_by_their_index_maps():
         uses = [t.line.strip() for t in tokens if t.string == "creation_operator"]
         if uses:
             names[path.name] = uses
-    assert names == {
-        "fock.py": ["def creation_operator(letter: int, space: TruncatedFockSpace) -> Operator:"],
-        "__init__.py": ["creation_operator,"],
-    }
+    assert names == {}
+
+
+def test_import_loads_no_word_module_and_exports_no_removed_name():
+    # words, creation matrices, complements and point-set Hausdorff distances
+    # live in tests/helpers.py as oracles, not in the package
+    removed = ["Overflow", "Word", "carry_successor", "creation_operator", "default_tol",
+               "enumerate_words", "hausdorff_distance", "orthonormal_complement", "vacuum",
+               "word_from_position", "words_at_level"]
+    script = (
+        "import sys, odofock\n"
+        "print(sorted(m for m in sys.modules if m.startswith('odofock.words')))\n"
+        f"print(sorted(set({removed!r}) & set(dir(odofock))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+    methods = ("word_index", "word_at", "basis_index", "shift_word_index")
+    assert [m for m in methods if hasattr(TruncatedFockSpace, m)] == []

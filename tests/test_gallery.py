@@ -5,7 +5,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import haar_unitary, reference_level_spectrum
+from helpers import (
+    creation_oracle,
+    haar_unitary,
+    hausdorff_distance,
+    reference_level_spectrum,
+    shift_word_index,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odofock import (
     CertificateError,
@@ -13,18 +21,20 @@ from odofock import (
     TruncatedFockSpace,
     build_odometer,
     constant_symbol,
-    creation_operator,
     gallery_adding_machine,
     gallery_golden_ratio,
     gallery_shift_symbol,
     gallery_weak_bishift,
     golden_ratio_coeffs,
-    hausdorff_distance,
     scalar_symbol,
     spectrum_per_level,
 )
 from odofock.csc import CSC
-from odofock.gallery import _level_cycle_spectrum
+from odofock.gallery import _level_cycle_spectrum, _ring_hausdorff, _roots
+
+# The point-set oracle rounds each root it forms by a few units in the last
+# place, so the two Hausdorff distances can differ by a few 1e-16
+RING_HAUSDORFF_TOL = 2e-15
 
 
 def test_adding_machine_untwisted_relations():
@@ -89,7 +99,7 @@ def test_weak_bishift_blockwise_correlations_vanish():
                 shifted = np.zeros(space.dim, dtype=complex)
                 for idx in range(space.dim):
                     wi, s = divmod(idx, 3)
-                    t = space.shift_word_index(wi, r)
+                    t = shift_word_index(space, wi, r)
                     if t is not None:
                         shifted[t * 3 + s] = dense[idx, b]
                 assert abs(np.vdot(shifted, dense[:, a])) <= 1e-14
@@ -157,7 +167,7 @@ def test_shift_symbol_orbit_reaches_whole_truncation():
     entry = gallery_shift_symbol(3, max_level=3)
     space = entry.symbol.space
     w = build_odometer(entry.symbol).operator.matrix
-    gens = [creation_operator(i, space).matrix for i in (1, 2)] + [w]
+    gens = [creation_oracle(space, i) for i in (1, 2)] + [w]
     start = np.zeros((space.dim, 1), dtype=complex)
     start[0, 0] = 1.0
     collected = start
@@ -283,6 +293,8 @@ def test_cycle_spectrum_matches_dense_eigvals(n, max_level, d):
         oracle = reference_level_spectrum(space, w, lv.level)
         assert lv.eigenvalues.size == oracle.size == d * n**lv.level
         assert hausdorff_distance(lv.eigenvalues, oracle) <= 1e-12
+        points = hausdorff_distance(lv.eigenvalues, lv.predicted)
+        assert abs(lv.hausdorff - points) <= RING_HAUSDORFF_TOL
         assert lv.eigpair_residual <= 1e-12
         unimodular = np.abs(np.abs(lv.eigenvalues) - 1.0).max() <= tol
         assert unimodular == (np.abs(np.abs(oracle) - 1.0).max() <= tol)
@@ -341,6 +353,37 @@ def test_spectrum_at_the_top_of_the_dense_cap():
     assert all(lv.hausdorff <= 1e-9 for lv in report.per_level)
     assert all(lv.eigpair_residual <= 1e-10 for lv in report.per_level)
     assert report.unimodularity_residual <= 1e-10
+    for lv in report.per_level:
+        points = hausdorff_distance(lv.eigenvalues, lv.predicted)
+        assert abs(lv.hausdorff - points) <= RING_HAUSDORFF_TOL
+
+
+polar = st.tuples(st.floats(0.0, 1.0), st.floats(-np.pi, np.pi)).map(
+    lambda rt: rt[0] * np.exp(1j * rt[1])
+)
+ring_values = st.lists(polar, min_size=1, max_size=3).map(np.array)
+
+
+@st.composite
+def ring_pairs(draw):
+    """Values mu and u, at most three each, and a root order; one draw in two
+    puts u within 1e-12 of mu, so that the rings nearly coincide."""
+    mu = draw(ring_values)
+    if draw(st.booleans()):
+        jitter = st.complex_numbers(max_magnitude=1e-12)
+        u = mu + np.array(draw(st.lists(jitter, min_size=mu.size, max_size=mu.size)))
+    else:
+        u = draw(ring_values)
+    return mu, u, draw(st.sampled_from([1, 2, 3, 4, 27, 256]))
+
+
+@settings(max_examples=200)
+@given(ring_pairs())
+def test_ring_hausdorff_matches_the_point_set_oracle(case):
+    mu, u, order = case
+    points = hausdorff_distance(_roots(mu, order), _roots(u, order))
+    assert abs(_ring_hausdorff(mu, u, order) - points) <= RING_HAUSDORFF_TOL
+    assert _ring_hausdorff(mu, mu, order) == 0.0
 
 
 @pytest.mark.parametrize("sizes", [(1, 7), (37, 5), (300, 2000), (20000, 3)])

@@ -404,6 +404,7 @@ def _entry_faults():
         yield kind, "n zero", lambda doc: doc.update(n=0)
     yield "operator", "exact_below a string", lambda doc: doc.update(exact_below="2")
     yield "operator", "exact_below too large", lambda doc: doc.update(exact_below=9)
+    yield "operator", "exact_below negative", lambda doc: doc.update(exact_below=-7)
 
 
 def _dense_faults():
@@ -493,6 +494,18 @@ def test_booleans_are_not_numbers(kind, fault, message):
     (["check", "representation", "--symbol"],
      '{"kind": "operator", "n": 2, "max_level": 13, "coeff_dim": 1, "entries": "unread"}',
      "exceeds the dense-matrix limit"),
+    (["check", "representation", "--symbol"],
+     '{"kind": "operator", "n": 2, "max_level": 2, "coeff_dim": 1, "exact_below": 99, '
+     '"entries": [[0, 0, 1.0, 0.0]]}',
+     "'exact_below' must lie in 0..3"),
+    (["check", "representation", "--symbol"],
+     '{"kind": "operator", "n": 2, "max_level": 2, "coeff_dim": 1, "exact_below": -7, '
+     '"entries": [[0, 0, 1.0, 0.0]]}',
+     "'exact_below' must lie in 0..3"),
+    (["check", "isometry", "--symbol"],
+     '{"kind": "symbol", "n": 1000, "max_level": 10, "coeff_dim": 1, '
+     '"entries": [[10000000000000000000000000, 0, 1.0, 0.0]]}',
+     "more basis vectors than int64 indices reach"),
 ])
 def test_malformed_documents_exit_two(tmp_path, capsys, command, document, message):
     path = tmp_path / "doc.json"
@@ -513,6 +526,22 @@ def test_integers_beyond_float_range_are_malformed():
     pair = f'{{"kind": "pair", "n": 1, "dim": 1, "t": [[[0.5, -{big}]]], "w": [[1.0, 0.0]]}}'
     with pytest.raises(SchemaError, match=r"t\[0\] values must be finite"):
         jsonio.loads(pair)
+
+
+@pytest.mark.parametrize("exact_below", [-7, -1, 4, 99])
+def test_exact_below_outside_its_range_is_malformed(exact_below):
+    doc = dict(base_documents()["operator"], exact_below=exact_below)
+    with pytest.raises(SchemaError, match=r"^'exact_below' must lie in 0\.\.3$"):
+        jsonio.from_json(doc)
+    for edge in (0, 3):
+        assert jsonio.from_json(dict(doc, exact_below=edge)).exact_below == edge
+
+
+def test_spaces_beyond_int64_indices_are_malformed():
+    doc = {"kind": "symbol", "n": 1000, "max_level": 10, "coeff_dim": 1,
+           "entries": [[10**25, 0, 1.0, 0.0]]}
+    with pytest.raises(SchemaError, match="more basis vectors than int64 indices reach"):
+        jsonio.from_json(doc)
 
 
 def test_oversized_operators_are_refused_before_their_entries_are_read(monkeypatch):

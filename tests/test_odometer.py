@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    Word,
+    basis_index,
+    creation_oracle,
     haar_unitary,
     random_constant_unitary_symbol,
     random_ones_diagonal_symbol,
@@ -14,6 +17,7 @@ from helpers import (
     same_stored_bits,
     small_spaces,
     symbol_of_kind,
+    word_index,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,11 +27,9 @@ from odofock import (
     NotIsometricError,
     Operator,
     TruncatedFockSpace,
-    Word,
     adjoint_isometric,
     build_odometer,
     constant_symbol,
-    creation_operator,
     norm_bounds,
     scalar_symbol,
     symbol_from_dense,
@@ -39,7 +41,7 @@ from odofock.odometer import _odometer_columns
 
 def basis_vec(space, letters, p=0):
     v = np.zeros(space.dim, dtype=complex)
-    v[space.basis_index(Word(tuple(letters), space.n), p)] = 1.0
+    v[basis_index(space, Word(tuple(letters), space.n), p)] = 1.0
     return v
 
 
@@ -80,7 +82,7 @@ def test_zero_symbol_kills_all_overflow_columns():
     symbol = scalar_symbol(space, [0.0])
     w = build_odometer(symbol).operator.matrix.toarray()
     for m in range(space.max_level + 1):
-        col = space.basis_index(Word((2,) * m, 2))
+        col = basis_index(space, Word((2,) * m, 2))
         assert np.array_equal(w[:, col], np.zeros(space.dim, dtype=complex))
     # non-overflow columns still carry
     assert np.array_equal(w @ basis_vec(space, (1, 2)), basis_vec(space, (2, 2)))
@@ -139,8 +141,8 @@ def test_empty_window_is_vacuous_and_never_passes():
 
 def test_verify_rejects_plain_creation_operator():
     space = TruncatedFockSpace(2, 3, 1)
-    s1 = creation_operator(1, space)
-    check = verify_fock_representation(Operator(s1.matrix, space, space.max_level), tol=1e-10)
+    s1 = creation_oracle(space, 1)
+    check = verify_fock_representation(Operator(s1, space, space.max_level), tol=1e-10)
     assert not check.is_representation
     assert check.residuals["carry_relation_1"] > 0.5
     assert check.symbol is None
@@ -226,10 +228,10 @@ def test_adjoint_scalar_formula():
     iso = scalar_symbol(space, [0.0, 0.0, 1j])
     adj = adjoint_isometric(build_odometer(iso)).matrix.toarray()
     for m in range(space.max_level + 1):
-        col = space.basis_index(Word((1,) * m, 2))
+        col = basis_index(space, Word((1,) * m, 2))
         expected = np.zeros(space.dim, dtype=complex)
         if m >= 2:
-            expected[space.basis_index(Word((2,) * (m - 2), 2))] = -1j
+            expected[basis_index(space, Word((2,) * (m - 2), 2))] = -1j
         assert np.allclose(adj[:, col], expected, atol=1e-15)
 
 
@@ -295,7 +297,7 @@ def test_adjoint_refuses_non_isometric_symbols():
         adjoint_isometric(build_odometer(bad))
     # unit norm but supported off the all-ones diagonal
     off = np.zeros((space.dim, 1), dtype=complex)
-    off[space.word_index(Word((2,), 2)), 0] = 1.0
+    off[word_index(space, Word((2,), 2)), 0] = 1.0
     with pytest.raises(NotIsometricError):
         adjoint_isometric(build_odometer(symbol_from_dense(space, off)))
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_isometric_symbol, random_symbol
+from helpers import creation_oracle, random_isometric_symbol, random_symbol
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import sparse
@@ -20,7 +20,6 @@ from odofock import (
     Operator,
     TruncatedFockSpace,
     build_odometer,
-    creation_operator,
     op_norm,
     scalar_symbol,
     symbol_from_dense,
@@ -117,7 +116,7 @@ def test_zero_symbol_maps_match_dense_svd(space):
 
 def dense_relation_residuals(w: np.ndarray, space: TruncatedFockSpace, window: int) -> dict:
     """Oracle: the relation residuals from dense creation matrices and the dense SVD."""
-    s = [None] + [creation_operator(i, space).matrix.toarray() for i in range(1, space.n + 1)]
+    s = [None] + [creation_oracle(space, i).toarray() for i in range(1, space.n + 1)]
     cols = space.dim_upto(window)
     rel = {f"carry_relation_{k}": w @ s[k] - s[k + 1] for k in range(1, space.n)}
     rel["twist_relation"] = w @ s[space.n] - s[1] @ w

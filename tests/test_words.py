@@ -3,16 +3,19 @@
 import itertools
 
 import pytest
-
-from odofock import (
-    LevelOverflowError,
+from helpers import (
     Overflow,
-    TruncatedFockSpace,
     Word,
     carry_successor,
     enumerate_words,
+    shift_word_index,
     vacuum,
+    word_at,
+    word_from_position,
+    word_index,
 )
+
+from odofock import LevelOverflowError, TruncatedFockSpace
 
 
 def brute_force_enumeration(n, max_level):
@@ -42,20 +45,20 @@ def test_index_is_enumeration_position(n, max_level):
     space = TruncatedFockSpace(n, max_level)
     words = enumerate_words(n, max_level)
     for pos, w in enumerate(words):
-        assert space.word_index(w) == pos
-        assert space.word_at(pos) == w
+        assert word_index(space, w) == pos
+        assert word_at(space, pos) == w
 
 
 def test_index_examples():
-    assert TruncatedFockSpace(2, 2).word_index(vacuum(2)) == 0
-    assert TruncatedFockSpace(2, 2).word_index(Word((2, 1), 2)) == 5
-    assert TruncatedFockSpace(3, 2).word_index(Word((1,), 3)) == 1
+    assert word_index(TruncatedFockSpace(2, 2), vacuum(2)) == 0
+    assert word_index(TruncatedFockSpace(2, 2), Word((2, 1), 2)) == 5
+    assert word_index(TruncatedFockSpace(3, 2), Word((1,), 3)) == 1
 
 
 def test_index_rejects_too_long_words():
     space = TruncatedFockSpace(2, 2)
     with pytest.raises(LevelOverflowError):
-        space.word_index(Word((1, 2, 1), 2))
+        word_index(space, Word((1, 2, 1), 2))
 
 
 def test_letters_validated():
@@ -97,17 +100,15 @@ def test_carry_cycle_visits_every_word_once(n, m):
 def test_shift_word_index_prepends_ones():
     space = TruncatedFockSpace(2, 4)
     for idx in range(space.level_offset(3)):
-        w = space.word_at(idx)
-        shifted = space.shift_word_index(idx, 2)
-        assert shifted == space.word_index(Word((1, 1) + w.letters, 2))
+        w = word_at(space, idx)
+        shifted = shift_word_index(space, idx, 2)
+        assert shifted == word_index(space, Word((1, 1) + w.letters, 2))
     # pushing past the truncation returns None
     top = space.level_offset(4)
-    assert space.shift_word_index(top, 1) is None
+    assert shift_word_index(space, top, 1) is None
 
 
 def test_position_roundtrip_all_levels():
-    from odofock import word_from_position
-
     for n in (1, 2, 3):
         for level in range(4):
             for pos in range(n**level):
