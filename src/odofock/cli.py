@@ -236,8 +236,7 @@ def cmd_adjoint(args) -> int:
 def cmd_check(args) -> int:
     tol = resolve_tol(args.tol)
     obj = jsonio.load_path(args.symbol)
-    report = Report(f"check {args.property}", {"symbol": args.symbol, "tol": tol,
-                                               "seed": args.seed})
+    report = Report(f"check {args.property}", {"symbol": args.symbol, "tol": tol})
     if args.property == "representation":
         if isinstance(obj, Symbol):
             op = build_odometer(obj).operator
@@ -251,7 +250,7 @@ def cmd_check(args) -> int:
     if not isinstance(obj, Symbol):
         raise SchemaError("classification checks need a symbol document")
     if args.property == "isometry":
-        iso = check_isometric(obj, tol, seed=args.seed)
+        iso = check_isometric(obj, tol)
         report.add("isometry_gram", iso.isometry_residual, tol)
         report.add("ones_support", iso.e1_support_residual, tol)
         report.add("shifted_correlations", iso.gram_residual, tol, window=iso.window)
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance (default 1e-10)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     common.add_argument("--out", type=str, default=None,
                         help="write the produced artifact to this path")
 

@@ -123,8 +123,8 @@ class Operator:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match space dimension {self.space.dim}"
             )
-        if self.exact_below > self.space.max_level + 1:
-            raise ValueError("exact_below cannot exceed max_level + 1")
+        if not 0 <= self.exact_below <= self.space.max_level + 1:
+            raise ValueError("exact_below must lie in 0..max_level + 1")
 
     @property
     def dim(self) -> int:

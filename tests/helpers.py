@@ -581,45 +581,6 @@ def reference_level_block_residual(space: TruncatedFockSpace, w) -> float:
     return worst
 
 
-def reference_probe_deviation(symbol: Symbol, cols: np.ndarray, probes: int, seed: int) -> float:
-    """Oracle: the window probe with each output norm read off a dense Gram
-    matrix of the selected columns of W, on the same seeded draws."""
-    from odofock.odometer import _odometer_columns
-
-    if probes <= 0:
-        return 0.0
-    space = symbol.space
-    d = space.coeff_dim
-    window_words = space.level_offset(max(space.max_level - symbol.support_degree, 0) + 1)
-    rng = np.random.default_rng(seed)
-    colset = np.asarray(cols, dtype=np.int64)
-
-    def deviation(basis_cols: np.ndarray, samples: int) -> float:
-        rows, js, vals = _odometer_columns(symbol, basis_cols)
-        _, rows = np.unique(rows, return_inverse=True)
-        ws = sparse.csc_array((vals, (rows, js)), shape=(rows.max(initial=0) + 1, basis_cols.size))
-        gram = (ws.conj().T @ ws).toarray()
-        worst = 0.0
-        for _ in range(samples):
-            v = rng.standard_normal(basis_cols.size) + 1j * rng.standard_normal(basis_cols.size)
-            norm_in = float(np.linalg.norm(v))
-            norm_out = math.sqrt(max(float((v.conj() @ gram @ v).real), 0.0))
-            worst = max(worst, abs(norm_out - norm_in) / norm_in)
-        return worst
-
-    if window_words * colset.size <= 4096:
-        word_part = np.repeat(np.arange(window_words), colset.size) * d
-        basis_cols = word_part + np.tile(colset, window_words)
-        return deviation(basis_cols, probes)
-    worst = 0.0
-    for _ in range(probes):
-        words = rng.integers(window_words, size=32)
-        coords = colset[rng.integers(colset.size, size=32)]
-        basis_cols = np.unique(words * d + coords)
-        worst = max(worst, deviation(basis_cols, 1))
-    return worst
-
-
 def reference_phi(space: TruncatedFockSpace, wandering_basis: np.ndarray, budget: int):
     """Oracle: the Beurling map word by word; the column block of each word is
     its first letter's creation operator applied to the block of the rest."""

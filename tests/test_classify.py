@@ -14,7 +14,7 @@ from helpers import (
     random_ones_diagonal_symbol,
     random_symbol,
     reference_level_block_residual,
-    reference_probe_deviation,
+    reference_odometer,
     reference_shifted_columns,
     shift_word_index,
 )
@@ -39,7 +39,7 @@ from odofock import (
     surjectivity_defect,
     symbol_from_dense,
 )
-from odofock.classify import _nica_relation_residual, _probe_window_vectors, _unitary
+from odofock.classify import _nica_relation_residual, _unitary, _window_defect
 
 
 def golden_isometric_fixture():
@@ -201,7 +201,7 @@ def test_gram_verdict_matches_window_column_orthonormality():
             for r in range(3):
                 mat[space.all_ones_index(r) * 2 : space.all_ones_index(r) * 2 + 2, :] = c[r]
             symbol = symbol_from_dense(space, mat)
-        report = check_isometric(symbol, tol=1e-8, probes=0)
+        report = check_isometric(symbol, tol=1e-8)
         structural = (
             report.isometry_residual <= 1e-8
             and report.e1_support_residual <= 1e-8
@@ -255,7 +255,7 @@ def test_scalar_specialization_matches_sequence_conditions():
             coeffs = np.zeros(support + 1, dtype=complex)
             coeffs[support] = np.exp(2j * np.pi * rng.random())
         symbol = scalar_symbol(space, coeffs)
-        report = check_isometric(symbol, probes=0)
+        report = check_isometric(symbol)
         window = space.max_level - symbol.support_degree
         norm_ok = abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-10
         corr_ok = all(
@@ -473,7 +473,19 @@ def test_level_block_residual_sees_off_level_mass_and_block_defects():
     assert uni.level_block_residual == 0.25
 
 
-def test_probe_matvec_matches_dense_gram_oracle():
+def reference_window_defect(symbol, cols, window_columns):
+    """Oracle: the largest entry of |G - I| for the dense Gram G of the window
+    columns of `reference_odometer`, on the lowest words of the window."""
+    space = symbol.space
+    window_words = space.level_offset(space.max_level - symbol.support_degree + 1)
+    words = np.arange(min(window_words, max(window_columns // cols.size, 1)))
+    basis_cols = (words[:, None] * space.coeff_dim + cols).ravel()
+    w = reference_odometer(symbol)[:, basis_cols]
+    return np.abs(w.conj().T @ w - np.eye(basis_cols.size)).max()
+
+
+def test_window_defect_matches_dense_gram_oracle(monkeypatch):
+    classify_module = sys.modules["odofock.classify"]
     rng = np.random.default_rng(33)
     cases = [
         (symbol, np.arange(symbol.space.coeff_dim)) for symbol in constant_unitary_cases()
@@ -483,13 +495,41 @@ def test_probe_matvec_matches_dense_gram_oracle():
         (random_ones_diagonal_symbol(space, rng, force_nonconstant=True), np.arange(2)),
         (random_symbol(space, 2, rng, scale=0.3), np.arange(2)),
         (padded_symbol(), np.arange(2)),
-        # a window of more than 4096 columns takes the sparse random supports
-        (gallery_golden_ratio(60, n=2, max_level=24).symbol, np.arange(1)),
     ]
     for symbol, cols in cases:
-        for seed in (0, 1):
-            probe = _probe_window_vectors(symbol, cols, 50, seed)
-            assert abs(probe - reference_probe_deviation(symbol, cols, 50, seed)) <= 1e-15
+        oracle = reference_window_defect(symbol, cols, classify_module.WINDOW_COLUMNS)
+        assert abs(_window_defect(symbol, cols) - oracle) <= 1e-14 * max(1.0, oracle)
+
+    # support degree 24 on M = 24: the window is the vacuum column alone, so
+    # the defect is | ||L h_0||^2 - 1 |, read off the symbol's entries
+    golden = gallery_golden_ratio(60, n=2, max_level=24).symbol
+    oracle = abs(float(np.sum(np.abs(golden.csc.data) ** 2)) - 1.0)
+    assert abs(_window_defect(golden, np.arange(1)) - oracle) <= 1e-14 * max(1.0, oracle)
+
+    # a cut window: 16 columns keep levels 0..2 (d = 2) or 0..3 (d = 1) whole
+    # plus one word of the next level, out of the 31 window words
+    monkeypatch.setattr(classify_module, "WINDOW_COLUMNS", 16)
+    space = TruncatedFockSpace(2, 6, 2)
+    cut_cases = [
+        (random_ones_diagonal_symbol(space, rng, max_support=2, force_nonconstant=True),
+         np.arange(2)),
+        (random_symbol(space, 2, rng, scale=0.3), np.arange(2)),
+        (scalar_symbol(TruncatedFockSpace(2, 6, 1), [0.6, 0.0, 0.8]), np.arange(1)),
+    ]
+    for symbol, cols in cut_cases:
+        assert symbol.space.level_offset(symbol.space.max_level - symbol.support_degree + 1) > 16
+        oracle = reference_window_defect(symbol, cols, 16)
+        assert abs(_window_defect(symbol, cols) - oracle) <= 1e-14 * max(1.0, oracle)
+
+
+def test_window_defect_sees_the_shifted_correlation_on_a_large_window():
+    # 8191 window words: the cut keeps levels 0..11 whole, so the shift-2
+    # correlation 0.6 * 0.8 of the all-ones columns is read exactly
+    symbol = scalar_symbol(TruncatedFockSpace(2, 14, 1), [0.6, 0.0, 0.8])
+    iso = check_isometric(symbol)
+    assert iso.gram_residual == pytest.approx(0.48, abs=1e-15)
+    assert abs(iso.probe_residual - iso.gram_residual) <= 1e-15
+    assert not iso.passed
 
 
 def test_classify_takes_no_svd_larger_than_the_coefficient_space(monkeypatch):
@@ -510,20 +550,25 @@ def test_classify_takes_no_svd_larger_than_the_coefficient_space(monkeypatch):
 def test_checks_on_a_tall_symbol_cost_its_entries_not_its_rows():
     # the README's golden symbol: D = 33,554,431 rows, 25 entries. A pass over
     # the rows would allocate at least 128 MB (one int32 per row); the checks
-    # and the norm read only the stored entries
-    symbol = gallery_golden_ratio(60, n=2, max_level=24).symbol
-    assert symbol.space.dim == 33_554_431 and symbol.csc.nnz == 25
-    checks = {
-        "norm": symbol.norm,
-        "isometry": lambda: check_isometric(symbol),
-        "nica": lambda: check_nica(symbol),
-        "unitary": lambda: check_unitary(symbol),
-    }
-    for name, run in checks.items():
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MB"
+    # and the norm read only the stored entries. A constant unitary symbol on
+    # the same space has all 33,554,431 words in its window, of which the
+    # window check builds 4096 columns
+    golden = gallery_golden_ratio(60, n=2, max_level=24).symbol
+    assert golden.space.dim == 33_554_431 and golden.csc.nnz == 25
+    constant = constant_symbol(golden.space, np.array([[np.exp(0.3j)]]))
+    assert constant.exact_below == 25
+    for symbol in (golden, constant):
+        checks = {
+            "norm": symbol.norm,
+            "isometry": lambda: check_isometric(symbol),
+            "nica": lambda: check_nica(symbol),
+            "unitary": lambda: check_unitary(symbol),
+        }
+        for name, run in checks.items():
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MB"

@@ -129,8 +129,9 @@ def test_space_and_operator_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         Operator(bad, space, 1)
-    with pytest.raises(ValueError):
-        Operator(np.zeros((space.dim, space.dim), dtype=complex), space, 5)
+    for exact_below in (5, -1):
+        with pytest.raises(ValueError):
+            Operator(np.zeros((space.dim, space.dim), dtype=complex), space, exact_below)
 
 
 def test_dense_guard_rejects_huge_spaces():
