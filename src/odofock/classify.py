@@ -3,44 +3,39 @@
 The decisions rest on coefficient-level criteria (isometry of L, support on
 the all-ones diagonal, vanishing shifted correlations, constancy, level-0
 surjectivity), so they scale to truncations far beyond the dense-matrix
-limit. The window check builds up to `WINDOW_COLUMNS` selected columns of W
-on the exactness window, at any size, and reads the largest entry of their
-Gram defect. The other cross-checks on the built map W run only where
-`build_odometer` accepts the space and are skipped with a NaN residual
-otherwise: the Nica relation is a sparse difference of creation index maps,
-and the level blocks come from one pass over the stored entries of W.
+limit. Each verdict is cross-checked, at any size, on a window of W: at most
+`WINDOW_COLUMNS` of its columns, on the lowest words of the exactness window
+and the vacuum's at least, so no cross-check is empty or skipped. The
+isometry check reads their Gram defect, the Nica check the relation
+S_1* W = W S_n* on them, and the unitary check their level blocks.
 
 `classify` is a single pass: it computes the structural isometry data of
 the symbol once and decides isometry from it. Only an isometric symbol goes
-on, with W built once and shared by the Nica and unitary verdicts.
-`check_nica` and `check_unitary` run the same steps for one verdict each.
+on to the Nica and unitary verdicts, which reuse the isometry check's
+window. `check_nica` and `check_unitary` run the same steps for one verdict each.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import MAX_DENSE_DIM, resolve_tol
+from .config import resolve_tol
 from .csc import CSC, identity
 from .errors import NotIsometricError
-from .fock import TruncatedFockSpace, apply_creation, creation_basis_map
+from .fock import TruncatedFockSpace
 from .linalg import _rank_split, op_norm, orthonormal_columns
 from .odometer import (
-    OdometerMap,
-    StructuralIsometry,
     Symbol,
-    _closed_form_adjoint,
     _odometer_columns,
-    build_odometer,
     frobenius_mass,
     structural_isometry,
 )
 
-# the window check builds at most this many columns of W, or the vacuum's
-# columns alone when more coefficient columns are selected
+# a window holds at most this many columns of W, or the vacuum's columns
+# alone when more coefficient columns are selected
 WINDOW_COLUMNS = 4096
 
 
@@ -69,6 +64,7 @@ class UnitaryCheck:
     surjectivity_defect: int
     block_unitary_residual: float
     level_block_residual: float
+    window: int
 
 
 @dataclass(frozen=True)
@@ -123,26 +119,38 @@ def compute_E_L(symbol: Symbol, tol: float | None = None) -> np.ndarray:
     return out
 
 
-def _window_defect(symbol: Symbol, cols: np.ndarray) -> float:
-    """Largest entry of |W_P^H W_P - I| over the exact window columns P of W.
+class _Window(NamedTuple):
+    """W's columns (w, q), q in `cols`, on the words w < `words`, of which levels
+    0..`level` are whole, as the triplets of `_odometer_columns`; col is
+    w * cols.size plus the position of q in `cols`."""
 
-    P holds the selected coefficient columns on the first
-    `WINDOW_COLUMNS // cols.size` words of the exactness window (all of it
-    when it fits). Word indices are level-major, so the cut keeps the lowest
-    levels whole, the all-n words included. Each entry is a column norm or an
-    inner product of two columns: what L*L = I, all-ones support and the
-    vanishing shifted correlations assert. Only these columns of W are
-    built, so this works at truncations far beyond the dense limit.
+    cols: np.ndarray
+    words: int
+    level: int
+    rows: np.ndarray
+    js: np.ndarray
+    vals: np.ndarray
+
+    def csc(self, on=slice(None)) -> CSC:
+        """The entries `on`; all rows are renumbered in order, so no index array spans the space."""
+        _, rows = np.unique(self.rows, return_inverse=True)
+        shape = (rows.max(initial=0) + 1, self.words * self.cols.size)
+        return CSC.from_triplets(rows[on], self.js[on], self.vals[on], shape)
+
+
+def _window(symbol: Symbol, cols: np.ndarray) -> _Window:
+    """W's columns for `cols` on the first `WINDOW_COLUMNS // cols.size` words of
+    the exactness window (all of it when it fits, the vacuum at least).
+
+    Word indices are level-major, so the cut keeps the lowest levels whole,
+    the all-n words included. Only these columns are built, so this works at
+    truncations far beyond the dense limit.
     """
     space = symbol.space
-    window_words = space.level_offset(space.max_level - symbol.support_degree + 1)
-    words = np.arange(min(window_words, max(WINDOW_COLUMNS // cols.size, 1)))
-    basis_cols = (words[:, None] * space.coeff_dim + cols).ravel()
-    rows, js, vals = _odometer_columns(symbol, basis_cols)
-    # renumber the rows in order so no index array spans the whole space
-    _, rows = np.unique(rows, return_inverse=True)
-    w = CSC.from_triplets(rows, js, vals, (rows.max(initial=0) + 1, basis_cols.size))
-    return float(np.abs((w.H @ w - identity(basis_cols.size)).data).max(initial=0.0))
+    words = min(space.level_offset(symbol.exact_below), max(WINDOW_COLUMNS // cols.size, 1))
+    basis_cols = (np.arange(words)[:, None] * space.coeff_dim + cols).ravel()
+    level = int(space.word_levels(words)) - 1
+    return _Window(cols, words, level, *_odometer_columns(symbol, basis_cols))
 
 
 def check_isometric(symbol: Symbol, tol: float | None = None, columns=None) -> IsometryCheck:
@@ -151,19 +159,21 @@ def check_isometric(symbol: Symbol, tol: float | None = None, columns=None) -> I
     `columns` restricts every test to a subset of coefficient columns (used
     for symbols whose truncation pads a boundary column). `probe_residual`
     cross-checks the verdict on the built W: the largest entry of the Gram
-    defect of its exact window columns (see `_window_defect`).
+    defect |W_P^H W_P - I| of its window columns P.
     """
-    cols = _column_indices(symbol, columns)
-    return _isometry_check(symbol, structural_isometry(symbol), resolve_tol(tol), cols)
+    return _isometry_check(symbol, resolve_tol(tol), _column_indices(symbol, columns))[0]
 
 
-def _isometry_check(
-    symbol: Symbol, structure: StructuralIsometry, tol: float, cols: np.ndarray
-) -> IsometryCheck:
+def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray) -> tuple[IsometryCheck, _Window]:
+    """The isometry check on `cols`, and the window of W it read."""
+    structure, window = structural_isometry(symbol), _window(symbol, cols)
     iso_res, off_res, gram_res = structure.residuals(cols)
-    probe_res = _window_defect(symbol, cols)
+    # each Gram entry is a column norm or an inner product of two columns: what
+    # L*L = I, all-ones support and the vanishing shifted correlations assert
+    w = window.csc()
+    probe_res = float(np.abs((w.H @ w - identity(w.shape[1])).data).max(initial=0.0))
     passed = iso_res <= tol and off_res <= tol and gram_res <= tol and probe_res <= tol
-    return IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, structure.window)
+    return IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, structure.window), window
 
 
 def off_vacuum_residual(symbol: Symbol, columns=None) -> float:
@@ -190,112 +200,104 @@ def _level0(symbol: Symbol, tol: float) -> tuple[np.ndarray, int]:
     return block, block.shape[0] - orthonormal_columns(block, tol).shape[1]
 
 
-def _dense_odometer(symbol: Symbol) -> OdometerMap | None:
-    return build_odometer(symbol) if symbol.space.dim <= MAX_DENSE_DIM else None
+def _nica(symbol: Symbol, tol: float, window: _Window, nica_res: float) -> NicaCheck:
+    """The Nica verdict, with `relation_residual` the norm of S_1* W - W S_n*
+    (S_i for S_i x I) on the window columns.
 
-
-def _nica_relation_residual(space: TruncatedFockSpace, adjoint: CSC, cols: np.ndarray) -> float:
-    """Residual of W*(S_1 x I) = (S_n x I)W* on columns of level <= M-1.
-
-    W* S_1 gathers columns of the adjoint and S_n W* relabels its rows; the
-    residual is the norm of their sparse difference.
+    S_1* W e_y keeps the rows of W e_y whose word starts with letter 1 and
+    strips that letter; W S_n* e_y is W e_y' when y = n y' and 0 otherwise.
+    y' lies one whole level below y, so it is in the window, and both sides
+    are exact there. This is the adjoint of W*(S_1 x I) = (S_n x I)W*, and
+    the difference is normed in that relation's orientation.
     """
-    d = space.coeff_dim
-    rows = np.arange(space.dim_upto(space.max_level - 1))
-    keep = rows[np.isin(rows % d, cols)]
-    adjoint_s1 = adjoint[:, creation_basis_map(space, 1, keep)]
-    return op_norm(adjoint_s1 - apply_creation(space, space.n, adjoint[:, keep]))
-
-
-def _nica(
-    symbol: Symbol,
-    structure: StructuralIsometry,
-    tol: float,
-    cols: np.ndarray,
-    wmap: OdometerMap | None,
-    nica_res: float,
-) -> NicaCheck:
-    relation_res = float("nan")
-    if wmap is not None:
-        try:
-            adjoint = _closed_form_adjoint(symbol.space, structure, tol).csc
-        except NotIsometricError:
-            # Interior-only isometries (padded boundary column): fall back to
-            # the conjugate transpose, exact for constant symbols.
-            adjoint = wmap.operator.csc.H
-        relation_res = _nica_relation_residual(symbol.space, adjoint, cols)
-    passed = nica_res <= tol and (math.isnan(relation_res) or relation_res <= tol)
-    return NicaCheck(passed, nica_res, relation_res, symbol.space.max_level - 1)
+    space = symbol.space
+    c, d = window.cols.size, space.coeff_dim
+    offsets = space.level_offsets()
+    powers = np.diff(offsets)  # n^level
+    # on level l >= 1 the first n^(l-1) words start with 1 and the last n^(l-1) with n
+    word = window.rows // d
+    level = space.word_levels(word)
+    ones = (level > 0) & (word - offsets[level] < powers[level - 1])
+    stripped = window.rows[ones] - powers[level[ones] - 1] * d
+    y = np.arange(window.words)
+    level = space.word_levels(y)
+    lead = (level > 0) & (offsets[level + 1] - y <= powers[level - 1])
+    source = np.full(window.words, -1)
+    source[y[lead] - powers[level[lead]]] = y[lead]  # y = n y' is y' + n^l
+    target = source[window.js // c]
+    moved = target >= 0
+    both = window._replace(
+        rows=np.r_[stripped, window.rows[moved]],
+        js=np.r_[window.js[ones], target[moved] * c + window.js[moved] % c],
+        vals=np.r_[window.vals[ones], window.vals[moved]],
+    )
+    left = np.arange(both.rows.size) < stripped.size
+    relation_res = op_norm((both.csc(left) - both.csc(~left)).H)
+    passed = nica_res <= tol and relation_res <= tol
+    return NicaCheck(passed, nica_res, relation_res, window.level)
 
 
 def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCheck:
     """Nica covariance of an isometric symbol: the range sits in the vacuum slice.
 
-    The characterization drives the verdict; when dense operators are
-    feasible the defining adjoint relation is validated independently
-    (NaN residual otherwise).
+    The characterization drives the verdict, and the defining relation
+    S_1* W = W S_n* is validated independently on the window of the
+    isometry check (`relation_residual`; `window` is the highest level it
+    holds whole).
     """
     tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
-    structure = structural_isometry(symbol)
-    iso = _isometry_check(symbol, structure, tol, cols)
+    iso, window = _isometry_check(symbol, tol, cols)
     if not iso.passed:
         raise NotIsometricError(
             "Nica covariance is defined for isometric symbols only "
             f"(gram {iso.isometry_residual:.3e}, correlations {iso.gram_residual:.3e})"
         )
-    nica_res = off_vacuum_residual(symbol, cols)
-    return _nica(symbol, structure, tol, cols, _dense_odometer(symbol), nica_res)
+    return _nica(symbol, tol, window, off_vacuum_residual(symbol, cols))
 
 
-def _level_block_residual(space: TruncatedFockSpace, w: CSC) -> float:
-    """max(||B^H B - I||, sqrt of the largest off-level mass of one level's columns).
-
-    One pass over the stored entries of W: the word levels of row and column
-    split them into the level-diagonal part B and the off-level entries. B is
-    block diagonal, so the exact sparse norm of B^H B - I is the largest norm
-    of a level block's defect.
+def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None) -> UnitaryCheck:
+    """The unitary verdict, with `level_block_residual` the larger of ||B^H B - I||
+    and the square root of the largest off-level mass of one level's columns,
+    on a window of every coefficient column (the isometry check's, if it is
+    one). B, the level-diagonal part of its entries, is block diagonal, so the
+    exact sparse norm of B^H B - I is the largest norm of a level block's
+    defect. `vacuum` is (constancy, level-0 block, its corank), computed here
+    if not given.
     """
-    d = space.coeff_dim
-    cols = w.entry_cols
-    col_level = space.word_levels(cols // d)
-    on = space.word_levels(w.indices // d) == col_level
-    b = CSC.from_triplets(w.indices[on], cols[on], w.data[on], w.shape)
-    defect = op_norm(b.H @ b - identity(w.shape[1]))
-    off = w.data[~on]
-    off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
-    return max(defect, float(np.sqrt(off_mass.max(initial=0.0))))
-
-
-def _unitary(symbol: Symbol, tol: float, wmap: OdometerMap | None, vacuum=None) -> UnitaryCheck:
-    """`vacuum` is (constancy, level-0 block, its corank), computed here if not given."""
     space = symbol.space
+    d = space.coeff_dim
+    if window.cols.size < d:
+        window = _window(symbol, np.arange(d))
     if vacuum is None:
         vacuum = (off_vacuum_residual(symbol) <= tol, *_level0(symbol, tol))
     is_constant, block, defect = vacuum
-    eye = np.eye(space.coeff_dim)
+    eye = np.eye(d)
     block_res = max(op_norm(block.conj().T @ block - eye), op_norm(block @ block.conj().T - eye))
-    passed = is_constant and defect == 0 and block_res <= tol
-
-    level_res = float("nan")
-    if passed:
-        wmap = wmap if wmap is not None else _dense_odometer(symbol)
-        if wmap is not None:
-            level_res = _level_block_residual(space, wmap.operator.csc)
-            passed = level_res <= tol
-    return UnitaryCheck(passed, is_constant, defect, block_res, level_res)
+    col_level = space.word_levels(window.js // d)
+    on = space.word_levels(window.rows // d) == col_level
+    b = window.csc(on)
+    off = window.vals[~on]
+    off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
+    defect_res = op_norm(b.H @ b - identity(b.shape[1]))
+    level_res = max(defect_res, float(np.sqrt(off_mass.max(initial=0.0))))
+    passed = is_constant and defect == 0 and block_res <= tol and level_res <= tol
+    return UnitaryCheck(passed, is_constant, defect, block_res, level_res, window.level)
 
 
 def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> UnitaryCheck:
     """Unitarity of the odometer map: constant symbol with unitary level-0 block.
 
-    Cross-checks, when dense operators are feasible, that every level block
-    of the truncated map is unitary with no mass off its level.
+    Cross-checks that the level blocks of W are unitary with no mass off
+    their level on a window of every coefficient column (`level_block_residual`;
+    `window` is the highest level it holds whole). A non-constant isometric
+    symbol fails it on its off-level mass.
     """
     tol = resolve_tol(tol)
-    if not check_isometric(symbol, tol, columns=columns).passed:
+    iso, window = _isometry_check(symbol, tol, _column_indices(symbol, columns))
+    if not iso.passed:
         raise NotIsometricError("unitarity is decided for isometric symbols only")
-    return _unitary(symbol, tol, None)
+    return _unitary(symbol, tol, window)
 
 
 def classify(symbol: Symbol, tol: float | None = None, columns=None) -> ClassificationReport:
@@ -303,16 +305,9 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
 
     Constancy is judged on every column, whatever `columns` selects.
     """
-    return _classify(symbol, resolve_tol(tol), columns)[0]
-
-
-def _classify(
-    symbol: Symbol, tol: float, columns=None
-) -> tuple[ClassificationReport, OdometerMap | None]:
-    """`classify` together with the W it built for its cross-checks (None if none)."""
+    tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
-    structure = structural_isometry(symbol)
-    iso = _isometry_check(symbol, structure, tol, cols)
+    iso, window = _isometry_check(symbol, tol, cols)
     nica_res = off_vacuum_residual(symbol, cols)
     is_constant = off_vacuum_residual(symbol) <= tol
     block, defect = _level0(symbol, tol)
@@ -328,13 +323,12 @@ def _classify(
     if not iso.passed:
         return ClassificationReport(
             False, False, False, is_constant, residuals, iso.window, selected
-        ), None
-    wmap = _dense_odometer(symbol)
-    nica = _nica(symbol, structure, tol, cols, wmap, nica_res)
-    uni = _unitary(symbol, tol, wmap, (is_constant, block, defect))
+        )
+    nica = _nica(symbol, tol, window, nica_res)
+    uni = _unitary(symbol, tol, window, (is_constant, block, defect))
     residuals["relation_residual"] = nica.relation_residual
     residuals["block_unitary_residual"] = uni.block_unitary_residual
     residuals["level_block_residual"] = uni.level_block_residual
     return ClassificationReport(
         True, nica.passed, uni.passed, uni.is_constant_symbol, residuals, iso.window, selected
-    ), wmap
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ClassificationReport, _classify, classify, level0_block
+from .classify import ClassificationReport, classify, level0_block
 from .config import resolve_tol
 from .csc import CSC
 from .errors import CertificateError, NotIsometricError
@@ -160,11 +160,10 @@ def spectrum_per_level(
         max_level = space.max_level
     if not 0 <= max_level <= space.max_level:
         raise ValueError(f"spectrum level {max_level} outside 0..{space.max_level}")
-    report, wmap = _classify(symbol, tol)
-    if not report.is_unitary:
+    if not classify(symbol, tol).is_unitary:
         raise NotIsometricError("spectrum prediction requires a constant unitary symbol")
 
-    w = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
+    w = build_odometer(symbol).operator.csc
     base_eigs = np.linalg.eigvals(level0_block(symbol))
     levels = []
     for m in range(max_level + 1):
@@ -254,7 +253,8 @@ def gallery_weak_bishift(
 
     Isometric for every d; Nica covariant only in the degenerate d = 1 case
     where the single block is constant. The non-covariance witness is the
-    one-step annihilation of W(vacuum, h_m) landing at level m - 1.
+    one-step annihilation of W(vacuum, h_m) landing at level m - 1, taken on
+    dense D-vectors, so the space must be within the dense limit.
     """
     tol = resolve_tol(tol)
     if d < 1:
@@ -262,13 +262,13 @@ def gallery_weak_bishift(
     if d > max_level:
         raise ValueError(f"d = {d} blocks need truncation level >= {d}, got {max_level}")
     space = TruncatedFockSpace(n, max_level, d)
+    space.require_dense()
     entries = [(space.all_ones_index(m) * d + m, m, 1.0) for m in range(d)]
     symbol = symbol_from_entries(space, entries)
-    report, wmap = _classify(symbol, tol)
-    wmat = (wmap if wmap is not None else build_odometer(symbol)).operator.csc
+    report = classify(symbol, tol)
     witness = 0.0
-    for m in range(1, d):
-        image = apply_annihilation(space, 1, wmat[:, [m]].toarray())[:, 0]
+    for m in range(1, d):  # W(vacuum, h_m) = L h_m exactly
+        image = apply_annihilation(space, 1, symbol.csc[:, [m]].toarray())[:, 0]
         target = np.zeros(space.dim, dtype=complex)
         target[space.all_ones_index(m - 1) * d + m] = 1.0
         witness = max(witness, float(np.linalg.norm(image - target)))

@@ -345,13 +345,10 @@ def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
     all-ones diagonal or fails the isometry conditions: no closed form is
     available then, only the approximate conjugate transpose.
     """
-    wmap.space.require_dense()
-    return _closed_form_adjoint(wmap.space, structural_isometry(wmap.symbol), resolve_tol(tol))
-
-
-def _closed_form_adjoint(
-    space: TruncatedFockSpace, structure: StructuralIsometry, tol: float
-) -> Operator:
+    space = wmap.space
+    space.require_dense()
+    tol = resolve_tol(tol)
+    structure = structural_isometry(wmap.symbol)
     iso_res, off_res, corr_res = structure.residuals(np.arange(space.coeff_dim))
     if off_res > E1_SUPPORT_TOL:
         raise NotIsometricError(

@@ -22,10 +22,7 @@ from scipy import sparse
 
 from odofock import (
     NotIsometricError,
-    OdometerMap,
-    Operator,
     TruncatedFockSpace,
-    adjoint_isometric,
     build_odometer,
     check_isometric,
     check_nica,
@@ -39,7 +36,8 @@ from odofock import (
     surjectivity_defect,
     symbol_from_dense,
 )
-from odofock.classify import _nica_relation_residual, _unitary, _window_defect
+from odofock.classify import _nica, _unitary, _window
+from odofock.gallery import golden_ratio_coeffs
 
 
 def golden_isometric_fixture():
@@ -312,56 +310,85 @@ def padded_symbol():
     return constant_symbol(space, block)
 
 
-def dense_nica_residual(symbol, adjoint, cols):
-    """Oracle: W*(S_1 x I) - (S_n x I)W* from dense matrices, normed by the SVD."""
+def window_basis_columns(symbol, cols, window_columns):
+    """The basis indices of the window columns: `cols` on the first
+    `window_columns // cols.size` words of the exactness window, or all of it."""
     space = symbol.space
+    window_words = space.level_offset(space.max_level - symbol.support_degree + 1)
+    words = np.arange(min(window_words, max(window_columns // len(cols), 1)))
+    return (words[:, None] * space.coeff_dim + np.asarray(cols)).ravel()
+
+
+def dense_nica_relation(space, w, basis_cols):
+    """Oracle: S_1* W - W S_n* on the window columns, from `creation_oracle`
+    matrices and a dense W, normed by the SVD."""
     s1 = creation_oracle(space, 1).toarray()
     sn = creation_oracle(space, space.n).toarray()
-    adj = adjoint.toarray()
-    keep = np.arange(space.dim_upto(space.max_level - 1))
-    keep = keep[np.isin(keep % space.coeff_dim, cols)]
-    rel = (adj @ s1 - sn @ adj)[:, keep]
-    return float(np.linalg.svd(rel, compute_uv=False)[0]), float(np.linalg.norm(adj, 2))
+    rel = (s1.conj().T @ w - w @ sn.conj().T)[:, basis_cols]
+    return float(np.linalg.svd(rel, compute_uv=False)[0])
 
 
-def test_gather_nica_relation_matches_dense_products():
-    rng = np.random.default_rng(5)
-    golden = golden_isometric_fixture().symbol
-    cases = [
-        (golden, (0,)),
+def dense_level_blocks(space, w, basis_cols):
+    """Oracle: the level-diagonal part B of the window columns of a dense W,
+    ||B^H B - I|| by the SVD, and the largest mass of one level's window
+    columns off their level."""
+    sizes = np.diff(space.level_offsets()) * space.coeff_dim
+    levels = np.repeat(np.arange(space.max_level + 1), sizes)
+    cols = w[:, basis_cols]
+    on = levels[:, None] == levels[basis_cols][None, :]
+    b = np.where(on, cols, 0.0)
+    defect = np.linalg.svd(b.conj().T @ b - np.eye(basis_cols.size), compute_uv=False)[0]
+    mass = np.bincount(levels[basis_cols], weights=(np.abs(np.where(on, 0.0, cols)) ** 2).sum(0))
+    return max(float(defect), float(np.sqrt(mass.max())))
+
+
+def nica_cases(rng):
+    space = TruncatedFockSpace(2, 6, 2)
+    return [
+        (golden_isometric_fixture().symbol, (0,)),
         (random_constant_unitary_symbol(TruncatedFockSpace(2, 3, 3), rng), (0, 1, 2)),
         (random_ones_diagonal_symbol(TruncatedFockSpace(3, 3, 2), rng), (0, 1)),
         (padded_symbol(), (0, 1)),
+        (random_ones_diagonal_symbol(space, rng, max_support=2, force_nonconstant=True), (0, 1)),
+        (random_constant_unitary_symbol(space, rng), (0, 1)),
+        (scalar_symbol(TruncatedFockSpace(2, 6, 1), [0.0, 1.0]), (0,)),
     ]
-    for symbol, cols in cases:
-        wmap = build_odometer(symbol)
-        try:
-            adjoint = adjoint_isometric(wmap).csc
-        except NotIsometricError:
-            adjoint = wmap.operator.csc.H
-        gathered = _nica_relation_residual(symbol.space, adjoint, np.asarray(cols))
-        expected, scale = dense_nica_residual(symbol, adjoint, cols)
-        assert abs(gathered - expected) <= 1e-12 * (1 + scale)
-        assert (gathered == 0.0) == (expected == 0.0)
-    assert check_nica(golden).relation_residual == 0.786151377756645
+
+
+def test_nica_relation_matches_the_dense_adjoint_form(monkeypatch):
+    classify_module = sys.modules["odofock.classify"]
+    # 16 window columns cut every n = 2, M = 6 case inside the exactness window
+    for window_columns in (classify_module.WINDOW_COLUMNS, 16):
+        monkeypatch.setattr(classify_module, "WINDOW_COLUMNS", window_columns)
+        for symbol, cols in nica_cases(np.random.default_rng(5)):
+            basis_cols = window_basis_columns(symbol, cols, window_columns)
+            if window_columns == 16 and symbol.space.max_level == 6:
+                assert basis_cols.size < symbol.space.dim_upto(symbol.exact_below - 1)
+            nica = check_nica(symbol, columns=cols)
+            expected = dense_nica_relation(symbol.space, reference_odometer(symbol), basis_cols)
+            assert abs(nica.relation_residual - expected) <= 1e-12 * max(1.0, expected)
+            assert (nica.relation_residual == 0.0) == (expected == 0.0)
+            assert nica.window == symbol.space.word_levels(basis_cols[-1] // len(cols) + 1) - 1
+        assert check_nica(golden_isometric_fixture().symbol).relation_residual == 0.786151377756645
 
 
 def classify_cases():
     rng = np.random.default_rng(12)
     space = TruncatedFockSpace(2, 4, 2)
     return [
-        # (symbol, columns, W builds expected)
+        # (symbol, columns, windows of W built): an accepted selection short
+        # of every column takes a second window for the level blocks
         (random_constant_unitary_symbol(space, rng), None, 1),
         (random_ones_diagonal_symbol(space, rng, force_nonconstant=True), None, 1),
-        (random_symbol(space, 2, rng), None, 0),
-        (padded_symbol(), (0, 1), 1),
+        (random_symbol(space, 2, rng), None, 1),
+        (padded_symbol(), (0, 1), 2),
         (golden_isometric_fixture().symbol, None, 1),
-        # accepted beyond the dense limit: coefficient verdicts only
-        (gallery_golden_ratio(60, n=2, max_level=24).symbol, None, 0),
+        # accepted beyond the dense limit
+        (gallery_golden_ratio(60, n=2, max_level=24).symbol, None, 1),
     ]
 
 
-def test_classify_runs_one_isometry_kernel_and_at_most_one_build(monkeypatch):
+def test_classify_runs_one_isometry_kernel_and_builds_only_windows(monkeypatch):
     calls = Counter()
 
     def counting(name, fn):
@@ -371,25 +398,26 @@ def test_classify_runs_one_isometry_kernel_and_at_most_one_build(monkeypatch):
 
         return inner
 
-    for module in (sys.modules["odofock.classify"], sys.modules["odofock.odometer"]):
-        for name in ("structural_isometry", "build_odometer"):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    odometer_module = sys.modules["odofock.odometer"]
+    monkeypatch.setattr(odometer_module, "build_odometer",
+                        counting("build_odometer", odometer_module.build_odometer))
     classify_module = sys.modules["odofock.classify"]
-    for name in ("level0_block", "off_vacuum_residual"):
+    for name in ("structural_isometry", "_odometer_columns", "level0_block", "off_vacuum_residual"):
         monkeypatch.setattr(classify_module, name, counting(name, getattr(classify_module, name)))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    for symbol, columns, builds in classify_cases():
+    for symbol, columns, windows in classify_cases():
         calls.clear()
         classify(symbol, columns=columns)
-        # one level-0 block and one SVD (its rank); the off-vacuum mass of the
-        # selected columns and, for constancy, of all columns
+        # no W; one level-0 block and one SVD (its rank); the off-vacuum mass
+        # of the selected columns and, for constancy, of all columns
         assert calls == Counter({
             "structural_isometry": 1,
-            "build_odometer": builds,
+            "_odometer_columns": windows,
             "level0_block": 1,
             "svd": 1,
             "off_vacuum_residual": 2,
         })
+        assert windows <= 2
 
 
 def test_classify_residuals_equal_single_checks():
@@ -413,7 +441,8 @@ def test_classify_residuals_equal_single_checks():
             expected["level_block_residual"] = uni.level_block_residual
             assert (report.is_nica, report.is_unitary) == (nica.passed, uni.passed)
             assert report.is_constant_symbol == uni.is_constant_symbol
-        # hex spelling compares NaN residuals too, bit for bit
+        assert all(np.isfinite(v) for v in report.residuals.values())
+        # hex spelling compares bit for bit
         assert {k: float(v).hex() for k, v in report.residuals.items()} == {
             k: float(v).hex() for k, v in expected.items()
         }
@@ -448,27 +477,61 @@ def test_level_block_residual_matches_dense_oracle():
         assert abs(uni.level_block_residual - expected) <= 1e-15
 
 
-def test_level_block_residual_sees_off_level_mass_and_block_defects():
-    # only a hand-made W reaches the off-level branch: W of a symbol keeps levels
+def one_wrong_triplet(symbol, rng):
+    """The window of every coefficient column and two faults, each with its
+    dense W, on one window column below the window's top level: the value of
+    one of its triplets changed, and the same entry moved one level up."""
+    space, d = symbol.space, symbol.space.coeff_dim
+    window = _window(symbol, np.arange(d))
+    w = reference_odometer(symbol)
+    col_level = space.word_levels(window.js // d)
+    k = int(rng.choice(np.flatnonzero(col_level < window.level)))
+    row, col, val = int(window.rows[k]), int(window.js[k]), window.vals[k]
+    up = space.level_slice(space.word_levels(row // d) + 1).start + row % d
+    changed_vals = window.vals.copy()
+    changed_vals[k] += 1e-3 * (1 + 1j)
+    moved_rows = window.rows.copy()
+    moved_rows[k] = up
+    changed_w, moved_w = w.copy(), w.copy()
+    changed_w[row, col] += 1e-3 * (1 + 1j)
+    moved_w[row, col] -= val
+    moved_w[up, col] += val
+    return [(window._replace(vals=changed_vals), changed_w), (window._replace(rows=moved_rows), moved_w)]
+
+
+def test_one_wrong_triplet_fails_the_nica_and_level_block_checks(monkeypatch):
+    classify_module = sys.modules["odofock.classify"]
     rng = np.random.default_rng(32)
-    for symbol in constant_unitary_cases():
-        space = symbol.space
-        w = build_odometer(symbol).operator.matrix
-        rows = rng.integers(space.dim, size=3)
-        cols = rng.integers(space.dim, size=3)
-        noise = 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        perturbed = w + sparse.csc_array((noise, (rows, cols)), shape=w.shape)
-        wmap = OdometerMap(symbol, Operator(perturbed, space, symbol.exact_below))
-        uni = _unitary(symbol, 1e-10, wmap)
-        expected = reference_level_block_residual(space, perturbed)
-        assert abs(uni.level_block_residual - expected) <= 1e-15
-        assert uni.level_block_residual > 1e-4 and not uni.passed
+    symbols = list(constant_unitary_cases())
+    symbols.append(random_constant_unitary_symbol(TruncatedFockSpace(2, 6, 2), rng))
+    # 16 window columns cut every case but n = 1, d = 1 inside its exactness window
+    for window_columns in (classify_module.WINDOW_COLUMNS, 16):
+        monkeypatch.setattr(classify_module, "WINDOW_COLUMNS", window_columns)
+        for symbol in symbols:
+            space = symbol.space
+            basis_cols = window_basis_columns(symbol, np.arange(space.coeff_dim), window_columns)
+            for wrong, w in one_wrong_triplet(symbol, rng):
+                nica = _nica(symbol, 1e-10, wrong, 0.0)
+                expected = dense_nica_relation(space, w, basis_cols)
+                assert abs(nica.relation_residual - expected) <= 1e-12 * max(1.0, expected)
+                assert nica.relation_residual > 1e-4 and not nica.passed
+                uni = _unitary(symbol, 1e-10, wrong)
+                expected = dense_level_blocks(space, w, basis_cols)
+                assert abs(uni.level_block_residual - expected) <= 1e-12 * max(1.0, expected)
+                if basis_cols.size == space.dim:
+                    whole = reference_level_block_residual(space, sparse.csc_array(w))
+                    assert abs(uni.level_block_residual - whole) <= 1e-15
+                assert uni.level_block_residual > 1e-4 and not uni.passed
+    # a vacuum column that leaks to level 2
     space = TruncatedFockSpace(2, 3, 1)
     symbol = scalar_symbol(space, [1.0])
-    w = build_odometer(symbol).operator.matrix.tolil()
-    w[space.level_slice(2).start, 0] = 0.25  # vacuum column leaks to level 2
-    wmap = OdometerMap(symbol, Operator(w, space, symbol.exact_below))
-    uni = _unitary(symbol, 1e-10, wmap)
+    window = _window(symbol, np.arange(1))
+    row = space.level_slice(2).start
+    leak = window._replace(rows=np.r_[window.rows, row], js=np.r_[window.js, 0],
+                           vals=np.r_[window.vals, 0.25])
+    w = reference_odometer(symbol)
+    w[row, 0] = 0.25
+    uni = _unitary(symbol, 1e-10, leak)
     assert uni.level_block_residual == reference_level_block_residual(space, sparse.csc_array(w))
     assert uni.level_block_residual == 0.25
 
@@ -476,10 +539,7 @@ def test_level_block_residual_sees_off_level_mass_and_block_defects():
 def reference_window_defect(symbol, cols, window_columns):
     """Oracle: the largest entry of |G - I| for the dense Gram G of the window
     columns of `reference_odometer`, on the lowest words of the window."""
-    space = symbol.space
-    window_words = space.level_offset(space.max_level - symbol.support_degree + 1)
-    words = np.arange(min(window_words, max(window_columns // cols.size, 1)))
-    basis_cols = (words[:, None] * space.coeff_dim + cols).ravel()
+    basis_cols = window_basis_columns(symbol, cols, window_columns)
     w = reference_odometer(symbol)[:, basis_cols]
     return np.abs(w.conj().T @ w - np.eye(basis_cols.size)).max()
 
@@ -498,13 +558,14 @@ def test_window_defect_matches_dense_gram_oracle(monkeypatch):
     ]
     for symbol, cols in cases:
         oracle = reference_window_defect(symbol, cols, classify_module.WINDOW_COLUMNS)
-        assert abs(_window_defect(symbol, cols) - oracle) <= 1e-14 * max(1.0, oracle)
+        probe = check_isometric(symbol, columns=cols).probe_residual
+        assert abs(probe - oracle) <= 1e-14 * max(1.0, oracle)
 
     # support degree 24 on M = 24: the window is the vacuum column alone, so
     # the defect is | ||L h_0||^2 - 1 |, read off the symbol's entries
     golden = gallery_golden_ratio(60, n=2, max_level=24).symbol
     oracle = abs(float(np.sum(np.abs(golden.csc.data) ** 2)) - 1.0)
-    assert abs(_window_defect(golden, np.arange(1)) - oracle) <= 1e-14 * max(1.0, oracle)
+    assert abs(check_isometric(golden).probe_residual - oracle) <= 1e-14 * max(1.0, oracle)
 
     # a cut window: 16 columns keep levels 0..2 (d = 2) or 0..3 (d = 1) whole
     # plus one word of the next level, out of the 31 window words
@@ -519,7 +580,8 @@ def test_window_defect_matches_dense_gram_oracle(monkeypatch):
     for symbol, cols in cut_cases:
         assert symbol.space.level_offset(symbol.space.max_level - symbol.support_degree + 1) > 16
         oracle = reference_window_defect(symbol, cols, 16)
-        assert abs(_window_defect(symbol, cols) - oracle) <= 1e-14 * max(1.0, oracle)
+        probe = check_isometric(symbol, columns=cols).probe_residual
+        assert abs(probe - oracle) <= 1e-14 * max(1.0, oracle)
 
 
 def test_window_defect_sees_the_shifted_correlation_on_a_large_window():
@@ -572,3 +634,26 @@ def test_checks_on_a_tall_symbol_cost_its_entries_not_its_rows():
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("max_level", [12, 13, 16])
+def test_cross_checks_read_a_window_above_the_dense_limit(max_level):
+    # the swap symbol: above D = 8192 the cross-checks read 0.0, not a skipped NaN
+    symbol = constant_symbol(TruncatedFockSpace(2, max_level, 2), np.array([[0, 1], [1, 0]]))
+    report = classify(symbol)
+    assert report.is_nica and report.is_unitary
+    assert report.residuals["relation_residual"] == 0.0
+    assert report.residuals["level_block_residual"] == 0.0
+    # 4096 columns of d = 2 hold the 2047 words of levels 0..10 whole
+    assert check_nica(symbol).window == check_unitary(symbol).window == 10
+
+
+def test_golden_relation_residual_on_the_vacuum_window():
+    # support degree 24 on M = 24: the window is the vacuum, where S_1* L h_0
+    # is the symbol's part above level 0
+    symbol = scalar_symbol(TruncatedFockSpace(2, 24, 1), golden_ratio_coeffs(60))
+    report = classify(symbol)
+    assert report.is_isometric and not report.is_nica
+    assert np.isfinite(report.residuals["relation_residual"])
+    assert report.residuals["relation_residual"] >= 0.05
+    assert check_nica(symbol).window == check_unitary(symbol).window == 0

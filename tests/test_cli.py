@@ -386,6 +386,24 @@ def test_cli_verdict_reproducible_from_library(tmp_path, capsys):
     assert residuals["nica_relation"] == nica.relation_residual
 
 
+def test_check_reports_name_the_same_cross_checks_above_the_dense_limit(tmp_path, capsys):
+    # the swap symbol at D = 8190 and D = 32766: the cross-checks run, with their window, at both
+    swap = np.array([[0, 1], [1, 0]])
+    names = {}
+    for max_level in (11, 13):
+        path = write_symbol(tmp_path, f"swap{max_level}.json",
+                            constant_symbol(TruncatedFockSpace(2, max_level, 2), swap))
+        for prop, cross_check in (("nica", "nica_relation"), ("unitary", "level_blocks_unitary")):
+            code, report = run(capsys, "check", prop, "--symbol", path)
+            assert code == 0 and report["passed"]
+            checks = {c["name"]: c for c in report["checks"]}
+            assert checks[cross_check]["residual"] == 0.0
+            assert checks[cross_check]["window"] == 10
+            names[prop, max_level] = [c["name"] for c in report["checks"]]
+    assert names["nica", 11] == names["nica", 13]
+    assert names["unitary", 11] == names["unitary", 13]
+
+
 def test_gen_example_defaults(capsys):
     code, report = run(capsys, "gen-example", "weak-bishift", "--d", "3")
     assert code == 0 and report["passed"]

@@ -257,7 +257,7 @@ def test_spectrum_requires_unitary_symbol():
         spectrum_per_level(scalar_symbol(space, [0.0, 1.0]))
 
 
-def test_gallery_builds_w_once_per_call(monkeypatch):
+def test_gallery_builds_w_only_for_the_spectrum(monkeypatch):
     builds = Counter()
 
     def counting(fn):
@@ -267,7 +267,7 @@ def test_gallery_builds_w_once_per_call(monkeypatch):
 
         return inner
 
-    for name in ("odofock.classify", "odofock.gallery", "odofock.odometer"):
+    for name in ("odofock.gallery", "odofock.odometer"):
         module = sys.modules[name]
         monkeypatch.setattr(module, "build_odometer", counting(module.build_odometer))
     space = TruncatedFockSpace(2, 6, 1)
@@ -275,9 +275,11 @@ def test_gallery_builds_w_once_per_call(monkeypatch):
     assert len(report.per_level) == 7
     assert builds == Counter({"build_odometer": 1})
     builds.clear()
+    # the witness reads L h_m, which is W(vacuum, h_m)
     entry = gallery_weak_bishift(3, 4)
     assert entry.classification.is_isometric
-    assert builds == Counter({"build_odometer": 1})
+    assert entry.checks["witness_residual"] == 0.0
+    assert builds == Counter()
 
 
 @pytest.mark.parametrize("n, max_level", [(1, 6), (2, 6), (3, 4)])
