@@ -17,21 +17,24 @@ exactly zero outside one level, the subspace is the direct sum of level
 blocks Q_m, and S_i maps level m into level m + 1 only. The invariance
 defect is then block diagonal, one block per level, and Q^H S_i* Q has
 blocks only from level m to level m - 1, so its kernel, the wandering
-subspace, is one small kernel per level. The factorization map Phi sends
-each word and graded wandering vector to a single level as well, so its
-residuals split by that level too. Columns with entries on two levels,
-however small, take the decisions over the whole basis. Both paths put the
-wandering basis in one gauge that depends on the subspace alone.
+subspace, is one small kernel per level (empty, with no `eigh`, where the
+overlap is an isometry). An odometer map sends level m into levels m .. m + s
+(s the support degree), so its invariance defect is taken per column level.
+Columns with entries on two levels, however small, take the decisions over
+the whole basis. Both paths put the wandering basis in one gauge that depends
+on the subspace alone, and place Phi sparse from the creation index maps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .config import resolve_tol
+from .csc import CSC, identity
 from .errors import InvarianceError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation, creation_basis_map
 from .linalg import _certified_kernel, canonical_basis, op_norm, orthonormal_columns
@@ -44,12 +47,14 @@ class InvariantSubspace:
 
     `wandering_basis` spans S minus the creation images sum_i (S_i x I) S.
     Both ranks are decided once, at the tolerance the subspace was built with.
+    `levels` is the level of each basis column if it is graded (`_column_levels`), else None.
     """
 
     ambient: TruncatedFockSpace
     basis: np.ndarray
     invariance_residuals: tuple[float, ...]
     wandering_basis: np.ndarray
+    levels: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -87,7 +92,7 @@ def invariant_subspace(
         raise ValueError("subspace columns do not match the ambient dimension")
     levels = _column_levels(space, cols)
     if levels is not None:
-        basis, residuals, wandering = _graded_parts(space, cols, levels, tol)
+        basis, levels, residuals, wandering = _graded_parts(space, cols, levels, tol)
     else:
         gap = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
         basis = cols if gap <= tol < 0.5 else orthonormal_columns(cols, tol)
@@ -100,7 +105,7 @@ def invariant_subspace(
         overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis)
                              for i in letters])
         wandering = basis @ _certified_kernel(overlap, tol)
-    return InvariantSubspace(space, basis, residuals, canonical_basis(wandering))
+    return InvariantSubspace(space, basis, residuals, canonical_basis(wandering), levels)
 
 
 def _column_levels(space: TruncatedFockSpace, columns: np.ndarray) -> np.ndarray | None:
@@ -114,7 +119,8 @@ def _column_levels(space: TruncatedFockSpace, columns: np.ndarray) -> np.ndarray
 
 
 def _graded_parts(space: TruncatedFockSpace, cols: np.ndarray, levels: np.ndarray, tol: float):
-    """Basis, invariance residuals and wandering basis of the span of graded columns.
+    """Basis, its column levels, invariance residuals and wandering basis of the
+    span of graded columns.
 
     Each level block Q_m is held on its level's rows, and S_i maps level m
     into the i-th chunk of n^m d rows of level m + 1. The Gram C^H C and the
@@ -132,6 +138,7 @@ def _graded_parts(space: TruncatedFockSpace, cols: np.ndarray, levels: np.ndarra
         blocks = {m: orthonormal_columns(q, tol) for m, q in blocks.items()}
         blocks = {m: q for m, q in blocks.items() if q.shape[1]}
         basis = _place(space, blocks)
+        levels = np.repeat(np.array(list(blocks), dtype=int), [q.shape[1] for q in blocks.values()])
     defects = [[] for _ in range(space.n)]
     wandering = {}
     for m, q in blocks.items():
@@ -152,7 +159,7 @@ def _graded_parts(space: TruncatedFockSpace, cols: np.ndarray, levels: np.ndarra
                                  for i in range(space.n)])
             wandering[m] = q @ _certified_kernel(overlap, tol)
     residuals = tuple(max(d, default=math.nan) for d in defects)
-    return basis, residuals, _place(space, wandering)
+    return basis, levels, residuals, _place(space, wandering)
 
 
 def _place(space: TruncatedFockSpace, blocks: dict[int, np.ndarray]) -> np.ndarray:
@@ -199,17 +206,17 @@ class BeurlingFactorization:
     """Inner multi-analytic factorization S = Phi(F(n, budget) x E_*).
 
     `phi` maps the wandering-coefficient Fock truncation into the ambient
-    space; `pi` is the same map written in subspace coordinates. The word
-    budget keeps every column exact; `covers_subspace` records whether the
-    factorization reaches all of S (it cannot when wandering vectors sit too
-    close to the truncation boundary).
+    space; `pi` is the same map written in subspace coordinates, both formed
+    from the entries `phi_csc` when first read. The word budget keeps every
+    column exact; `covers_subspace` records whether the factorization reaches
+    all of S (it cannot when wandering vectors sit too close to the
+    truncation boundary).
     """
 
     subspace: InvariantSubspace
     wandering_basis: np.ndarray
     domain: TruncatedFockSpace
-    phi: np.ndarray
-    pi: np.ndarray
+    phi_csc: CSC
     inner_residual: float
     multi_analytic_residual: float
     covers_subspace: bool
@@ -218,6 +225,14 @@ class BeurlingFactorization:
     @property
     def wandering_dim(self) -> int:
         return self.wandering_basis.shape[1]
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.phi_csc.toarray()
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        return self.subspace.basis.conj().T @ self.phi_csc
 
 
 def beurling_factorize(
@@ -235,25 +250,25 @@ def beurling_factorize(
     space = sub.ambient
     _require_invariant(sub, tol)
     computed = sub.wandering_basis
+    graded = sub.levels is not None
     if wandering_basis is None:
         wandering_basis = computed
     else:
         wandering_basis = np.asarray(wandering_basis, dtype=complex)
         if wandering_basis.shape != computed.shape:
             raise ValueError("wandering basis has the wrong shape")
-        gram = wandering_basis.conj().T @ wandering_basis
-        proj_gap = wandering_basis - computed @ (computed.conj().T @ wandering_basis)
-        if op_norm(gram - np.eye(gram.shape[0])) > tol or op_norm(proj_gap) > tol:
+        gram = wandering_basis.conj().T @ wandering_basis - np.eye(computed.shape[1])
+        if op_norm(gram) > tol or _orthogonal_part(computed, wandering_basis) > tol:
             raise ValueError("wandering basis must orthonormally span the wandering subspace")
+        graded = _column_levels(space, wandering_basis) is not None
     wdim = wandering_basis.shape[1]
     if wdim == 0:
         raise WindowError("the wandering subspace is trivial; nothing to factor")
 
-    levels = _column_levels(space, wandering_basis)
-    if levels is None:
-        star_level = _columns_max_level(space, wandering_basis)
-    else:
-        star_level = int(levels.max())  # exactly the highest nonempty wandering block
+    # graded vectors reach exactly their highest nonzero entry, others their highest above 1e-14
+    entries = CSC.from_dense(wandering_basis)
+    live = entries.indices[np.abs(entries.data) > (0.0 if graded else 1e-14)]
+    star_level = space.level_of_word_index(int(live.max()) // space.coeff_dim) if live.size else 0
     budget = space.max_level - star_level
     if budget < 1:
         raise WindowError(
@@ -261,70 +276,36 @@ def beurling_factorize(
             f"below the truncation level {space.max_level}"
         )
     domain = TruncatedFockSpace(space.n, budget, wdim)
-    letters = range(1, space.n + 1)
-    # Column (mu, j) is S_mu applied to the j-th wandering vector. In canonical
-    # order the first letter is outermost, so level L is S_1, ..., S_n applied
-    # in turn to the whole level L - 1 block.
-    blocks = [wandering_basis]
-    for _ in range(budget):
-        blocks.append(np.hstack([apply_creation(space, i, blocks[-1]) for i in letters]))
-    phi = np.hstack(blocks)
-
-    if levels is None:
-        inner_residual = op_norm(phi.conj().T @ phi - np.eye(domain.dim))
-        ma_residual = 0.0
-        low = domain.dim_upto(budget - 1)
-        for i in letters:
-            # Phi (S_i x I) on the domain, in F order as a dense-times-sparse product gives it
-            diff = apply_annihilation(domain, i, phi.T).T - apply_creation(space, i, phi)
-            ma_residual = max(ma_residual, op_norm(diff[:, :low]))
-        pi = sub.basis.conj().T @ phi
-    else:
-        inner_residual, ma_residual, pi = _graded_checks(sub, domain, levels, phi)
+    phi = _place_phi(space, domain, entries)
+    inner_residual = op_norm(phi.H @ phi - identity(domain.dim))
+    # Phi (S_i x I) - (S_i x I) Phi on the domain columns below the budget level
+    low = np.arange(domain.dim_upto(budget - 1))
+    ma_residual = max(op_norm(phi[:, creation_basis_map(domain, i, low)]
+                              - apply_creation(space, i, phi[:, : low.size]))
+                      for i in range(1, space.n + 1))
     covers = domain.dim == sub.dim
-    return BeurlingFactorization(
-        sub, wandering_basis, domain, phi, pi, inner_residual, ma_residual, covers
-    )
+    return BeurlingFactorization(sub, wandering_basis, domain, phi, inner_residual, ma_residual,
+                                 covers)
 
 
-def _graded_checks(sub: InvariantSubspace, domain: TruncatedFockSpace, levels: np.ndarray,
-                   phi: np.ndarray):
-    """Inner and multi-analytic residuals and pi, one ambient level of Phi at a time.
-
-    With graded wandering vectors, column (mu, j) of Phi lies on level
-    |mu| + level(j) alone. Columns on different levels have disjoint rows, so
-    Phi^H Phi - I is block diagonal over them; Phi (S_i x I) - (S_i x I) Phi
-    sends the level-l columns to the rows of level l + 1 only; and pi = Q^H Phi
-    pairs each level's columns with the basis columns on that level, or is one
-    product when the basis is not graded.
-    """
-    space = sub.ambient
-    words = domain.word_levels(np.arange(domain.num_words))
-    column_levels = (words[:, None] + levels[None, :]).ravel()
-    below = np.repeat(words < domain.max_level, levels.size)
-    images = [creation_basis_map(domain, i, np.arange(domain.dim_upto(domain.max_level - 1)))
-              for i in range(1, space.n + 1)]
-    basis_levels = _column_levels(space, sub.basis)
-    if basis_levels is None:
-        pi = sub.basis.conj().T @ phi
-    else:
-        pi = np.zeros((sub.dim, domain.dim), dtype=complex)
-    inner = multi_analytic = 0.0
-    for level in np.unique(column_levels):
-        rows = space.level_slice(level)
-        cols = np.nonzero(column_levels == level)[0]
-        block = phi[rows, cols]
-        inner = max(inner, op_norm(block.conj().T @ block - np.eye(cols.size)))
-        if basis_levels is not None:
-            on = np.nonzero(basis_levels == level)[0]
-            pi[np.ix_(on, cols)] = sub.basis[rows, on].conj().T @ block
-        low = below[cols]
-        width = rows.stop - rows.start
-        for i, image in enumerate(images if low.any() else ()):
-            diff = phi[space.level_slice(level + 1), image[cols[low]]]
-            diff[i * width : (i + 1) * width] -= block[:, low]
-            multi_analytic = max(multi_analytic, op_norm(diff))
-    return inner, multi_analytic, pi
+def _place_phi(space: TruncatedFockSpace, domain: TruncatedFockSpace, entries: CSC) -> CSC:
+    """Phi placed from the creation index maps: column (mu, j) holds the entries of
+    wandering vector j, each (x, p) moved to (mu x, p), none where |mu| + |x| > M. A
+    prepended letter is the most significant digit, so mu x is the word of level
+    |mu| + |x| at position pos(mu) n^|x| + pos(x)."""
+    d, wdim, offsets = space.coeff_dim, entries.shape[1], space.level_offsets()
+    word, p = np.divmod(entries.indices.astype(np.int64), d)
+    level = space.word_levels(word)
+    triplets = []
+    for length in range(domain.max_level + 1):
+        fit = level + length <= space.max_level
+        first = domain.level_offset(length)
+        mu = np.arange(first, domain.level_offset(length + 1))[:, None]
+        pos = (mu - first) * np.int64(space.n) ** level[fit] + word[fit] - offsets[level[fit]]
+        triplets.append((((offsets[level[fit] + length] + pos) * d + p[fit]).ravel(),
+                         (mu * wdim + entries.entry_cols[fit]).ravel(),
+                         np.broadcast_to(entries.data[fit], pos.shape).ravel()))
+    return CSC.from_triplets(*map(np.concatenate, zip(*triplets)), (space.dim, domain.dim))
 
 
 @dataclass(frozen=True)
@@ -352,39 +333,58 @@ def induced_symbol(
 
     Requires the subspace to be invariant under the odometer map as well
     (range-inclusion measured as the projection residual of W restricted to
-    the subspace). The induced symbol is the wandering compression of W, and
-    the reported residual measures W Phi - Phi W_induced on the columns the
-    word budget keeps exact. With no such column the check is vacuous and the
-    residual is NaN.
+    the subspace, level by level on a graded basis). The induced symbol is the
+    wandering compression Phi^H W E of W, and the reported residual is the
+    exact norm of W Phi - Phi W_induced on the columns the word budget keeps
+    exact. With no such column the check is vacuous and the residual is NaN.
     """
     tol = resolve_tol(tol)
     space = sub.ambient
     if wmap.space != space:
         raise ValueError("odometer map and subspace live on different spaces")
     w = wmap.operator.csc
-    douglas = _orthogonal_part(sub.basis, w @ sub.basis)
+    douglas = (_orthogonal_part(sub.basis, w @ sub.basis) if sub.levels is None
+               else _graded_odometer_defect(sub, w, wmap.symbol.support_degree))
     if douglas > tol:
         raise InvarianceError("subspace is not invariant under the odometer map", douglas)
 
     fact = factorization if factorization is not None else beurling_factorize(sub, tol)
-    domain = fact.domain
-    lift = fact.phi.conj().T @ (w @ fact.wandering_basis)
-    symbol = symbol_from_dense(domain, lift, prune=1e-13)
+    domain, phi = fact.domain, fact.phi_csc
+    symbol = symbol_from_dense(domain, phi.H @ (w @ fact.wandering_basis), prune=1e-13)
     induced_map = build_odometer(symbol)
 
     window = domain.max_level - max(symbol.support_degree, wmap.symbol.support_degree)
-    diff = w @ fact.phi - fact.phi @ induced_map.operator.csc
-    residual = op_norm(diff[:, : domain.dim_upto(window)]) if window >= 0 else float("nan")
+    exact = slice(0, domain.dim_upto(window))
+    diff = w @ phi[:, exact] - phi @ induced_map.operator.csc[:, exact]
+    residual = op_norm(diff) if window >= 0 else float("nan")
     fact_with_symbol = replace(fact, induced_symbol=symbol)
     return InducedSymbolResult(symbol, induced_map, fact_with_symbol, residual, window)
 
 
-def _columns_max_level(space: TruncatedFockSpace, columns: np.ndarray) -> int:
-    """Highest level with an entry above 1e-14 in modulus (0 if none), for columns
-    that are not graded."""
-    d = space.coeff_dim
-    mass = np.abs(columns).max(axis=1) if columns.size else np.zeros(space.dim)
-    live = np.nonzero(mass > 1e-14)[0]
-    if live.size == 0:
-        return 0
-    return space.level_of_word_index(int(live.max()) // d)
+def _graded_odometer_defect(sub: InvariantSubspace, w: CSC, support: int) -> float:
+    """||(I - Q Q^H) W Q|| on a graded basis: W maps level m into the rows R of levels
+    m .. m + s, where the basis columns of those levels Q_R alone have entries, so the
+    level-m columns are Y - Q_R (Q_R^H Y) for Y = W[R, m] Q_m. With s = 0 they are the
+    diagonal blocks, else they are placed in one sparse matrix for the exact norm."""
+    space, levels = sub.ambient, sub.levels
+    norm, parts = 0.0, []
+    for m in np.unique(levels):
+        cols = space.level_slice(m)
+        rows = slice(cols.start, space.level_slice(min(m + support, space.max_level)).stop)
+        x = w[rows, cols] @ sub.basis[cols, _span(levels == m)]
+        q = sub.basis[rows, _span((levels >= m) & (levels <= m + support))]
+        x -= q @ (q.conj().T @ x)
+        if support == 0:
+            norm = max(norm, op_norm(x))
+        else:
+            r, c = np.nonzero(x)
+            parts.append((r + rows.start, np.flatnonzero(levels == m)[c], x[r, c]))
+    if parts:
+        norm = op_norm(CSC.from_triplets(*map(np.concatenate, zip(*parts)), (space.dim, sub.dim)))
+    return norm
+
+
+def _span(mask: np.ndarray) -> slice | np.ndarray:
+    """Where `mask` holds, a slice when contiguous, so that indexing takes a view."""
+    on = np.flatnonzero(mask)
+    return slice(on[0], on[-1] + 1) if on.size and on[-1] - on[0] == on.size - 1 else on

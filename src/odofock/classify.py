@@ -164,16 +164,19 @@ def check_isometric(symbol: Symbol, tol: float | None = None, columns=None) -> I
     return _isometry_check(symbol, resolve_tol(tol), _column_indices(symbol, columns))[0]
 
 
-def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray) -> tuple[IsometryCheck, _Window]:
-    """The isometry check on `cols`, and the window of W it read."""
+def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray):
+    """The isometry check on `cols`, the window of W it read and that window's
+    Gram defect W_P^H W_P - I (a `CSC`)."""
     structure, window = structural_isometry(symbol), _window(symbol, cols)
     iso_res, off_res, gram_res = structure.residuals(cols)
     # each Gram entry is a column norm or an inner product of two columns: what
     # L*L = I, all-ones support and the vanishing shifted correlations assert
     w = window.csc()
-    probe_res = float(np.abs((w.H @ w - identity(w.shape[1])).data).max(initial=0.0))
+    defect = w.H @ w - identity(w.shape[1])
+    probe_res = float(np.abs(defect.data).max(initial=0.0))
     passed = iso_res <= tol and off_res <= tol and gram_res <= tol and probe_res <= tol
-    return IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, structure.window), window
+    check = IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, structure.window)
+    return check, window, defect
 
 
 def off_vacuum_residual(symbol: Symbol, columns=None) -> float:
@@ -247,7 +250,7 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     """
     tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
-    iso, window = _isometry_check(symbol, tol, cols)
+    iso, window, _ = _isometry_check(symbol, tol, cols)
     if not iso.passed:
         raise NotIsometricError(
             "Nica covariance is defined for isometric symbols only "
@@ -256,19 +259,20 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     return _nica(symbol, tol, window, off_vacuum_residual(symbol, cols))
 
 
-def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None) -> UnitaryCheck:
+def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None) -> UnitaryCheck:
     """The unitary verdict, with `level_block_residual` the larger of ||B^H B - I||
     and the square root of the largest off-level mass of one level's columns,
     on a window of every coefficient column (the isometry check's, if it is
     one). B, the level-diagonal part of its entries, is block diagonal, so the
     exact sparse norm of B^H B - I is the largest norm of a level block's
     defect. `vacuum` is (constancy, level-0 block, its corank), computed here
-    if not given.
+    if not given. `gram` is the isometry check's W_P^H W_P - I on `window`:
+    with no entry off its level, B is W_P and that Gram is not formed again.
     """
     space = symbol.space
     d = space.coeff_dim
     if window.cols.size < d:
-        window = _window(symbol, np.arange(d))
+        window, gram = _window(symbol, np.arange(d)), None
     if vacuum is None:
         vacuum = (off_vacuum_residual(symbol) <= tol, *_level0(symbol, tol))
     is_constant, block, defect = vacuum
@@ -276,10 +280,12 @@ def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None) -> Unitar
     block_res = max(op_norm(block.conj().T @ block - eye), op_norm(block @ block.conj().T - eye))
     col_level = space.word_levels(window.js // d)
     on = space.word_levels(window.rows // d) == col_level
-    b = window.csc(on)
+    if gram is None or not on.all():
+        b = window.csc(on)
+        gram = b.H @ b - identity(b.shape[1])
     off = window.vals[~on]
     off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
-    defect_res = op_norm(b.H @ b - identity(b.shape[1]))
+    defect_res = op_norm(gram)
     level_res = max(defect_res, float(np.sqrt(off_mass.max(initial=0.0))))
     passed = is_constant and defect == 0 and block_res <= tol and level_res <= tol
     return UnitaryCheck(passed, is_constant, defect, block_res, level_res, window.level)
@@ -294,10 +300,10 @@ def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> Uni
     symbol fails it on its off-level mass.
     """
     tol = resolve_tol(tol)
-    iso, window = _isometry_check(symbol, tol, _column_indices(symbol, columns))
+    iso, window, gram = _isometry_check(symbol, tol, _column_indices(symbol, columns))
     if not iso.passed:
         raise NotIsometricError("unitarity is decided for isometric symbols only")
-    return _unitary(symbol, tol, window)
+    return _unitary(symbol, tol, window, gram=gram)
 
 
 def classify(symbol: Symbol, tol: float | None = None, columns=None) -> ClassificationReport:
@@ -307,7 +313,7 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
     """
     tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
-    iso, window = _isometry_check(symbol, tol, cols)
+    iso, window, gram = _isometry_check(symbol, tol, cols)
     nica_res = off_vacuum_residual(symbol, cols)
     is_constant = off_vacuum_residual(symbol) <= tol
     block, defect = _level0(symbol, tol)
@@ -325,7 +331,7 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
             False, False, False, is_constant, residuals, iso.window, selected
         )
     nica = _nica(symbol, tol, window, nica_res)
-    uni = _unitary(symbol, tol, window, (is_constant, block, defect))
+    uni = _unitary(symbol, tol, window, (is_constant, block, defect), gram)
     residuals["relation_residual"] = nica.relation_residual
     residuals["block_unitary_residual"] = uni.block_unitary_residual
     residuals["level_block_residual"] = uni.level_block_residual

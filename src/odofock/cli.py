@@ -335,6 +335,7 @@ def cmd_factor(args) -> int:
         raise SchemaError("subspace and symbol live on different spaces")
     report = Report("factor", {"subspace": args.subspace, "symbol": args.symbol, "tol": tol})
     sub = invariant_subspace(space, columns, tol)
+    report.extra(path="graded" if sub.levels is not None else "mixed_level")
     worst = max(sub.invariance_residuals)
     # with no vector below the top level the residuals are NaN: the check is vacuous and fails
     report.add("creation_invariance", worst, tol)

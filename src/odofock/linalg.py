@@ -81,14 +81,17 @@ def _rank_split(mat: np.ndarray, tol: float, kernel: bool = True):
 
 def _certified_kernel(mat: np.ndarray, tol: float) -> np.ndarray:
     """Kernel coordinates of a 2-D matrix A, its rank decided as `_rank_split` decides it,
-    from one `eigh` of A^H A when a certificate allows: the p eigenvectors V of eigenvalue
-    < 1/2 are accepted iff ||A V|| <= tol < 1/2. By min-max that gives sigma_(r+1)(A) <= tol
-    for r = k - p (k columns), and the other eigenvalues give sigma_r(A) >= sqrt(1/2) > tol,
-    so the SVD's `s > tol` rule decides rank r and only the kernel basis may turn by a
-    unitary; otherwise `_rank_split` decides. On graded subspaces the Grams are projections
-    (eigenvalues within 5e-15 of 0 or 1) and the certificate passes; correctness does not
-    rest on that."""
-    vals, vecs = np.linalg.eigh(mat.conj().T @ mat)
+    from its Gram G = A^H A when a certificate allows. If ||G - I||_F <= tol < 1/2, every
+    singular value is at least sqrt(1 - tol) > tol: the kernel is empty, with no `eigh`.
+    Else the p eigenvectors V of eigenvalue < 1/2 are accepted iff ||A V|| <= tol < 1/2. By
+    min-max that gives sigma_(r+1)(A) <= tol for r = k - p (k columns), and the other
+    eigenvalues give sigma_r(A) >= sqrt(1/2) > tol, so the SVD's `s > tol` rule decides rank
+    r and only the kernel basis may turn by a unitary; otherwise `_rank_split` decides.
+    Correctness does not rest on the certificates passing, as they do on graded subspaces."""
+    gram = mat.conj().T @ mat
+    if tol < 0.5 and np.linalg.norm(gram - np.eye(gram.shape[0])) <= tol:
+        return np.zeros((gram.shape[0], 0), dtype=gram.dtype)
+    vals, vecs = np.linalg.eigh(gram)
     kernel = vecs[:, vals < 0.5]
     if tol < 0.5 and op_norm(mat @ kernel) <= tol:
         return kernel

@@ -13,6 +13,7 @@ from helpers import (
     enumerate_words,
     haar_unitary,
     orthonormal_complement,
+    random_symbol,
     reference_phi,
     same_bits,
     word_index,
@@ -301,17 +302,15 @@ def test_factorization_matches_word_by_word_oracle_bit_for_bit():
 
 def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
     # the identity columns are graded and their own basis: the part below the
-    # top level is the blocks under it, with no kernel, and the wandering basis
-    # takes one certified Gram eigh per level whose predecessor block is
-    # nonempty, each no larger than a level block, so invariant_subspace runs
-    # no SVD; the later steps read the stored basis
+    # top level is the blocks under it, with no kernel, and the overlap of each
+    # level with the one below is an isometry, so its certified kernel is empty
+    # with no eigh: invariant_subspace runs no SVD and no eigh at all; the later
+    # steps read the stored basis and levels
     calls = Counter()
-    sizes = []
 
     def counting(name, decomposition):
         def counted(*args, **kwargs):
             calls[stage, name] += 1
-            sizes.append(args[0].shape[0])
             return decomposition(*args, **kwargs)
         return counted
 
@@ -319,20 +318,16 @@ def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     rng = np.random.default_rng(62)
     space = TruncatedFockSpace(2, 5, 2)
-    top = space.level_slice(space.max_level)
-    largest_block = top.stop - top.start
     wmap = build_odometer(constant_symbol(space, haar_unitary(2, rng)))
     for lo in (0, 1, 2):
         calls.clear()
-        sizes.clear()
         stage = "invariant_subspace"
         sub = levels_subspace(space, lo)
         stage = "later"
         wander = wandering_subspace(sub)
         fact = beurling_factorize(sub)
         result = induced_symbol(sub, wmap, factorization=fact)
-        assert calls == Counter({("invariant_subspace", "eigh"): space.max_level - lo})
-        assert max(sizes) <= largest_block
+        assert calls == Counter()
         assert wander is sub.wandering_basis and fact.wandering_basis is wander
         assert result.intertwining_residual <= 1e-10
 
@@ -369,6 +364,42 @@ def test_levels_subspace_allocates_only_its_columns():
         assert sub.dim == space.dim_upto(1)
         assert span_equals(sub.basis, range(space.dim_upto(1)), space.dim)
         assert peak < limit * 2**20, f"levels_subspace peaked at {peak / 2**20:.1f} MB"
+
+
+def test_factorization_and_induced_symbol_allocate_less_than_one_dense_phi():
+    # the dilate_factor benchmark's levels-n2M8d1 and generated-n2M9d1 shapes.
+    # The generator (1, 1) / sqrt(2) on level 1 is fixed by the odometer's carry
+    # out of the all-2 words, so its creation-generated subspace is invariant
+    # under the odometer of the symbol 1 too
+    rng = np.random.default_rng(1604)
+    levels_space = TruncatedFockSpace(2, 8, 1)
+    generated_space = TruncatedFockSpace(2, 9, 1)
+    generator = np.zeros((generated_space.dim, 1), dtype=complex)
+    generator[generated_space.level_slice(1), 0] = 2**-0.5
+    blocks = [generator]
+    for _ in range(generated_space.max_level - 1):
+        blocks.append(np.hstack([apply_creation(generated_space, i, blocks[-1]) for i in (1, 2)]))
+    cases = [
+        (levels_subspace(levels_space, 1),
+         build_odometer(constant_symbol(levels_space, haar_unitary(1, rng)))),
+        (invariant_subspace(generated_space, np.hstack(blocks)),
+         build_odometer(scalar_symbol(generated_space, [1.0]))),
+    ]
+    for sub, wmap in cases:
+        space = sub.ambient
+        tracemalloc.start()
+        try:
+            fact = beurling_factorize(sub)
+            induced = induced_symbol(sub, wmap, factorization=fact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_phi = space.dim * fact.domain.dim * np.dtype(complex).itemsize
+        assert peak < dense_phi, f"peaked at {peak / 2**20:.2f} MB"
+        assert sub.levels is not None and fact.covers_subspace
+        assert induced.window >= 0 and induced.intertwining_residual <= 1e-12
+        phi = reference_phi(space, fact.wandering_basis, fact.domain.max_level)
+        assert same_bits(fact.phi, phi)
 
 
 def test_levels_subspace_refuses_above_the_dense_limit_before_allocating():
@@ -441,13 +472,15 @@ def test_certified_kernel_decides_the_svd_rank(monkeypatch):
     # ranks equal exactly and kernels by projector; a singular value between
     # tol and 1/2 fails the certificate and takes the SVD
     svds = Counter()
-    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        svds["svd"] += 1
-        return svd(*args, **kwargs)
+    def counting(name, decomposition):
+        def counted(*args, **kwargs):
+            svds[name] += 1
+            return decomposition(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     rng = np.random.default_rng(1103)
     space = TruncatedFockSpace(2, 4, 1)
     grams = []  # projection Grams: the top rows and the overlaps of graded subspaces
@@ -472,6 +505,22 @@ def test_certified_kernel_decides_the_svd_rank(monkeypatch):
         assert projector_gap(kernel, expected) <= 1e-12
     # the planted value counts toward the rank, as the SVD's s > tol decides
     assert _certified_kernel(planted, 1e-10).shape == (4, 1)
+    # near-isometries: with ||G - I||_F just below tol the kernel is empty with
+    # no eigh; just above, one eigh decides the same empty kernel, still with
+    # no SVD; with tol >= 1/2 the certificate does not apply and the SVD decides
+    for gap, tol, expected_calls in [(0.9e-10, 1e-10, {}), (1.1e-10, 1e-10, {"eigh": 1}),
+                                     (0.0, 0.6, {"eigh": 1, "svd": 1})]:
+        for rows, cols in [(9, 4), (4, 4), (30, 1)]:
+            # cols singular values with squares 1 + gap / sqrt(cols): ||G - I||_F = gap
+            values = np.sqrt(np.full(cols, 1 + gap / math.sqrt(cols)))
+            mat = with_singular_values(rng, rows, cols, values)
+            frobenius = np.linalg.norm(mat.conj().T @ mat - np.eye(cols))
+            assert abs(frobenius - gap) <= 1e-14
+            svds.clear()
+            kernel = _certified_kernel(mat, tol)
+            assert svds == Counter(expected_calls)
+            assert kernel.shape == (cols, 0) == _rank_split(mat, tol)[1].shape
+            assert kernel.dtype == complex
 
 
 def mixed_level_columns(space, levels, rng):
@@ -598,6 +647,30 @@ def test_graded_subspaces_match_the_svd_path(monkeypatch):
                 assert max(residuals) > tol
                 with pytest.raises(InvarianceError):
                     wandering_subspace(sub, tol)
+
+
+def test_graded_odometer_defect_matches_the_dense_check():
+    # ||(I - QQ^H) W Q|| one column level at a time equals the dense D x k
+    # formula of the mixed-level path, for symbols of support degree 0 to 2:
+    # block diagonal at 0, placed in one sparse matrix above
+    rng = np.random.default_rng(1605)
+    for n, max_level, d in GRADED_SPACES:
+        space = TruncatedFockSpace(n, max_level, d)
+        symbols = [constant_symbol(space, haar_unitary(d, rng))]
+        symbols += [random_symbol(space, s, rng) for s in range(min(3, max_level + 1))]
+        columns = [c for _, c, graded in graded_cases(space, rng) if graded]
+        columns.append(levels_subspace(space, 1).basis)
+        for cols in columns:
+            sub = invariant_subspace(space, cols)
+            assert sub.levels is not None
+            for symbol in symbols:
+                w = build_odometer(symbol).operator.csc
+                graded = beurling._graded_odometer_defect(sub, w, symbol.support_degree)
+                dense = beurling._orthogonal_part(sub.basis, w @ sub.basis)
+                assert abs(graded - dense) <= 1e-12 * max(1.0, dense)
+                # levels 1..M are invariant under every odometer map, to the bit
+                if cols is columns[-1]:
+                    assert graded == dense == 0.0
 
 
 def factor_both_ways(space, columns, monkeypatch, wmap=None):

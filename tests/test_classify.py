@@ -37,6 +37,7 @@ from odofock import (
     symbol_from_dense,
 )
 from odofock.classify import _nica, _unitary, _window
+from odofock.csc import CSC
 from odofock.gallery import golden_ratio_coeffs
 
 
@@ -475,6 +476,33 @@ def test_level_block_residual_matches_dense_oracle():
         expected = reference_level_block_residual(symbol.space, w)
         assert uni.passed
         assert abs(uni.level_block_residual - expected) <= 1e-15
+
+
+def test_classify_forms_one_window_gram_when_no_entry_is_off_level(monkeypatch):
+    # a constant symbol's window has no entry off its level, so B is W_P and the
+    # unitary check reads the isometry check's Gram W_P^H W_P - I; a symbol with
+    # level-raising entries forms B^H B itself. Either way the residual is the
+    # one B^H B gives, bit for bit
+    products = Counter()
+    matmul = CSC._matmul_csc
+
+    def counting(self, other):
+        products["sparse"] += 1
+        return matmul(self, other)
+
+    rng = np.random.default_rng(33)
+    cases = [(symbol, 1) for symbol in constant_unitary_cases()]
+    cases += [(random_ones_diagonal_symbol(TruncatedFockSpace(2, 5, d), rng, 2, True), 2)
+              for d in (1, 2, 3)]
+    for symbol, grams in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(CSC, "_matmul_csc", counting)
+            products.clear()
+            report = classify(symbol)
+            assert report.is_isometric and products["sparse"] == grams
+        window = _window(symbol, np.arange(symbol.space.coeff_dim))
+        recomputed = _unitary(symbol, 1e-10, window).level_block_residual
+        assert report.residuals["level_block_residual"].hex() == recomputed.hex()
 
 
 def one_wrong_triplet(symbol, rng):

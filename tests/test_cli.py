@@ -308,6 +308,8 @@ def test_factor_command(tmp_path, capsys):
                        "--out", str(tmp_path / "induced.json"))
     assert code == 0 and report["passed"]
     assert report["parameters"]["wandering_dim"] == 2
+    # the identity columns lie on one level each: the graded path ran
+    assert report["parameters"]["path"] == "graded"
 
 
 def test_factor_on_an_empty_window_is_vacuous_and_fails(tmp_path, capsys):
@@ -336,6 +338,7 @@ def test_factor_with_nothing_below_the_top_level_is_vacuous_and_fails(tmp_path, 
     assert code == 1
     assert not report["passed"]
     assert report["parameters"]["vacuous"] is True
+    assert report["parameters"]["path"] == "mixed_level"
     [check] = report["checks"]
     assert check["name"] == "creation_invariance"
     assert check["residual"] is None and not check["passed"]
