@@ -235,11 +235,8 @@ class BeurlingFactorization:
         return self.subspace.basis.conj().T @ self.phi_csc
 
 
-def beurling_factorize(
-    sub: InvariantSubspace,
-    tol: float | None = None,
-    wandering_basis: np.ndarray | None = None,
-) -> BeurlingFactorization:
+def beurling_factorize(sub: InvariantSubspace, tol: float | None = None,
+                       wandering_basis: np.ndarray | None = None) -> BeurlingFactorization:
     """Factor an invariant subspace through its wandering subspace.
 
     A custom orthonormal `wandering_basis` may be supplied (it must span the
@@ -283,9 +280,8 @@ def beurling_factorize(
     ma_residual = max(op_norm(phi[:, creation_basis_map(domain, i, low)]
                               - apply_creation(space, i, phi[:, : low.size]))
                       for i in range(1, space.n + 1))
-    covers = domain.dim == sub.dim
     return BeurlingFactorization(sub, wandering_basis, domain, phi, inner_residual, ma_residual,
-                                 covers)
+                                 domain.dim == sub.dim)
 
 
 def _place_phi(space: TruncatedFockSpace, domain: TruncatedFockSpace, entries: CSC) -> CSC:
@@ -323,12 +319,8 @@ class InducedSymbolResult:
         return self.window < 0
 
 
-def induced_symbol(
-    sub: InvariantSubspace,
-    wmap: OdometerMap,
-    tol: float | None = None,
-    factorization: BeurlingFactorization | None = None,
-) -> InducedSymbolResult:
+def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None = None,
+                   factorization: BeurlingFactorization | None = None) -> InducedSymbolResult:
     """Symbol of the subrepresentation carried by an odometer-invariant subspace.
 
     Requires the subspace to be invariant under the odometer map as well
@@ -354,37 +346,34 @@ def induced_symbol(
     induced_map = build_odometer(symbol)
 
     window = domain.max_level - max(symbol.support_degree, wmap.symbol.support_degree)
-    exact = slice(0, domain.dim_upto(window))
-    diff = w @ phi[:, exact] - phi @ induced_map.operator.csc[:, exact]
-    residual = op_norm(diff) if window >= 0 else float("nan")
+    residual = float("nan")
+    if window >= 0:
+        exact = slice(0, domain.dim_upto(window))
+        residual = op_norm(w @ phi[:, exact] - phi @ induced_map.operator.csc[:, exact])
     fact_with_symbol = replace(fact, induced_symbol=symbol)
     return InducedSymbolResult(symbol, induced_map, fact_with_symbol, residual, window)
 
 
 def _graded_odometer_defect(sub: InvariantSubspace, w: CSC, support: int) -> float:
     """||(I - Q Q^H) W Q|| on a graded basis: W maps level m into the rows R of levels
-    m .. m + s, where the basis columns of those levels Q_R alone have entries, so the
-    level-m columns are Y - Q_R (Q_R^H Y) for Y = W[R, m] Q_m. With s = 0 they are the
-    diagonal blocks, else they are placed in one sparse matrix for the exact norm."""
-    space, levels = sub.ambient, sub.levels
-    norm, parts = 0.0, []
+    m .. m + s, where only the basis columns Q_R of those levels have entries, so the
+    level-m columns are Y - Q_R (Q_R^H Y), Y = W[R, m] Q_m, normed as one sparse matrix."""
+    space, levels, parts = sub.ambient, sub.levels, []
     for m in np.unique(levels):
-        cols = space.level_slice(m)
+        cols, on = space.level_slice(m), np.flatnonzero(levels == m)
         rows = slice(cols.start, space.level_slice(min(m + support, space.max_level)).stop)
         x = w[rows, cols] @ sub.basis[cols, _span(levels == m)]
         q = sub.basis[rows, _span((levels >= m) & (levels <= m + support))]
         x -= q @ (q.conj().T @ x)
-        if support == 0:
-            norm = max(norm, op_norm(x))
-        else:
-            r, c = np.nonzero(x)
-            parts.append((r + rows.start, np.flatnonzero(levels == m)[c], x[r, c]))
-    if parts:
-        norm = op_norm(CSC.from_triplets(*map(np.concatenate, zip(*parts)), (space.dim, sub.dim)))
-    return norm
+        r, c = np.nonzero(x)
+        parts.append((r + rows.start, on[c], x[r, c]))
+    shape = (space.dim, sub.dim)
+    return op_norm(CSC.from_triplets(*map(np.concatenate, zip(*parts)), shape)) if parts else 0.0
 
 
 def _span(mask: np.ndarray) -> slice | np.ndarray:
-    """Where `mask` holds, a slice when contiguous, so that indexing takes a view."""
+    """Where `mask` holds, as a slice when contiguous (the level-sorted bases of `levels_subspace`
+    and `_place`), so indexing takes a view: with index arrays the tracemalloc peak of factorize
+    plus induced on levels-n2M8d1 rises from 3.03 to 4.03 MB, above one dense Phi (3.98 MB)."""
     on = np.flatnonzero(mask)
-    return slice(on[0], on[-1] + 1) if on.size and on[-1] - on[0] == on.size - 1 else on
+    return slice(on[0], on[-1] + 1) if on[-1] - on[0] == on.size - 1 else on

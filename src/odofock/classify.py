@@ -25,7 +25,6 @@ import numpy as np
 from .config import resolve_tol
 from .csc import CSC, identity
 from .errors import NotIsometricError
-from .fock import TruncatedFockSpace
 from .linalg import _rank_split, op_norm, orthonormal_columns
 from .odometer import (
     Symbol,

@@ -13,7 +13,7 @@ def op_norm(a) -> float:
 
     Sparse input is a `CSC` or anything with `.tocsc()`, such as a scipy
     sparse array. Dense input, turned so that its columns are the smaller
-    side, and the coupled block of sparse input (`_sparse_norm`) both take
+    side, and each coupled block of sparse input (`_sparse_norm`) take
     `_gram_norm`: no path runs an SVD, and an all-zero matrix reads exactly 0.0.
     """
     mat = a.csc if isinstance(a, Operator) else a
@@ -41,34 +41,47 @@ def _gram_norm(dense: np.ndarray) -> float:
 def _sparse_norm(a: CSC) -> float:
     """Exact norm of a sparse matrix through its Gram matrix G = A^H A.
 
-    A column that shares no row with another column has only its diagonal
-    entry in G, so it contributes its own norm sqrt(G[j, j]). G restricted to
-    the remaining coupled columns is one dense block over the rows they
-    touch, decided by `_gram_norm`. There is no iteration and no tolerance,
-    and the row sharing is read off the stored entries, so a tall matrix
-    costs its entries, not its rows. The free entries are first scaled by a
-    power of two, which is exact, so their squares neither overflow nor
-    underflow; `_gram_norm` scales the coupled block the same way.
+    A column that shares no row with another column has only its diagonal entry in G:
+    its own norm. The other columns fall into components joined by chains of shared rows
+    (each column takes the least label on its rows, then its label's label, until no
+    label moves); G is block diagonal over them, each one dense block over the rows it
+    touches, decided by `_gram_norm`. No tolerance, and a tall matrix costs its entries,
+    not its rows. Free entries are scaled by an exact power of two against over/underflow.
     """
     top = float(np.abs(a.data).max(initial=0.0))
     if top == 0.0:
         return 0.0
     scale = float(np.ldexp(1.0, np.frexp(top)[1]))
-    data = a.data / scale
-    cols = a.entry_cols
+    data, cols = a.data / scale, a.entry_cols
     _, row_of, row_counts = np.unique(a.indices, return_inverse=True, return_counts=True)
     coupled = np.zeros(a.shape[1], dtype=bool)
     coupled[cols[row_counts[row_of] > 1]] = True
     free = ~coupled[cols]
     squares = data[free].real ** 2 + data[free].imag ** 2
     norm = float(np.sqrt(np.bincount(cols[free], weights=squares).max(initial=0.0)) * scale)
-    if coupled.any():
-        block = a[:, coupled]
-        rows, local = np.unique(block.indices, return_inverse=True)
-        dense = np.zeros((rows.size, block.shape[1]), dtype=block.data.dtype)
-        dense[local, block.entry_cols] += block.data
+    if not coupled.any():
+        return norm
+    rows, cols, vals = row_of[~free], cols[~free], a.data[~free]
+    label, new = None, np.arange(a.shape[1])
+    while not np.array_equal(new, label):
+        label, low = new, np.full(row_counts.size, a.shape[1])
+        np.minimum.at(low, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, low[rows])
+        new = new[new]
+    comp, r, c = label[cols], _ranks(low)[rows], _ranks(label)[cols]
+    order = np.argsort(comp, kind="stable")
+    for part in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+        dense = np.zeros((r[part].max() + 1, c[part].max() + 1), dtype=vals.dtype)
+        dense[r[part], c[part]] = vals[part]
         norm = max(norm, _gram_norm(dense))
     return norm
+
+
+def _ranks(group: np.ndarray) -> np.ndarray:
+    """The rank of each element among the elements of its group, in index order."""
+    order = np.argsort(group, kind="stable")
+    return np.argsort(order) - np.searchsorted(group[order], group)
 
 
 def _rank_split(mat: np.ndarray, tol: float, kernel: bool = True):
@@ -80,14 +93,13 @@ def _rank_split(mat: np.ndarray, tol: float, kernel: bool = True):
 
 
 def _certified_kernel(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Kernel coordinates of a 2-D matrix A, its rank decided as `_rank_split` decides it,
-    from its Gram G = A^H A when a certificate allows. If ||G - I||_F <= tol < 1/2, every
-    singular value is at least sqrt(1 - tol) > tol: the kernel is empty, with no `eigh`.
-    Else the p eigenvectors V of eigenvalue < 1/2 are accepted iff ||A V|| <= tol < 1/2. By
-    min-max that gives sigma_(r+1)(A) <= tol for r = k - p (k columns), and the other
-    eigenvalues give sigma_r(A) >= sqrt(1/2) > tol, so the SVD's `s > tol` rule decides rank
-    r and only the kernel basis may turn by a unitary; otherwise `_rank_split` decides.
-    Correctness does not rest on the certificates passing, as they do on graded subspaces."""
+    """Kernel coordinates of a 2-D matrix A, rank decided as `_rank_split` decides it, from
+    its Gram G = A^H A when a certificate allows. If ||G - I||_F <= tol < 1/2, every singular
+    value is at least sqrt(1 - tol) > tol: the kernel is empty, with no `eigh`. Else the p
+    eigenvectors V of eigenvalue < 1/2 are accepted iff ||A V|| <= tol < 1/2: by min-max,
+    sigma_(r+1)(A) <= tol for r = k - p (k columns) and sigma_r(A) >= sqrt(1/2) > tol, so the
+    SVD's `s > tol` rule decides rank r and only the kernel basis may turn by a unitary;
+    otherwise `_rank_split` decides. Correctness never rests on a certificate passing."""
     gram = mat.conj().T @ mat
     if tol < 0.5 and np.linalg.norm(gram - np.eye(gram.shape[0])) <= tol:
         return np.zeros((gram.shape[0], 0), dtype=gram.dtype)

@@ -313,17 +313,19 @@ def test_factor_command(tmp_path, capsys):
 
 
 def test_factor_on_an_empty_window_is_vacuous_and_fails(tmp_path, capsys):
-    # support degree 3 at level 3 leaves the induced check no exact column
+    # support degree 3 at level 3 leaves the induced check no exact column: the
+    # word budget 3 - lo gives window -lo, and -2 is below every level
     space = TruncatedFockSpace(2, 3, 1)
     sym_path = write_symbol(tmp_path, "sym.json", scalar_symbol(space, [0.0, 0.0, 0.0, 1.0]))
-    spath = str(tmp_path / "sub.json")
-    jsonio.dump_path(jsonio.subspace_to_json(space, levels_subspace(space, 1).basis), spath)
-    code, report = run(capsys, "factor", "--subspace", spath, "--symbol", sym_path)
-    assert code == 1
-    assert not report["passed"]
-    assert report["parameters"]["vacuous"] is True
-    check = next(c for c in report["checks"] if c["name"] == "induced_intertwining")
-    assert check["window"] == -1 and check["residual"] is None and not check["passed"]
+    for lo in (1, 2):
+        spath = str(tmp_path / f"sub{lo}.json")
+        jsonio.dump_path(jsonio.subspace_to_json(space, levels_subspace(space, lo).basis), spath)
+        code, report = run(capsys, "factor", "--subspace", spath, "--symbol", sym_path)
+        assert code == 1
+        assert not report["passed"]
+        assert report["parameters"]["vacuous"] is True
+        check = next(c for c in report["checks"] if c["name"] == "induced_intertwining")
+        assert check["window"] == -lo and check["residual"] is None and not check["passed"]
 
 
 def test_factor_with_nothing_below_the_top_level_is_vacuous_and_fails(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The operator norm against the dense SVD, and against closed forms at scale.
 
 `op_norm` of a sparse matrix splits its columns into those that share no
-row with another column and one coupled block that gets a dense
-eigenvalue problem; a dense matrix is that block on its own. These tests
-compare both with the SVD of the dense matrix on small spaces, on two fixed
-larger ones, and beyond that with norms known in closed form.
+row with another column and coupled components, columns joined by chains of
+shared rows, each of which gets a dense eigenvalue problem; a dense matrix
+is one such block on its own. These tests compare both with the SVD of the
+dense matrix on small spaces, on two fixed larger ones, and beyond that with
+norms known in closed form.
 """
 
 import math
@@ -87,6 +88,39 @@ def test_norms_take_no_svd(monkeypatch):
     assert abs(op_norm(dense) - op_norm(dense.T)) <= 1e-12 * op_norm(dense)
     w = build_odometer(random_symbol(TruncatedFockSpace(2, 4, 2), 2, rng)).operator
     assert coupled(w.matrix) and op_norm(w) > 0.0
+
+
+def block_diagonal(blocks, rng) -> np.ndarray:
+    """The blocks on the diagonal, rows and columns then shuffled."""
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out[rng.permutation(out.shape[0])][:, rng.permutation(out.shape[1])]
+
+
+@given(seeds, st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=6))
+def test_coupled_components_match_dense_svd(seed, shapes):
+    rng = np.random.default_rng(seed)
+    mat = block_diagonal([random_dense(shape, rng) * rng.uniform(0.1, 3.0) for shape in shapes],
+                         rng)
+    assert_matches_dense(sparse.csc_array(mat))
+
+
+def test_coupled_columns_take_one_gram_per_component(monkeypatch):
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(g.shape) or eigvalsh(g))
+    rng = np.random.default_rng(7)
+    # five dense 6 x 4 blocks of different norms, shuffled: five 4 x 4 Grams
+    mat = block_diagonal([random_dense((6, 4), rng) * 2.0**k for k in range(5)], rng)
+    assert_matches_dense(sparse.csc_array(mat))
+    assert sizes == [(4, 4)] * 5
+    # a band, each column sharing a row with the next, shuffled: one chain of 40
+    sizes.clear()
+    band = block_diagonal([np.eye(41, 40) + np.eye(41, 40, -1)], rng)
+    assert_matches_dense(sparse.csc_array(band))
+    assert sizes == [(40, 40)]
 
 
 @given(spaces, seeds)
