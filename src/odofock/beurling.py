@@ -12,17 +12,19 @@ boundary and closed under creation up to the top level; the level-M boundary
 is excluded from every residual, and words are budgeted so that all columns
 of the factorization stay exact.
 
-Graded subspaces are decided level by level. When every spanning column is
-exactly zero outside one level, the subspace is the direct sum of level
-blocks Q_m, and S_i maps level m into level m + 1 only. The invariance
-defect is then block diagonal, one block per level, and Q^H S_i* Q has
-blocks only from level m to level m - 1, so its kernel, the wandering
-subspace, is one small kernel per level (empty, with no `eigh`, where the
-overlap is an isometry). An odometer map sends level m into levels m .. m + s
-(s the support degree), so its invariance defect is taken per column level.
-Columns with entries on two levels, however small, take the decisions over
-the whole basis. Both paths put the wandering basis in one gauge that depends
-on the subspace alone, and place Phi sparse from the creation index maps.
+Graded subspaces are decided on the entries of their basis. When every
+spanning column is exactly zero outside one level, the columns are read once
+into a `CSC`, and S_i maps level m into level m + 1 only. The Gram C^H C, the
+creation defects X - C (C^H X) with X = S_i C, and the stacked overlap O of
+(S_i C)^H C are then sparse expressions over the whole basis, whose norms and
+Frobenius gaps come from the pairs of entries that share a row. O^H O is block
+diagonal by column level, so the wandering subspace is one kernel per level:
+all of the level where its part of O is exactly zero, empty with no `eigh`
+where that part is an isometry, and a dense certified kernel on the rows it
+touches otherwise. The odometer defect (I - Q Q^H) W Q is one sparse expression
+too. Columns with entries on two levels, however small, take the decisions over
+the whole dense basis. Both paths put the wandering basis in one gauge that
+depends on the subspace alone, and place Phi sparse from the creation index maps.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ class InvariantSubspace:
 
     `wandering_basis` spans S minus the creation images sum_i (S_i x I) S.
     Both ranks are decided once, at the tolerance the subspace was built with.
-    `levels` is the level of each basis column if it is graded (`_column_levels`), else None.
+    `levels` is the level of each basis column if it is graded (`_column_levels`),
+    and `entries` the basis's nonzero entries, `CSC.from_dense(basis)`; both None
+    on a basis that is not graded.
     """
 
     ambient: TruncatedFockSpace
@@ -55,6 +59,7 @@ class InvariantSubspace:
     invariance_residuals: tuple[float, ...]
     wandering_basis: np.ndarray
     levels: np.ndarray | None
+    entries: CSC | None
 
     @property
     def dim(self) -> int:
@@ -78,9 +83,10 @@ def invariant_subspace(
     have singular values within sqrt(1 -+ tol), so Q is C, orthonormal to that
     accuracy; other columns take a thin SVD. With no vector below the top level
     the invariance check tests nothing: it is vacuous, its residuals NaN.
-    Graded columns (`_column_levels`) are decided level by level; others over
-    the whole basis, both kernels `_certified_kernel`s. Either way the
-    wandering basis is put in the gauge of `canonical_basis`.
+    The columns are read once, into a `CSC`. Graded columns (`_column_levels`)
+    are decided from those entries; others over the whole dense basis, both
+    kernels `_certified_kernel`s. Either way the wandering basis is put in the
+    gauge of `canonical_basis`.
     """
     tol = resolve_tol(tol)
     space.require_dense()
@@ -90,10 +96,13 @@ def invariant_subspace(
         raise ValueError(f"columns must be a 1-D or 2-D array, got {cols.ndim} dimensions")
     if cols.shape[0] != space.dim:
         raise ValueError("subspace columns do not match the ambient dimension")
-    levels = _column_levels(space, cols)
+    entries = CSC.from_dense(cols)
+    levels = _column_levels(space, entries)
     if levels is not None:
-        basis, levels, residuals, wandering = _graded_parts(space, cols, levels, tol)
+        basis, entries, levels, residuals, wandering = _graded_parts(space, cols, entries,
+                                                                     levels, tol)
     else:
+        entries = None
         gap = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
         basis = cols if gap <= tol < 0.5 else orthonormal_columns(cols, tol)
         low = space.dim_upto(space.max_level - 1)
@@ -105,71 +114,81 @@ def invariant_subspace(
         overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis)
                              for i in letters])
         wandering = basis @ _certified_kernel(overlap, tol)
-    return InvariantSubspace(space, basis, residuals, canonical_basis(wandering), levels)
+    return InvariantSubspace(space, basis, residuals, canonical_basis(wandering), levels, entries)
 
 
-def _column_levels(space: TruncatedFockSpace, columns: np.ndarray) -> np.ndarray | None:
+def _column_levels(space: TruncatedFockSpace, columns: np.ndarray | CSC) -> np.ndarray | None:
     """The level of each column when every column is exactly zero (`!= 0`, no
     threshold) outside one level, an all-zero column counting as level 0;
-    None when some column has nonzero entries on two levels."""
-    nonzero = columns != 0
-    occupied = np.stack([nonzero[space.level_slice(m)].any(axis=0)
-                         for m in range(space.max_level + 1)])
-    return occupied.argmax(axis=0) if np.all(occupied.sum(axis=0) <= 1) else None
+    None when some column has nonzero entries on two levels. `columns` is a
+    dense array or the `CSC` of its nonzero entries."""
+    entries = columns if isinstance(columns, CSC) else CSC.from_dense(columns)
+    level = space.word_levels(entries.indices // space.coeff_dim)
+    first, stop = entries.indptr[:-1], entries.indptr[1:]
+    full = stop > first
+    levels = np.zeros(entries.shape[1], dtype=np.int64)
+    # rows ascend in a column: its first entry has its lowest level, its last the highest
+    levels[full] = level[first[full]]
+    return levels if np.array_equal(levels[full], level[stop[full] - 1]) else None
 
 
-def _graded_parts(space: TruncatedFockSpace, cols: np.ndarray, levels: np.ndarray, tol: float):
-    """Basis, its column levels, invariance residuals and wandering basis of the
-    span of graded columns.
+def _graded_parts(space: TruncatedFockSpace, cols: np.ndarray, entries: CSC, levels: np.ndarray,
+                  tol: float):
+    """Basis, its entries and column levels, invariance residuals and wandering
+    basis of the span of graded columns, taken from the entries of the basis.
 
-    Each level block Q_m is held on its level's rows, and S_i maps level m
-    into the i-th chunk of n^m d rows of level m + 1. The Gram C^H C and the
-    singular values are the blocks' (one thin SVD per block when C is not
-    orthonormal); the part below the top level is the blocks Q_m, m < M; the
-    defect of S_i is the largest ||S_i Q_m - Q_(m+1) Q_(m+1)^H S_i Q_m||; the
-    wandering part of level m is all of Q_m when level m - 1 is empty, and
-    otherwise the certified kernel of the stacked Q_(m-1)^H (chunk i of Q_m).
+    The Gram C^H C is block diagonal by level, so ||C^H C - I||_F comes from the
+    pairs of entries that share a row (`CSC.gram_gaps`); a C that fails it takes
+    one thin SVD per level block. The part below the top level is the columns of
+    levels m < M. The defect of S_i is ||X - C (C^H X)||, X = S_i C, one sparse
+    norm whose coupled components never cross a level, so it is the largest
+    per-level defect. The overlap O, the stack of (S_i C)^H C over the letters,
+    links level m only to level m - 1, and O^H O is block diagonal by column
+    level. Level m's wandering part is all of Q_m when its columns of O are
+    exactly zero, none when ||G_m - I||_F <= tol < 1/2 for its block G_m of
+    O^H O (every singular value then exceeds tol), and otherwise the certified
+    kernel of its columns of O, dense on the rows they touch.
     """
-    blocks = {int(m): cols[space.level_slice(m)][:, levels == m] for m in np.unique(levels)}
-    grams = (q.conj().T @ q - np.eye(q.shape[1]) for q in blocks.values())
-    if math.sqrt(sum(np.linalg.norm(g) ** 2 for g in grams)) <= tol < 0.5:
-        basis = cols
-    else:
-        blocks = {m: orthonormal_columns(q, tol) for m, q in blocks.items()}
-        blocks = {m: q for m, q in blocks.items() if q.shape[1]}
-        basis = _place(space, blocks)
-        levels = np.repeat(np.array(list(blocks), dtype=int), [q.shape[1] for q in blocks.values()])
-    defects = [[] for _ in range(space.n)]
-    wandering = {}
-    for m, q in blocks.items():
-        width = q.shape[0]
-        nxt = blocks.get(m + 1, np.zeros((space.n * width, 0), dtype=complex))
-        for i in range(space.n if m < space.max_level else 0):
-            # S_i Q_m is Q_m on chunk i of level m + 1; Q_(m+1)^H reads that chunk only
-            chunk = slice(i * width, (i + 1) * width)
-            defect = -(nxt @ (nxt[chunk].conj().T @ q))
-            defect[chunk] += q
-            defects[i].append(op_norm(defect))
-        prev = blocks.get(m - 1)
-        if prev is None:
-            wandering[m] = q
-        else:
-            step = prev.shape[0]
-            overlap = np.vstack([prev.conj().T @ q[i * step : (i + 1) * step]
-                                 for i in range(space.n)])
-            wandering[m] = q @ _certified_kernel(overlap, tol)
-    residuals = tuple(max(d, default=math.nan) for d in defects)
-    return basis, levels, residuals, _place(space, wandering)
-
-
-def _place(space: TruncatedFockSpace, blocks: dict[int, np.ndarray]) -> np.ndarray:
-    """The D-row array of level blocks, each on its level's rows, in level order."""
-    out = np.zeros((space.dim, sum(q.shape[1] for q in blocks.values())), dtype=complex)
+    if not entries.gram_gaps()[0] <= tol < 0.5:
+        blocks = [(m, orthonormal_columns(cols[space.level_slice(m)][:, levels == m], tol))
+                  for m in np.unique(levels)]
+        levels = np.repeat([m for m, _ in blocks], [q.shape[1] for _, q in blocks])
+        cols = np.zeros((space.dim, levels.size), dtype=complex)
+        for m, q in blocks:
+            cols[space.level_slice(m), levels == m] = q
+        entries = CSC.from_dense(cols)
+    k = entries.shape[1]
+    adjoint = entries.H
+    residuals, rows, overlap_cols, values = [], [], [], []
+    for i in range(space.n):
+        image = apply_creation(space, i + 1, entries)
+        projection = adjoint @ image  # C^H S_i C: entry (a, b) is conj(O[(i, b), a])
+        residuals.append(op_norm(image - entries @ projection))
+        rows.append(projection.entry_cols + i * k)
+        overlap_cols.append(projection.indices)
+        values.append(np.conj(projection.data))
+    if not np.any(levels < space.max_level):
+        residuals = [math.nan] * space.n
+    overlap = CSC.from_triplets(*map(np.concatenate, (rows, overlap_cols, values)),
+                                (space.n * k, k))
+    gaps = overlap.gram_gaps(levels)
+    kernels = []
+    for m in np.unique(levels):
+        on = np.flatnonzero(levels == m)
+        part = overlap[:, on]
+        if part.nnz == 0:
+            kernels.append((on, np.eye(on.size, dtype=complex)))
+        elif not gaps[m] <= tol < 0.5:
+            touched, row = np.unique(part.indices, return_inverse=True)
+            dense = np.zeros((touched.size, on.size), dtype=complex)
+            dense[row, part.entry_cols] = part.data
+            kernels.append((on, _certified_kernel(dense, tol)))
+    coords = np.zeros((k, sum(kernel.shape[1] for _, kernel in kernels)), dtype=complex)
     start = 0
-    for m in sorted(blocks):
-        out[space.level_slice(m), start : start + blocks[m].shape[1]] = blocks[m]
-        start += blocks[m].shape[1]
-    return out
+    for on, kernel in kernels:
+        coords[on, start : start + kernel.shape[1]] = kernel
+        start += kernel.shape[1]
+    return cols, entries, levels, tuple(residuals), entries @ coords
 
 
 def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -> InvariantSubspace:
@@ -325,10 +344,11 @@ def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None 
 
     Requires the subspace to be invariant under the odometer map as well
     (range-inclusion measured as the projection residual of W restricted to
-    the subspace, level by level on a graded basis). The induced symbol is the
-    wandering compression Phi^H W E of W, and the reported residual is the
-    exact norm of W Phi - Phi W_induced on the columns the word budget keeps
-    exact. With no such column the check is vacuous and the residual is NaN.
+    the subspace, from the stored basis entries on a graded basis). The induced
+    symbol is the wandering compression Phi^H W E of W, and the reported
+    residual is the exact norm of W Phi - Phi W_induced on the columns the word
+    budget keeps exact. With no such column the check is vacuous and the
+    residual is NaN.
     """
     tol = resolve_tol(tol)
     space = sub.ambient
@@ -355,25 +375,9 @@ def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None 
 
 
 def _graded_odometer_defect(sub: InvariantSubspace, w: CSC, support: int) -> float:
-    """||(I - Q Q^H) W Q|| on a graded basis: W maps level m into the rows R of levels
-    m .. m + s, where only the basis columns Q_R of those levels have entries, so the
-    level-m columns are Y - Q_R (Q_R^H Y), Y = W[R, m] Q_m, normed as one sparse matrix."""
-    space, levels, parts = sub.ambient, sub.levels, []
-    for m in np.unique(levels):
-        cols, on = space.level_slice(m), np.flatnonzero(levels == m)
-        rows = slice(cols.start, space.level_slice(min(m + support, space.max_level)).stop)
-        x = w[rows, cols] @ sub.basis[cols, _span(levels == m)]
-        q = sub.basis[rows, _span((levels >= m) & (levels <= m + support))]
-        x -= q @ (q.conj().T @ x)
-        r, c = np.nonzero(x)
-        parts.append((r + rows.start, on[c], x[r, c]))
-    shape = (space.dim, sub.dim)
-    return op_norm(CSC.from_triplets(*map(np.concatenate, zip(*parts)), shape)) if parts else 0.0
-
-
-def _span(mask: np.ndarray) -> slice | np.ndarray:
-    """Where `mask` holds, as a slice when contiguous (the level-sorted bases of `levels_subspace`
-    and `_place`), so indexing takes a view: with index arrays the tracemalloc peak of factorize
-    plus induced on levels-n2M8d1 rises from 3.03 to 4.03 MB, above one dense Phi (3.98 MB)."""
-    on = np.flatnonzero(mask)
-    return slice(on[0], on[-1] + 1) if on[-1] - on[0] == on.size - 1 else on
+    """||(I - Q Q^H) W Q|| on a graded basis from its entries: X - Q (Q^H X) with
+    X = W Q, one sparse matrix. W maps level m into levels m .. m + `support`, and
+    the sparse products reach those rows alone, so the degree needs no slicing."""
+    q = sub.entries
+    x = w @ q
+    return op_norm(x - q @ (q.H @ x))

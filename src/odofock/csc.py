@@ -115,7 +115,8 @@ class CSC:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError(f"a dense matrix must be 2-D, got shape {arr.shape}")
-        cols, rows = np.nonzero(arr.T)
+        # a C-ordered mask of the transpose scans in one pass, in the same order
+        cols, rows = np.nonzero((arr != 0).T.copy())
         idx = _index_dtype(arr.shape, rows.size)
         return cls._sorted(rows, cols, arr[rows, cols], arr.shape, idx)
 
@@ -220,16 +221,16 @@ class CSC:
         return self._layers(rank, self.entry_cols, self.indices)
 
     def _layers(self, rank: np.ndarray, keys: np.ndarray, src: np.ndarray) -> list[tuple]:
-        """(keys, src, data, all ones) groups: layer r holds the r-th entry of each
-        key in storage order, split into the entries equal to 1 and the rest.
-        Keys within a layer are distinct, so each group adds in one step."""
+        """(keys, src, data, all ones, first layer) groups: layer r holds the r-th
+        entry of each key in storage order, split into the entries equal to 1 and
+        the rest. Keys within a layer are distinct, so each group adds in one step."""
         groups = []
         for r in range(int(rank.max(initial=-1)) + 1):
             layer = rank == r
             for one in (True, False):
                 e = np.flatnonzero(layer & ((self.data == 1) == one))
                 if e.size:
-                    groups.append((keys[e], src[e], self.data[e], one))
+                    groups.append((keys[e], src[e], self.data[e], one, r == 0))
         return groups
 
     def _dense_product(self, groups: list[tuple], x: np.ndarray, size: int) -> np.ndarray:
@@ -239,17 +240,23 @@ class CSC:
 
         An entry equal to 1 adds x itself: for finite x, 1 * x differs from x
         at most in the sign of a zero, and a sum started at +0.0 never carries
-        that sign, so the result keeps scipy's bits.
+        that sign, so the result keeps scipy's bits. The keys of the first layer
+        still read +0.0, so its terms are placed as 0.0 + terms, with no gather
+        of the rows they land on.
         """
         out = np.zeros((size, x.shape[1]), dtype=np.result_type(self.data, x))
         step = max(1, _CHUNK // max(x.shape[1], 1))
-        for keys, src, data, one in groups:
+        for keys, src, data, one, first in groups:
             for lo in range(0, keys.size, step):
                 at = slice(lo, lo + step)
                 terms = x[src[at]]
                 if not (one and np.isfinite(terms).all()):
                     terms = _product(data[at, None], terms)
-                out[keys[at]] += terms
+                if first:
+                    terms = terms.astype(out.dtype, copy=False)
+                    out[keys[at]] = np.add(terms, 0.0, out=terms)
+                else:
+                    out[keys[at]] += terms
         return out
 
     def _matmul_csc(self, other: CSC) -> CSC:
@@ -298,23 +305,46 @@ class CSC:
         order = np.lexsort((cols, self.indices))
         return self.indices[order], cols[order], self.data[order]
 
+    def _row_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, conj(A[r, a]), A[r, b]) for every ordered pair of entries in one
+        row r, rows ascending: the terms of A^H A. Their number is the sum of the
+        squared row counts, never the number of rows."""
+        rows, cols, vals = self.row_major()
+        # the row-major entries grouped by row, like columns under an indptr
+        ptr = np.r_[np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]), rows.size]
+        group = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        right, left = column_entries(ptr, group)
+        return cols[left], cols[right], np.conj(vals[left]), vals[right]
+
     def gram(self) -> np.ndarray:
         """Dense A^H A from the stored entries, without the transpose's indptr.
 
         Entry (a, b) sums conj(A[r, a]) * A[r, b] over the rows r the two
         columns share, ascending, as scipy's `(A.conj().T @ A).toarray()` does.
-        The work and memory are those of the row-sharing pairs, never of the
-        number of rows.
         """
         n = self.shape[1]
-        rows, cols, vals = self.row_major()
-        # the row-major entries grouped by row, like columns under an indptr
-        ptr = np.r_[np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]), rows.size]
-        group = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-        # every ordered pair (left, right) of entries in one row, rows ascending
-        right, left = column_entries(ptr, group)
-        keys = cols[left] * n + cols[right]
-        return _sum_products(keys, np.conj(vals[left]), vals[right], n * n).reshape(n, n)
+        a, b, left, right = self._row_pairs()
+        return _sum_products(a * n + b, left, right, n * n).reshape(n, n)
+
+    def gram_gaps(self, labels: np.ndarray | None = None) -> np.ndarray:
+        """||G_g - I||_F for each label g = 0, 1, ..., where G_g is the block of
+        G = A^H A between the columns labelled g (all columns label 0 by default).
+
+        Only the entries of G that some row gives are formed; a column with no
+        entries has G[a, a] = 0, so it adds 1 to its label's squared gap. When no
+        row joins two labels, the squared gaps add up to ||G - I||_F^2.
+        """
+        n = self.shape[1]
+        labels = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels)
+        size = int(labels.max(initial=0)) + 1
+        a, b, left, right = self._row_pairs()
+        same = labels[a] == labels[b]
+        keys, inverse = np.unique(a[same] * n + b[same], return_inverse=True)
+        gram = _sum_products(inverse, left[same], right[same], keys.size)
+        a, b = np.divmod(keys, max(n, 1))
+        gram[a == b] -= 1.0
+        squares = np.bincount(labels[a], gram.real**2 + gram.imag**2, minlength=size)
+        return np.sqrt(squares + np.bincount(labels[np.diff(self.indptr) == 0], minlength=size))
 
 
 def as_csc(obj) -> CSC:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import DilationInexactError, WindowError
-from .fock import TruncatedFockSpace, apply_annihilation, apply_creation
+from .fock import TruncatedFockSpace, apply_creation, creation_basis_map
 from .linalg import op_norm
 from .odometer import (
     OdometerMap,
@@ -199,27 +199,29 @@ def poisson_kernel(
     if defect_dim == 0:
         raise ValueError("zero defect space: the row contraction is a coisometry")
 
-    # D in the defect basis; the rows of word i.mu are those of mu times T_i*
-    levels = [gaps[keep][:, None] * basis.conj().T]
+    # D in the defect basis; the rows of word i.mu are those of mu times T_i*, each
+    # level written in place below the one before it
+    pi = np.empty((space.dim, t.dim), dtype=complex)
+    pi[:defect_dim] = gaps[keep][:, None] * basis.conj().T
     adjoints = [t_i.conj().T for t_i in t.tuples]
-    for _ in range(max_level):
-        levels.append(np.vstack([levels[-1] @ adj for adj in adjoints]))
-    pi = np.vstack(levels)
+    for m in range(max_level):
+        prev, below = pi[space.level_slice(m)], pi[space.level_slice(m + 1)]
+        for i, adj in enumerate(adjoints):
+            np.matmul(prev, adj, out=below[i * len(prev) : (i + 1) * len(prev)])
     gram = pi.conj().T @ pi
     isometry_defect = float(np.abs(gram - np.eye(t.dim)).max())
     return DilationData(space, defect_dim, basis, pi, purity_residual, isometry_defect)
 
 
 def intertwining_residuals(data: DilationData, t: RowContraction) -> tuple[float, ...]:
-    """Residuals of Pi T_i* = (S_i x I)* Pi on rows below the top level."""
+    """Residuals of Pi T_i* = (S_i x I)* Pi on rows below the top level, where
+    row r of (S_i x I)* Pi is the row of Pi at the image of r under S_i x I."""
     space = data.space
     space.require_dense()
-    rows = space.dim_upto(space.max_level - 1) if space.max_level >= 1 else 0
-    out = []
-    for i in range(1, t.n + 1):
-        diff = data.poisson @ t.tuples[i - 1].conj().T - apply_annihilation(space, i, data.poisson)
-        out.append(op_norm(diff[:rows, :]))
-    return tuple(out)
+    rows = np.arange(space.dim_upto(space.max_level - 1))
+    low = data.poisson[: rows.size]
+    return tuple(op_norm(low @ t_i.conj().T - data.poisson[creation_basis_map(space, i, rows)])
+                 for i, t_i in enumerate(t.tuples, 1))
 
 
 @dataclass(frozen=True)
@@ -292,11 +294,14 @@ def odometer_lift(
     space = data.space
     d = data.defect_dim
     pi = data.poisson
-    lift_matrix = pi @ (pair.w @ pi.conj().T[:, :d])
+    lift_matrix = pi @ (pair.w @ pi[:d].conj().T)
     symbol = symbol_from_dense(space, lift_matrix, prune=1e-13)
     wmap = build_odometer(symbol)
     # a symbol's support degree is at most its top level, so the window is never empty
     window = space.max_level - symbol.support_degree
-    diff = pi @ pair.w.conj().T - wmap.operator.csc.H @ pi
-    residual = op_norm(diff[: space.dim_upto(window), :])
+    rows = space.dim_upto(window)
+    # W_lift* Pi first: its dense product's temporaries are the peak, so Pi W* is
+    # not yet held, and the difference is taken in its place
+    diff = wmap.operator.csc.H[:rows, :] @ pi
+    residual = op_norm(np.subtract(pi[:rows] @ pair.w.conj().T, diff, out=diff))
     return LiftResult(symbol, wmap, data, residual, window)

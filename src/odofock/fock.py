@@ -44,7 +44,9 @@ class TruncatedFockSpace:
             )
 
     def level_offset(self, level: int) -> int:
-        """Word index of the first level-`level` word."""
+        """Word index of the first level-`level` word; a level below 0 is refused."""
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
         if self.n == 1:
             return level
         return (self.n**level - 1) // (self.n - 1)
@@ -58,7 +60,7 @@ class TruncatedFockSpace:
         return self.num_words * self.coeff_dim
 
     def dim_upto(self, level: int) -> int:
-        """Dimension of the subspace spanned by levels 0..level."""
+        """Dimension of the subspace spanned by levels 0..level; 0 for level -1."""
         return self.level_offset(level + 1) * self.coeff_dim
 
     def level_slice(self, level: int) -> slice:
@@ -188,10 +190,23 @@ def apply_creation(space: TruncatedFockSpace, letter: int, x: np.ndarray | CSC) 
     return out
 
 
-def apply_annihilation(space: TruncatedFockSpace, letter: int, x: np.ndarray) -> np.ndarray:
+def apply_annihilation(space: TruncatedFockSpace, letter: int,
+                       x: np.ndarray | CSC) -> np.ndarray | CSC:
     """(S_letter x I)* x for a dense x with D rows: row r below level M is the row
     at the image of r, added into zeros; the level-M rows are 0. S_letter is
-    real, so x (S_letter x I) is `apply_annihilation(space, letter, x.T).T`."""
+    real, so x (S_letter x I) is `apply_annihilation(space, letter, x.T).T`.
+    A `CSC` x keeps the entries on words that begin with the letter, each moved
+    to the word without it, as the sparse product gives them."""
+    if isinstance(x, CSC):
+        d, offsets = space.coeff_dim, space.level_offsets()
+        word, p = np.divmod(x.indices.astype(np.int64), d)
+        level = space.word_levels(word)
+        # the first letter is the most significant base-n digit of the position
+        below = np.int64(space.n) ** np.maximum(level - 1, 0)
+        first, rest = np.divmod(word - offsets[level], below)
+        keep = (level > 0) & (first == letter - 1) & (x.data != 0)
+        rows = (offsets[level[keep] - 1] + rest[keep]) * d + p[keep]
+        return CSC.from_triplets(rows, x.entry_cols[keep], x.data[keep] + 0.0, x.shape)
     low = space.dim_upto(space.max_level - 1)
     out = np.zeros(x.shape, dtype=np.result_type(x, complex))
     out[:low] += x[creation_basis_map(space, letter, np.arange(low))]

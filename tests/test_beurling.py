@@ -35,6 +35,7 @@ from odofock import (
     wandering_subspace,
 )
 from odofock import beurling
+from odofock.csc import CSC
 from odofock.fock import apply_annihilation, apply_creation
 from odofock.linalg import _certified_kernel, _rank_split, canonical_basis, orthonormal_columns
 
@@ -330,6 +331,56 @@ def test_wandering_subspace_is_computed_once_per_subspace(monkeypatch):
         assert calls == Counter()
         assert wander is sub.wandering_basis and fact.wandering_basis is wander
         assert result.intertwining_residual <= 1e-10
+
+
+def test_graded_subspaces_are_decided_from_the_basis_entries(monkeypatch):
+    # a unit vector on level 1 and its creation images are orthonormal and graded:
+    # the basis gap, the creation defects and each level's overlap come from the
+    # entries, and every overlap above the generator is an isometry, so no SVD
+    # and no eigh runs; the subspace stores the entries of its basis
+    calls = Counter()
+
+    def counting(name, decomposition):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return decomposition(*args, **kwargs)
+        return counted
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(2103)
+    space = TruncatedFockSpace(2, 6, 1)
+    columns = mixed_level_columns(space, (1,), rng)
+    columns /= np.linalg.norm(columns[:, 0])
+    sub = invariant_subspace(space, columns)
+    assert calls == Counter()
+    assert sub.levels is not None and sub.wandering_basis.shape == (space.dim, 1)
+    assert max(sub.invariance_residuals) <= 1e-12
+    # the entries are those of the basis whether C was orthonormal or took an SVD
+    unnormalized = invariant_subspace(space, mixed_level_columns(space, (1, 2), rng))
+    for graded in (sub, levels_subspace(space, 1), unnormalized):
+        entries = CSC.from_dense(graded.basis)
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(graded.entries, name), getattr(entries, name))
+        assert same_bits(graded.entries.data, entries.data)
+    turned = columns @ haar_unitary(columns.shape[1], rng)
+    assert invariant_subspace(space, turned).entries is None
+
+
+def test_graded_subspace_peaks_below_one_dense_level_gram():
+    # n = 2, M = 10: the top level alone has 1024 identity columns, whose dense
+    # Gram takes 16 MB; the entries hold one value per column
+    space = TruncatedFockSpace(2, 10, 1)
+    columns = levels_subspace(space, 1).basis
+    tracemalloc.start()
+    try:
+        sub = invariant_subspace(space, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.levels is not None and max(sub.invariance_residuals) == 0.0
+    assert sub.wandering_basis.shape == (space.dim, 2)
+    assert peak < 1024**2 * 16, f"invariant_subspace peaked at {peak / 2**20:.1f} MB"
 
 
 def test_one_dimensional_column_is_one_generator():

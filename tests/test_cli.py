@@ -416,6 +416,17 @@ def test_gen_example_defaults(capsys):
     assert code == 0 and report["passed"]
 
 
+def test_weak_bishift_witness_is_read_from_the_symbol_entries(capsys):
+    # D = 24573 is above the dense limit; the witness needs one entry per column
+    code, report = run(capsys, "gen-example", "weak-bishift", "--d", "3", "--level", "12")
+    assert code == 0 and report["passed"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["witness_residual"]["residual"] == 0.0
+    for d, level in [(1, 3), (2, 4), (3, 4), (3, 5), (4, 6)]:
+        witness = gallery_weak_bishift(d, level).checks["witness_residual"]
+        assert witness == 0.0 and not np.signbit(witness)
+
+
 def test_env_tolerance_changes_neither_tol_nor_verdict(tmp_path, capsys, monkeypatch):
     # a symbol whose isometry defect sits between the loose and strict settings
     space = TruncatedFockSpace(2, 3, 1)

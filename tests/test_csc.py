@@ -179,3 +179,42 @@ def test_matrix_views_share_the_stored_arrays(tmp_path):
     # a dense input gives int32 indices, entries built from int64 coordinates int64, as in scipy
     assert symbol.matrix.indices.dtype == sparse.csc_array(symbol.matrix.toarray()).indices.dtype
     assert op.matrix.indices.dtype == np.int64
+
+
+def strided_from_dense(arr) -> CSC:
+    """The nonzero entries by the strided scan of the transpose itself."""
+    cols, rows = np.nonzero(arr.T)
+    return CSC._sorted(rows, cols, arr[rows, cols], arr.shape, np.int32)
+
+
+def test_from_dense_scans_a_mask_with_the_strided_scans_result():
+    rng = np.random.default_rng(2102)
+    values = random_values(6 * 5, rng).reshape(6, 5)
+    values[rng.random(values.shape) < 0.3] = 0.0
+    values[1, 2], values[4, 0] = complex(np.nan, 0.0), complex(0.0, np.nan)
+    values[2, 3], values[3, 3] = np.nan, complex(-0.0, -0.0)
+    signed = np.array([[-0.0, 1.0], [np.nan, -0.0], [0.0, -2.5]])
+    cases = [values, np.asfortranarray(values), values[::2, 1:], values.real.copy(), signed,
+             np.asfortranarray(signed), np.zeros((0, 4), dtype=complex), np.zeros((3, 0)),
+             np.zeros((0, 0)), np.zeros((4, 3))]
+    for arr in cases:
+        ours, old = CSC.from_dense(arr), strided_from_dense(arr)
+        assert ours.shape == old.shape == arr.shape
+        for name in ("indptr", "indices"):
+            got, want = getattr(ours, name), getattr(old, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert ours.data.dtype == old.data.dtype and same_bits(ours.data, old.data)
+
+
+@given(shapes, seeds, densities, st.integers(1, 3))
+def test_gram_gaps_match_the_dense_gram(shape, seed, density, groups):
+    rng = np.random.default_rng(seed)
+    ours, _ = pair(shape, density, rng)
+    labels = rng.integers(groups, size=shape[1])
+    deviation = ours.gram() - np.eye(shape[1])
+    gaps = ours.gram_gaps(labels)
+    assert gaps.shape == (labels.max() + 1,)
+    for g in range(gaps.size):
+        block = deviation[np.ix_(labels == g, labels == g)]
+        assert abs(gaps[g] - np.linalg.norm(block)) <= 1e-12 * max(1.0, gaps[g])
+    assert abs(ours.gram_gaps()[0] - np.linalg.norm(deviation)) <= 1e-12 * max(1.0, gaps.max())

@@ -1,7 +1,9 @@
 """Purity, Poisson kernels, compressions, and odometer lifts."""
 
 import itertools
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from odofock import (
     scalar_symbol,
     verify_pair,
 )
+from odofock.fock import apply_annihilation
 
 
 def zero_row(n, dim):
@@ -308,6 +311,37 @@ def test_lift_roundtrip_reproduces_compression():
     lift_norm = op_norm(lift.wmap.operator)
     assert w_norm <= lift_norm + 1e-10
     assert lift_norm <= 1.0 + w_norm + 1e-10
+
+
+def test_residuals_taken_on_their_rows_match_the_full_products():
+    # the intertwining residual gathers the rows below the top level through the
+    # creation map, and the lift forms its difference on the window rows only;
+    # both read as the full D-row products cut to those rows
+    rng = np.random.default_rng(2101)
+    t = random_pure_row_contraction(2, 3, rng, row_norm=0.1)
+    data = poisson_kernel(t, 5)
+    space = data.space
+    rows = space.dim_upto(space.max_level - 1)
+    noise = rng.standard_normal(data.poisson.shape) + 1j * rng.standard_normal(data.poisson.shape)
+    for kernel in (data, replace(data, poisson=data.poisson + 1e-3 * noise)):
+        pi = kernel.poisson
+        full = [op_norm((pi @ t_i.conj().T - apply_annihilation(space, i, pi))[:rows])
+                for i, t_i in enumerate(t.tuples, 1)]
+        assert np.allclose(intertwining_residuals(kernel, t), full, rtol=1e-12, atol=1e-16)
+    pair = compress_pair(random_symbol(TruncatedFockSpace(2, 6, 1), 2, rng), 2)
+    tracemalloc.start()
+    try:
+        lift = odometer_lift(pair, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pi, window = lift.dilation.poisson, lift.window
+    assert window < lift.dilation.space.max_level
+    full = pi @ pair.w.conj().T - lift.wmap.operator.matrix.conj().T @ pi
+    expected = op_norm(full[: lift.dilation.space.dim_upto(window)])
+    assert abs(lift.intertwining_residual - expected) <= 1e-15
+    # no D x h copy of the adjoint kernel, and no difference over rows outside the window
+    assert peak < 5 * pi.nbytes, f"odometer_lift peaked at {peak / pi.nbytes:.1f} kernels"
 
 
 def test_model_space_invariance_under_adjoints():

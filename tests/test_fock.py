@@ -150,6 +150,18 @@ def test_spaces_beyond_int64_indices_are_refused(n, max_level, coeff_dim):
         TruncatedFockSpace(n, max_level, coeff_dim)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_negative_level_has_no_offset(n):
+    # level -1 used to read -1 for n = 1 and -1.0 for n >= 2; dim_upto(-1) is the
+    # empty span below level 0
+    space = TruncatedFockSpace(n, 3, 2)
+    for level in (-1, -2):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            space.level_offset(level)
+    assert space.dim_upto(-1) == 0 and isinstance(space.dim_upto(-1), int)
+    assert space.level_offset(0) == 0 and space.dim_upto(0) == 2
+
+
 def test_a_space_just_inside_int64_keeps_exact_indices():
     # n = 2, M = 61: 2^62 - 1 words; the offsets and the carry stay in int64 range
     space = TruncatedFockSpace(2, 61, 1)
@@ -208,9 +220,11 @@ def test_creation_gathers_and_scatters_match_the_sparse_products(n, max_level, d
         ]
         for got, want in pairs:
             assert same_bits(got, want) and same_layout(got, want)
-        want = (s @ a).tocsc()
-        want.sort_indices()
-        assert same_csc(apply_creation(space, letter, as_csc(a)).scipy_view(), want)
+        for got, want in [(apply_creation(space, letter, as_csc(a)), (s @ a).tocsc()),
+                          (apply_annihilation(space, letter, as_csc(a)),
+                           (s.conj().T @ a).tocsc())]:
+            want.sort_indices()
+            assert same_csc(got.scipy_view(), want)
 
 
 def test_the_package_applies_creation_operators_by_their_index_maps():
