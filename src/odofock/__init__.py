@@ -30,7 +30,7 @@ from .classify import (
     off_vacuum_residual,
     surjectivity_defect,
 )
-from .config import MAX_DENSE_DIM
+from .config import MAX_DENSE_DIM, Check, Verdict
 from .dilation import (
     ContractivePair,
     DilationData,

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import Check, Verdict, resolve_tol
 from .csc import CSC, identity
 from .errors import InvarianceError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation, creation_basis_map
@@ -44,14 +44,14 @@ from .odometer import OdometerMap, Symbol, build_odometer, symbol_from_dense
 
 
 @dataclass(frozen=True)
-class InvariantSubspace:
+class InvariantSubspace(Verdict):
     """An orthonormal column basis of a creation-invariant subspace S.
 
     `wandering_basis` spans S minus the creation images sum_i (S_i x I) S.
     Both ranks are decided once, at the tolerance the subspace was built with.
     `levels` is the level of each basis column if it is graded (`_column_levels`),
     and `entries` the basis's nonzero entries, `CSC.from_dense(basis)`; both None
-    on a basis that is not graded.
+    on a basis that is not graded. `checks` holds the worst invariance residual.
     """
 
     ambient: TruncatedFockSpace
@@ -82,11 +82,10 @@ def invariant_subspace(
     basis (kernel of stacked Q^H S_i* Q). Columns C with ||C^H C - I||_F <= tol
     have singular values within sqrt(1 -+ tol), so Q is C, orthonormal to that
     accuracy; other columns take a thin SVD. With no vector below the top level
-    the invariance check tests nothing: it is vacuous, its residuals NaN.
-    The columns are read once, into a `CSC`. Graded columns (`_column_levels`)
-    are decided from those entries; others over the whole dense basis, both
-    kernels `_certified_kernel`s. Either way the wandering basis is put in the
-    gauge of `canonical_basis`.
+    the invariance residuals are NaN (see `Check`). The columns are read once,
+    into a `CSC`. Graded columns (`_column_levels`) are decided from those
+    entries; others over the whole dense basis, both kernels `_certified_kernel`s.
+    Either way the wandering basis is put in the gauge of `canonical_basis`.
     """
     tol = resolve_tol(tol)
     space.require_dense()
@@ -105,7 +104,7 @@ def invariant_subspace(
         entries = None
         gap = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
         basis = cols if gap <= tol < 0.5 else orthonormal_columns(cols, tol)
-        low = space.dim_upto(space.max_level - 1)
+        low = space.dim_upto(space.window(1))
         interior = basis @ _certified_kernel(basis[low:], tol)
         letters = range(1, space.n + 1)
         images = (apply_creation(space, i, interior) for i in letters)
@@ -114,7 +113,9 @@ def invariant_subspace(
         overlap = np.vstack([basis.conj().T @ apply_annihilation(space, i, basis)
                              for i in letters])
         wandering = basis @ _certified_kernel(overlap, tol)
-    return InvariantSubspace(space, basis, residuals, canonical_basis(wandering), levels, entries)
+    check = Check("creation_invariance", max(residuals), tol)
+    return InvariantSubspace((check,), space, basis, residuals, canonical_basis(wandering), levels,
+                             entries)
 
 
 def _column_levels(space: TruncatedFockSpace, columns: np.ndarray | CSC) -> np.ndarray | None:
@@ -221,7 +222,7 @@ def wandering_subspace(sub: InvariantSubspace, tol: float | None = None) -> np.n
 
 
 @dataclass(frozen=True)
-class BeurlingFactorization:
+class BeurlingFactorization(Verdict):
     """Inner multi-analytic factorization S = Phi(F(n, budget) x E_*).
 
     `phi` maps the wandering-coefficient Fock truncation into the ambient
@@ -285,7 +286,7 @@ def beurling_factorize(sub: InvariantSubspace, tol: float | None = None,
     entries = CSC.from_dense(wandering_basis)
     live = entries.indices[np.abs(entries.data) > (0.0 if graded else 1e-14)]
     star_level = space.level_of_word_index(int(live.max()) // space.coeff_dim) if live.size else 0
-    budget = space.max_level - star_level
+    budget = space.window(star_level)
     if budget < 1:
         raise WindowError(
             f"wandering vectors at level {star_level} leave no room for any word "
@@ -295,12 +296,13 @@ def beurling_factorize(sub: InvariantSubspace, tol: float | None = None,
     phi = _place_phi(space, domain, entries)
     inner_residual = op_norm(phi.H @ phi - identity(domain.dim))
     # Phi (S_i x I) - (S_i x I) Phi on the domain columns below the budget level
-    low = np.arange(domain.dim_upto(budget - 1))
+    low = np.arange(domain.dim_upto(domain.window(1)))
     ma_residual = max(op_norm(phi[:, creation_basis_map(domain, i, low)]
                               - apply_creation(space, i, phi[:, : low.size]))
                       for i in range(1, space.n + 1))
-    return BeurlingFactorization(sub, wandering_basis, domain, phi, inner_residual, ma_residual,
-                                 domain.dim == sub.dim)
+    checks = (Check("inner", inner_residual, tol), Check("multi_analytic", ma_residual, tol))
+    return BeurlingFactorization(checks, sub, wandering_basis, domain, phi, inner_residual,
+                                 ma_residual, domain.dim == sub.dim)
 
 
 def _place_phi(space: TruncatedFockSpace, domain: TruncatedFockSpace, entries: CSC) -> CSC:
@@ -324,18 +326,14 @@ def _place_phi(space: TruncatedFockSpace, domain: TruncatedFockSpace, entries: C
 
 
 @dataclass(frozen=True)
-class InducedSymbolResult:
-    """An empty window (window < 0) tests nothing: the check is vacuous, its residual NaN."""
+class InducedSymbolResult(Verdict):
+    """The induced symbol, with its intertwining check (see `Check`)."""
 
     symbol: Symbol
     wmap: OdometerMap
     factorization: BeurlingFactorization
     intertwining_residual: float
     window: int
-
-    @property
-    def vacuous(self) -> bool:
-        return self.window < 0
 
 
 def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None = None,
@@ -347,8 +345,7 @@ def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None 
     the subspace, from the stored basis entries on a graded basis). The induced
     symbol is the wandering compression Phi^H W E of W, and the reported
     residual is the exact norm of W Phi - Phi W_induced on the columns the word
-    budget keeps exact. With no such column the check is vacuous and the
-    residual is NaN.
+    budget keeps exact, NaN when there is none.
     """
     tol = resolve_tol(tol)
     space = sub.ambient
@@ -365,13 +362,14 @@ def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None 
     symbol = symbol_from_dense(domain, phi.H @ (w @ fact.wandering_basis), prune=1e-13)
     induced_map = build_odometer(symbol)
 
-    window = domain.max_level - max(symbol.support_degree, wmap.symbol.support_degree)
+    window = domain.window(max(symbol.support_degree, wmap.symbol.support_degree))
     residual = float("nan")
     if window >= 0:
         exact = slice(0, domain.dim_upto(window))
         residual = op_norm(w @ phi[:, exact] - phi @ induced_map.operator.csc[:, exact])
     fact_with_symbol = replace(fact, induced_symbol=symbol)
-    return InducedSymbolResult(symbol, induced_map, fact_with_symbol, residual, window)
+    check = Check("induced_intertwining", residual, tol, window)
+    return InducedSymbolResult((check,), symbol, induced_map, fact_with_symbol, residual, window)
 
 
 def _graded_odometer_defect(sub: InvariantSubspace, w: CSC, support: int) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import Check, Verdict, resolve_tol
 from .csc import CSC, identity
 from .errors import NotIsometricError
 from .linalg import _rank_split, op_norm, orthonormal_columns
@@ -39,8 +39,7 @@ WINDOW_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
-class IsometryCheck:
-    passed: bool
+class IsometryCheck(Verdict):
     isometry_residual: float
     e1_support_residual: float
     gram_residual: float
@@ -49,16 +48,14 @@ class IsometryCheck:
 
 
 @dataclass(frozen=True)
-class NicaCheck:
-    passed: bool
+class NicaCheck(Verdict):
     nica_residual: float
     relation_residual: float
     window: int
 
 
 @dataclass(frozen=True)
-class UnitaryCheck:
-    passed: bool
+class UnitaryCheck(Verdict):
     is_constant_symbol: bool
     surjectivity_defect: int
     block_unitary_residual: float
@@ -148,7 +145,8 @@ def _window(symbol: Symbol, cols: np.ndarray) -> _Window:
     space = symbol.space
     words = min(space.level_offset(symbol.exact_below), max(WINDOW_COLUMNS // cols.size, 1))
     basis_cols = (np.arange(words)[:, None] * space.coeff_dim + cols).ravel()
-    level = int(space.word_levels(words)) - 1
+    # the level of the first word left out is the first level not held whole
+    level = space.window(1, int(space.word_levels(words)))
     return _Window(cols, words, level, *_odometer_columns(symbol, basis_cols))
 
 
@@ -173,8 +171,10 @@ def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray):
     w = window.csc()
     defect = w.H @ w - identity(w.shape[1])
     probe_res = float(np.abs(defect.data).max(initial=0.0))
-    passed = iso_res <= tol and off_res <= tol and gram_res <= tol and probe_res <= tol
-    check = IsometryCheck(passed, iso_res, off_res, gram_res, probe_res, structure.window)
+    checks = (Check("isometry_gram", iso_res, tol), Check("ones_support", off_res, tol),
+              Check("shifted_correlations", gram_res, tol, structure.window),
+              Check("window_probes", probe_res, tol, window.level))
+    check = IsometryCheck(checks, iso_res, off_res, gram_res, probe_res, structure.window)
     return check, window, defect
 
 
@@ -235,8 +235,9 @@ def _nica(symbol: Symbol, tol: float, window: _Window, nica_res: float) -> NicaC
     )
     left = np.arange(both.rows.size) < stripped.size
     relation_res = op_norm((both.csc(left) - both.csc(~left)).H)
-    passed = nica_res <= tol and relation_res <= tol
-    return NicaCheck(passed, nica_res, relation_res, window.level)
+    checks = (Check("nica_residual", nica_res, tol),
+              Check("nica_relation", relation_res, tol, window.level))
+    return NicaCheck(checks, nica_res, relation_res, window.level)
 
 
 def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCheck:
@@ -264,8 +265,8 @@ def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None
     on a window of every coefficient column (the isometry check's, if it is
     one). B, the level-diagonal part of its entries, is block diagonal, so the
     exact sparse norm of B^H B - I is the largest norm of a level block's
-    defect. `vacuum` is (constancy, level-0 block, its corank), computed here
-    if not given. `gram` is the isometry check's W_P^H W_P - I on `window`:
+    defect. `vacuum` is (constancy check, level-0 block, its corank), computed
+    here if not given. `gram` is the isometry check's W_P^H W_P - I on `window`:
     with no entry off its level, B is W_P and that Gram is not formed again.
     """
     space = symbol.space
@@ -273,8 +274,8 @@ def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None
     if window.cols.size < d:
         window, gram = _window(symbol, np.arange(d)), None
     if vacuum is None:
-        vacuum = (off_vacuum_residual(symbol) <= tol, *_level0(symbol, tol))
-    is_constant, block, defect = vacuum
+        vacuum = (Check("constant_symbol", off_vacuum_residual(symbol), tol), *_level0(symbol, tol))
+    constant, block, defect = vacuum
     eye = np.eye(d)
     block_res = max(op_norm(block.conj().T @ block - eye), op_norm(block @ block.conj().T - eye))
     col_level = space.word_levels(window.js // d)
@@ -286,8 +287,10 @@ def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None
     off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
     defect_res = op_norm(gram)
     level_res = max(defect_res, float(np.sqrt(off_mass.max(initial=0.0))))
-    passed = is_constant and defect == 0 and block_res <= tol and level_res <= tol
-    return UnitaryCheck(passed, is_constant, defect, block_res, level_res, window.level)
+    checks = (constant, Check("surjectivity_defect", float(defect), 0.0),
+              Check("level0_block_unitary", block_res, tol),
+              Check("level_blocks_unitary", level_res, tol, window.level))
+    return UnitaryCheck(checks, constant.passed, defect, block_res, level_res, window.level)
 
 
 def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> UnitaryCheck:
@@ -314,7 +317,7 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
     cols = _column_indices(symbol, columns)
     iso, window, gram = _isometry_check(symbol, tol, cols)
     nica_res = off_vacuum_residual(symbol, cols)
-    is_constant = off_vacuum_residual(symbol) <= tol
+    constant = Check("constant_symbol", off_vacuum_residual(symbol), tol)
     block, defect = _level0(symbol, tol)
     residuals = {
         "gram_residual": iso.gram_residual,
@@ -327,10 +330,10 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
     selected = None if columns is None else tuple(int(c) for c in cols)
     if not iso.passed:
         return ClassificationReport(
-            False, False, False, is_constant, residuals, iso.window, selected
+            False, False, False, constant.passed, residuals, iso.window, selected
         )
     nica = _nica(symbol, tol, window, nica_res)
-    uni = _unitary(symbol, tol, window, (is_constant, block, defect), gram)
+    uni = _unitary(symbol, tol, window, (constant, block, defect), gram)
     residuals["relation_residual"] = nica.relation_residual
     residuals["block_unitary_residual"] = uni.block_unitary_residual
     residuals["level_block_residual"] = uni.level_block_residual

@@ -1,4 +1,7 @@
-"""Package-wide numeric defaults."""
+"""Package-wide numeric defaults and the one check record every verdict is made of."""
+
+import math
+from dataclasses import dataclass
 
 # Largest space dimension on which operators are built. W and its adjoint are
 # CSC arrays with O(D) entries, creation operators act through index maps, and
@@ -20,3 +23,46 @@ def resolve_tol(tol: float | None) -> float:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return tol
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named residual against a tolerance, on the window it measured; `passed`
+    is the one pass rule. A negative window holds no column, so the check fails
+    whatever else it carries; else a given `verdict` decides (a conjunction or an
+    expectation match, not a residual bound); else the residual must be finite and
+    at most the tolerance. `error` names the exception a failing check stands for."""
+
+    name: str
+    residual: float | None
+    tolerance: float | None
+    window: int | None = None
+    verdict: bool | None = None
+    error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        if self.window is not None and self.window < 0:
+            return False
+        if self.verdict is not None:
+            return bool(self.verdict)
+        return (self.residual is not None and math.isfinite(self.residual)
+                and bool(self.residual <= self.tolerance))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A result decided by its `checks`, in report order: it passes when every one
+    of them does, and is vacuous when one of them measured nothing: its window
+    is empty or its residual NaN."""
+
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
+    @property
+    def vacuous(self) -> bool:
+        return any((c.window is not None and c.window < 0)
+                   or (c.residual is not None and math.isnan(c.residual)) for c in self.checks)

@@ -24,12 +24,12 @@ largest diagonal entry of Phi^(M+1)(I).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import Check, Verdict, resolve_tol
 from .errors import DilationInexactError, WindowError
 from .fock import TruncatedFockSpace, apply_creation, creation_basis_map
 from .linalg import op_norm
@@ -102,17 +102,18 @@ class ContractivePair:
 
 
 @dataclass(frozen=True)
-class PurityResult:
+class PurityResult(Verdict):
     """Purity verdict with the traces r_m = trace(Phi^m(I)) of each step m.
 
     `bound` is q >= ||Phi^m(I)|| at the last step m; `level_needed` is the
     smallest Poisson level M with q^floor((M+1)/m) <= tol, None if not pure.
     """
 
-    pure: bool
     residuals: tuple[float, ...]
     bound: float
     level_needed: int | None
+
+    pure = Verdict.passed
 
 
 def purity_test(t: RowContraction, tol: float | None = None) -> PurityResult:
@@ -134,11 +135,12 @@ def purity_test(t: RowContraction, tol: float | None = None) -> PurityResult:
             break
     else:
         bound = op_norm(x)
-    if bound > 1.0 - tol:
-        return PurityResult(False, tuple(residuals), bound, None)
+    check = Check("purity", bound, 1.0 - tol)
+    if not check.passed:
+        return PurityResult((check,), tuple(residuals), bound, None)
     # the least power k with q^k <= tol; log1p keeps log q accurate near q = 1
     k = 1 if bound <= tol else math.ceil(math.log(tol) / math.log1p(bound - 1.0))
-    return PurityResult(True, tuple(residuals), bound, k * len(residuals) - 1)
+    return PurityResult((check,), tuple(residuals), bound, k * len(residuals) - 1)
 
 
 @dataclass(frozen=True)
@@ -218,15 +220,25 @@ def intertwining_residuals(data: DilationData, t: RowContraction) -> tuple[float
     row r of (S_i x I)* Pi is the row of Pi at the image of r under S_i x I."""
     space = data.space
     space.require_dense()
-    rows = np.arange(space.dim_upto(space.max_level - 1))
+    rows = np.arange(space.dim_upto(space.window(1)))
     low = data.poisson[: rows.size]
     return tuple(op_norm(low @ t_i.conj().T - data.poisson[creation_basis_map(space, i, rows)])
                  for i, t_i in enumerate(t.tuples, 1))
 
 
+def dilation_checks(data: DilationData, t: RowContraction,
+                    tol: float | None = None) -> tuple[Check, ...]:
+    """The kernel's purity tail and isometry defect, then `intertwining_residuals`
+    on the rows below the top level (none at level 0)."""
+    tol, window = resolve_tol(tol), data.space.window(1)
+    return (Check("purity_tail", data.purity_residual, tol),
+            Check("kernel_isometry_defect", data.isometry_defect, tol),
+            *(Check(f"intertwining_{i}", res, tol, window)
+              for i, res in enumerate(intertwining_residuals(data, t), 1)))
+
+
 @dataclass(frozen=True)
-class PairCheck:
-    passed: bool
+class PairCheck(Verdict):
     relation_residuals: tuple[float, ...]
     purity: PurityResult
 
@@ -238,8 +250,9 @@ def verify_pair(pair: ContractivePair, tol: float | None = None) -> PairCheck:
     residuals = [op_norm(w @ t.tuples[i] - t.tuples[i + 1]) for i in range(t.n - 1)]
     residuals.append(op_norm(w @ t.tuples[-1] - t.tuples[0] @ w))
     purity = purity_test(t, tol=tol)
-    passed = purity.pure and all(r <= tol for r in residuals)
-    return PairCheck(passed, tuple(residuals), purity)
+    checks = (Check("pair_relations", max(residuals), tol),
+              replace(purity.checks[0], name="pair_purity"))
+    return PairCheck(checks, tuple(residuals), purity)
 
 
 def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
@@ -253,7 +266,7 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
     space = symbol.space
     if k < 0:
         raise ValueError("compression level must be >= 0")
-    if k > space.max_level - symbol.support_degree:
+    if k > space.window(symbol.support_degree):
         raise WindowError(
             f"levels <= {k} leave the exactness window "
             f"(support degree {symbol.support_degree}, top level {space.max_level})"
@@ -269,7 +282,7 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
 
 
 @dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Verdict):
     """Odometer lift of a contractive pair on its dilation space."""
 
     symbol: Symbol
@@ -298,10 +311,11 @@ def odometer_lift(
     symbol = symbol_from_dense(space, lift_matrix, prune=1e-13)
     wmap = build_odometer(symbol)
     # a symbol's support degree is at most its top level, so the window is never empty
-    window = space.max_level - symbol.support_degree
+    window = space.window(symbol.support_degree)
     rows = space.dim_upto(window)
     # W_lift* Pi first: its dense product's temporaries are the peak, so Pi W* is
     # not yet held, and the difference is taken in its place
     diff = wmap.operator.csc.H[:rows, :] @ pi
     residual = op_norm(np.subtract(pi[:rows] @ pair.w.conj().T, diff, out=diff))
-    return LiftResult(symbol, wmap, data, residual, window)
+    check = Check("lift_intertwining", residual, tol, window)
+    return LiftResult((check,), symbol, wmap, data, residual, window)

@@ -63,6 +63,11 @@ class TruncatedFockSpace:
         """Dimension of the subspace spanned by levels 0..level; 0 for level -1."""
         return self.level_offset(level + 1) * self.coeff_dim
 
+    def window(self, degree: int, top: int | None = None) -> int:
+        """The window a check names: the highest level that a map raising level by
+        `degree` keeps at or below `top` (default the top level); empty if negative."""
+        return (self.max_level if top is None else top) - degree
+
     def level_slice(self, level: int) -> slice:
         """Contiguous basis-index block of the level-`level` slice."""
         d = self.coeff_dim

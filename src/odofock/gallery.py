@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import ClassificationReport, classify, level0_block
-from .config import resolve_tol
+from .config import Check, Verdict, resolve_tol
 from .csc import CSC
 from .errors import CertificateError, NotIsometricError
 from .fock import TruncatedFockSpace, apply_annihilation
@@ -41,7 +41,7 @@ class LevelSpectrum:
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Verdict):
     per_level: tuple[LevelSpectrum, ...]
     max_gap: float
     unimodularity_residual: float
@@ -165,14 +165,17 @@ def spectrum_per_level(
 
     w = build_odometer(symbol).operator.csc
     base_eigs = np.linalg.eigvals(level0_block(symbol))
-    levels = []
+    levels, checks = [], []
     for m in range(max_level + 1):
         mu, eigs, residual = _level_cycle_spectrum(space, w, m)
         hausdorff = _ring_hausdorff(mu, base_eigs, space.n**m)
         levels.append(LevelSpectrum(m, eigs, _roots(base_eigs, space.n**m), hausdorff, residual))
+        checks += [Check(f"level_{m}_hausdorff", hausdorff, tol),
+                   Check(f"level_{m}_eigpair_residual", residual, tol, m)]
     all_eigs = np.concatenate([lv.eigenvalues for lv in levels])
     unimod = float(np.abs(np.abs(all_eigs) - 1.0).max())
-    return SpectrumReport(tuple(levels), max_angular_gap(all_eigs), unimod)
+    checks.append(Check("unimodularity", unimod, tol))
+    return SpectrumReport(tuple(checks), tuple(levels), max_angular_gap(all_eigs), unimod)
 
 
 def angle_histogram(points: np.ndarray, bins: int = 24, width: int = 50) -> list[str]:
@@ -189,7 +192,7 @@ def angle_histogram(points: np.ndarray, bins: int = 24, width: int = 50) -> list
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    """A named example with its constructed objects and verification data."""
+    """A named example with its constructed objects, verification data and report `verdicts`."""
 
     name: str
     parameters: dict
@@ -198,9 +201,10 @@ class GalleryEntry:
     expected: dict = field(default_factory=dict)
     checks: dict[str, float] = field(default_factory=dict)
     classification: ClassificationReport | None = None
+    verdicts: tuple[Check, ...] = ()
 
 
-def gallery_adding_machine(q: complex, size: int) -> GalleryEntry:
+def gallery_adding_machine(q: complex, size: int, tol: float | None = None) -> GalleryEntry:
     """Twisted adding machine on the truncated half-line sequence space.
 
     V_1 e_k = conj(q)^{2k} e_{2k}, V_2 e_k = conj(q)^{2k+1} e_{2k+1} and
@@ -209,6 +213,7 @@ def gallery_adding_machine(q: complex, size: int) -> GalleryEntry:
     satisfies the adjoint covariance relation exactly when q = 1. This lives
     on a plain sequence space, outside the Fock classification pipeline.
     """
+    tol = resolve_tol(tol)
     q = complex(q)
     if abs(abs(q) - 1.0) > 1e-12:
         raise ValueError(f"phase must be unimodular, got |q| = {abs(q)}")
@@ -232,17 +237,22 @@ def gallery_adding_machine(q: complex, size: int) -> GalleryEntry:
     rel2 = op_norm((w @ v2 - q * v1 @ w)[:, cols])
     nica = op_norm((w.conj().T @ v1 - v2 @ w.conj().T)[:, cols])
     twisted_nica = op_norm((w.conj().T @ v1 - qb * v2 @ w.conj().T)[:, cols])
+    expected = {"nica": abs(q - 1.0) <= 1e-12}
     return GalleryEntry(
         name="adding-machine",
         parameters={"q": q, "size": size, "window": window},
         operators={"v1": v1, "v2": v2, "w": w},
-        expected={"nica": abs(q - 1.0) <= 1e-12},
+        expected=expected,
         checks={
             "carry_relation": rel1,
             "twist_relation": rel2,
             "nica_relation": nica,
             "twisted_nica_relation": twisted_nica,
         },
+        verdicts=(Check("carry_relation", rel1, tol), Check("twist_relation", rel2, tol),
+                  Check("twisted_nica_relation", twisted_nica, tol),
+                  Check("nica_flag_matches_phase", nica, tol,
+                        verdict=Check("nica", nica, tol).passed == expected["nica"])),
     )
 
 
@@ -270,16 +280,22 @@ def gallery_weak_bishift(
         image = apply_annihilation(space, 1, symbol.csc[:, [m]])
         target = CSC.from_triplets([space.all_ones_index(m - 1) * d + m], [0], [1.0], image.shape)
         witness = max(witness, op_norm(image - target))
+    # the weak bi-shift property itself (trivial unitary part of the
+    # shift-decomposition) rests on machinery outside this package and is
+    # expected, not verified
+    expected = {"isometric": True, "nica": d == 1, "weak_bishift": "expected, unverified"}
     return GalleryEntry(
         name="weak-bishift",
         parameters={"d": d, "max_level": max_level, "n": n},
         symbol=symbol,
-        # the weak bi-shift property itself (trivial unitary part of the
-        # shift-decomposition) rests on machinery outside this package and is
-        # expected, not verified
-        expected={"isometric": True, "nica": d == 1, "weak_bishift": "expected, unverified"},
+        expected=expected,
         checks={"witness_residual": witness},
         classification=report,
+        verdicts=(Check("isometric", report.residuals["gram_residual"], tol,
+                        verdict=report.is_isometric),
+                  Check("nica_matches_expectation", report.residuals["nica_residual"], tol,
+                        verdict=report.is_nica == expected["nica"]),
+                  Check("witness_residual", witness, tol)),
     )
 
 
@@ -293,6 +309,7 @@ class GoldenRatioSequence:
     unit_tail_bound: float
     correlations: tuple[complex, ...]
     correlation_tail_bounds: tuple[float, ...]
+    verdicts: tuple[Check, ...]
 
 
 GOLDEN_OMEGA = (1.0 - math.sqrt(5.0)) / 2.0
@@ -339,8 +356,12 @@ def gallery_golden_ratio(
             continue
         corrs.append(complex(np.sum(coeffs[r:] * coeffs[: terms + 1 - r])))
         bounds.append(geom * abs(omega) ** (2 * terms - r))
+    # each partial sum is checked against its analytic tail, with one rounding to spare
+    verdicts = [Check("unit_sum_error", unit_error, unit_bound + 1e-15)]
+    verdicts += [Check(f"correlation_{r}", abs(corr), bound + 1e-15)
+                 for r, (corr, bound) in enumerate(zip(corrs, bounds), 1)]
     return GoldenRatioSequence(
-        coeffs, symbol, unit_error, unit_bound, tuple(corrs), tuple(bounds)
+        coeffs, symbol, unit_error, unit_bound, tuple(corrs), tuple(bounds), tuple(verdicts)
     )
 
 
@@ -361,11 +382,16 @@ def gallery_shift_symbol(
     symbol = constant_symbol(space, np.eye(d, k=-1, dtype=complex))
     interior = tuple(range(d - 1))
     report = classify(symbol, tol, columns=interior)
+    defect = float(report.residuals["surjectivity_defect"])
     return GalleryEntry(
         name="shift-symbol",
         parameters={"d": d, "n": n, "max_level": max_level, "interior_columns": interior},
         symbol=symbol,
         expected={"nica_on_interior": True, "unitary": False, "surjectivity_defect": 1},
-        checks={"surjectivity_defect": float(report.residuals["surjectivity_defect"])},
+        checks={"surjectivity_defect": defect},
         classification=report,
+        verdicts=(Check("nica_on_interior", report.residuals["nica_residual"], tol,
+                        verdict=report.is_nica),
+                  Check("not_unitary", defect, None,
+                        verdict=not report.is_unitary and defect == 1.0)),
     )

@@ -14,11 +14,13 @@ such as `entries`) in one pass. The loader checks tables as whole arrays.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from typing import Any
 
 import numpy as np
 
+from .config import Check
 from .csc import CSC
 from .dilation import ContractivePair, RowContraction
 from .errors import SchemaError
@@ -122,6 +124,27 @@ def subspace_to_json(space: TruncatedFockSpace, columns: np.ndarray) -> dict:
     _require(cols.shape[0] == space.dim, "subspace columns do not match the space dimension")
     return {"kind": "subspace", **_space_header(space),
             "columns": [_dense_flat(cols[:, j]) for j in range(cols.shape[1])]}
+
+
+def to_plain(value):
+    """`value` in plain JSON values: numpy scalars as Python ones, complex numbers
+    as [re, im], NaN as null, and a check as its name, residual, tolerance and
+    passed, with its window and error when set."""
+    if isinstance(value, Check):
+        optional = {"window": value.window, "error": value.error}
+        value = {"name": value.name, "residual": value.residual, "tolerance": value.tolerance,
+                 "passed": value.passed, **{k: v for k, v in optional.items() if v is not None}}
+    if isinstance(value, dict):
+        return {k: to_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.floating, float)):
+        return None if math.isnan(value) else float(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    return value
 
 
 def to_json(obj) -> dict:

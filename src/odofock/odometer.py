@@ -10,11 +10,11 @@ here tracks the exactness window: columns indexed by levels below
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import Check, Verdict, resolve_tol
 from .csc import CSC, as_csc, column_entries, identity
 from .errors import NotIsometricError
 from .fock import Operator, TruncatedFockSpace, apply_creation, carry_word_map, creation_basis_map
@@ -252,38 +252,30 @@ def build_odometer(symbol: Symbol) -> OdometerMap:
 
 
 @dataclass(frozen=True)
-class RepresentationCheck:
-    """Outcome of testing the carry and twist relations against a candidate W.
+class RepresentationCheck(Verdict):
+    """Outcome of testing the carry and twist relations against a candidate W (see `Check`)."""
 
-    An empty window (window < 0) tests nothing: the check is vacuous and
-    never counts as a representation.
-    """
-
-    is_representation: bool
     symbol: Symbol | None
-    residuals: dict[str, float] = field(default_factory=dict)
-    window: int = -1
+    residuals: dict[str, float]
+    window: int
 
-    @property
-    def vacuous(self) -> bool:
-        return self.window < 0
+    is_representation = Verdict.passed
 
 
 def verify_fock_representation(op: Operator, tol: float | None = None) -> RepresentationCheck:
     """Check W S_k = S_{k+1} (k < n) and W S_n = S_1 W on the exactness window.
 
-    Both relations are tested on basis columns of level <= min(M-1,
-    exact_below-2) so that no truncated column enters either side; each
-    residual is the norm of a sparse difference: W S_k gathers columns of W
-    and S_1 W relabels its rows. On success the unique symbol is read off the
-    vacuum columns; on failure the per-relation residual norms are returned.
-    A negative window makes the check vacuous, and a vacuous check never passes.
+    Both relations are tested on basis columns of level <= exact_below - 2,
+    whose images under S_k are exact columns of W; each residual is the norm
+    of a sparse difference: W S_k gathers columns of W and S_1 W relabels its
+    rows. On success the unique symbol is read off the vacuum columns. An
+    empty window is one failing `relations` check.
     """
     tol = resolve_tol(tol)
     space = op.space
-    n, d, top = space.n, space.coeff_dim, space.max_level
+    n, d = space.n, space.coeff_dim
     mat = op.csc
-    window = min(top - 1, op.exact_below - 2)
+    window = space.window(1, op.exact_below - 1)
     residuals: dict[str, float] = {}
 
     if window >= 0:
@@ -295,9 +287,10 @@ def verify_fock_representation(op: Operator, tol: float | None = None) -> Repres
         rel = mat[:, maps[n]] - apply_creation(space, 1, mat[:, cols])
         residuals["twist_relation"] = op_norm(rel)
 
-    passed = window >= 0 and all(v <= tol for v in residuals.values())
-    symbol = Symbol(space, mat[:, :d]) if passed else None
-    return RepresentationCheck(passed, symbol, residuals, window)
+    checks = tuple(Check(name, res, tol, window) for name, res in residuals.items())
+    checks = checks or (Check("relations", None, tol, window),)
+    result = RepresentationCheck(checks, None, residuals, window)
+    return replace(result, symbol=Symbol(space, mat[:, :d])) if result.passed else result
 
 
 @dataclass(frozen=True)
@@ -329,7 +322,7 @@ def structural_isometry(symbol: Symbol) -> StructuralIsometry:
     """Isometry data of `symbol`, computed once; `residuals` evaluates it on columns."""
     gram = symbol.csc.gram()
     c, off = e1_coefficient_tensor(symbol)
-    window = symbol.space.max_level - symbol.support_degree
+    window = symbol.space.window(symbol.support_degree)
     return StructuralIsometry(gram, c, off, gram_sums(c)[: max(window, 0)], window)
 
 
@@ -384,6 +377,15 @@ def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (space.dim, space.dim)
     )
     return Operator(mat, space, space.max_level + 1)
+
+
+def adjoint_checks(wmap: OdometerMap, adjoint: Operator, tol: float | None = None) -> tuple[Check]:
+    """The closed-form adjoint's check: ||W* W - I|| on the exact columns of W."""
+    space = wmap.space
+    window = space.window(wmap.symbol.support_degree)
+    ncols = space.dim_upto(window)
+    residual = op_norm(adjoint.csc @ wmap.operator.csc[:, :ncols] - identity(space.dim, ncols))
+    return (Check("adjoint_times_map_is_identity", residual, resolve_tol(tol), window),)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from helpers import (
     weighted_cycle,
 )
 
-from odofock import ContractivePair, TruncatedFockSpace, compress_pair, constant_symbol
-from odofock import gallery_weak_bishift, jsonio, levels_subspace, scalar_symbol
+from odofock import ContractivePair, RowContraction, TruncatedFockSpace, compress_pair
+from odofock import constant_symbol, gallery_weak_bishift, jsonio, levels_subspace, scalar_symbol
 from odofock import symbol_from_dense
 from odofock.cli import main
 from odofock.config import DEFAULT_TOL, resolve_tol
@@ -193,8 +193,6 @@ def test_dilate_and_lift_commands(tmp_path, capsys):
 
 def test_lift_rejects_non_pure_pair(tmp_path, capsys):
     # a unitary scalar pair: W = T_1 = 1 satisfies the n = 1 relations but is not pure
-    from odofock import RowContraction
-
     one = np.array([[1.0 + 0.0j]])
     pair = ContractivePair(RowContraction((one,)), one)
     ppath = str(tmp_path / "unitary.json")
@@ -206,8 +204,6 @@ def test_lift_rejects_non_pure_pair(tmp_path, capsys):
 
 def unitary_scalar_pair(tmp_path):
     # W = T_1 = 1 satisfies the n = 1 relations, and its purity tail stays 1
-    from odofock import RowContraction
-
     one = np.array([[1.0 + 0.0j]])
     ppath = str(tmp_path / "unitary.json")
     jsonio.dump_path(ContractivePair(RowContraction((one,)), one), ppath)
@@ -285,6 +281,20 @@ def test_dilate_and_lift_refuse_a_kernel_above_the_dense_limit(tmp_path, capsys,
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert "dense-matrix limit" in captured.err
+
+
+def test_dilate_at_level_zero_has_an_empty_window_and_fails(tmp_path, capsys):
+    # T = (0, 0), W = 1 on h = 1 is pure and its kernel is exact at level 0, but
+    # no row lies below the top level: the intertwining checks test nothing
+    zero = np.zeros((1, 1), dtype=complex)
+    ppath = str(tmp_path / "p0.json")
+    jsonio.dump_path(ContractivePair(RowContraction((zero, zero)), np.eye(1, dtype=complex)), ppath)
+    code, report = run(capsys, "dilate", "--pair", ppath, "--level", "0")
+    assert code == 1 and not report["passed"]
+    for check in report["checks"]:
+        empty = check["name"] in ("intertwining_1", "intertwining_2")
+        assert check["passed"] is not empty
+        assert check.get("window") == (-1 if empty else None)
 
 
 def test_negative_level_is_malformed(tmp_path, capsys):
@@ -398,7 +408,8 @@ def test_check_reports_name_the_same_cross_checks_above_the_dense_limit(tmp_path
     for max_level in (11, 13):
         path = write_symbol(tmp_path, f"swap{max_level}.json",
                             constant_symbol(TruncatedFockSpace(2, max_level, 2), swap))
-        for prop, cross_check in (("nica", "nica_relation"), ("unitary", "level_blocks_unitary")):
+        for prop, cross_check in (("nica", "nica_relation"), ("unitary", "level_blocks_unitary"),
+                                  ("isometry", "window_probes")):
             code, report = run(capsys, "check", prop, "--symbol", path)
             assert code == 0 and report["passed"]
             checks = {c["name"]: c for c in report["checks"]}
@@ -407,6 +418,7 @@ def test_check_reports_name_the_same_cross_checks_above_the_dense_limit(tmp_path
             names[prop, max_level] = [c["name"] for c in report["checks"]]
     assert names["nica", 11] == names["nica", 13]
     assert names["unitary", 11] == names["unitary", 13]
+    assert names["isometry", 11] == names["isometry", 13]
 
 
 def test_gen_example_defaults(capsys):

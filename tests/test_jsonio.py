@@ -33,6 +33,7 @@ from odofock import (
 )
 from odofock import jsonio
 from odofock.cli import Report
+from odofock.config import Check
 from odofock.cli import main as cli_main
 
 
@@ -276,10 +277,9 @@ def test_cli_reports_are_what_the_standard_encoder_writes(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out == reference_dumps(json.loads(out)) + "\n"
     report = Report("edge", {"big": 10**400, "z": -0.0, "tiny": 5e-324})
-    report.add("infinite", float("inf"), 1e-10)
-    report.add("vacuous", float("nan"), 1e-10)
-    report.add("signed", -0.0, float("inf"), True, window=-1)
-    assert report.finish({"table": [[1.0, -0.0], [float("inf"), 2]]}) == 1
+    report.extend([Check("infinite", float("inf"), 1e-10), Check("vacuous", float("nan"), 1e-10),
+                   Check("signed", -0.0, float("inf"), window=-1, verdict=True)])
+    assert report.finish(payload={"table": [[1.0, -0.0], [float("inf"), 2]]}) == 1
     out = capsys.readouterr().out
     assert "Infinity" in out and "null" in out and "-0.0" in out
     assert out == reference_dumps(json.loads(out)) + "\n"

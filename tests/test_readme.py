@@ -1,5 +1,8 @@
 """The README's CLI session runs as written, in an empty directory, and loads no scipy."""
 
+import contextlib
+import io
+import json
 import os
 import re
 import shlex
@@ -23,7 +26,10 @@ def cli_session() -> list[str]:
 
 def run_session() -> int:
     """Runs the session in the working directory, each `odofock` line through
-    `cli.main` with its stated exit code; returns how many such lines ran."""
+    `cli.main` with its stated exit code; returns how many such lines ran.
+
+    Every report passes exactly when all its checks do and its exit code is 0,
+    and no check on an empty (negative) window passes."""
     lines = iter(cli_session())
     commands = 0
     for line in lines:
@@ -38,7 +44,14 @@ def run_session() -> int:
         assert argv[0] == "odofock", f"README line is neither odofock nor python: {line!r}"
         stated = re.match(r"\s*exit (\d)", comment)
         expected = int(stated.group(1)) if stated else 0
-        assert cli.main(argv[1:]) == expected, line
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv[1:]) == expected, line
+        if out.getvalue():
+            report = json.loads(out.getvalue())
+            checks = report["checks"]
+            assert report["passed"] == all(c["passed"] for c in checks) == (expected == 0), line
+            assert not [c for c in checks if c.get("window", 0) < 0 and c["passed"]], line
         commands += 1
     return commands
 
