@@ -204,11 +204,13 @@ def levels_subspace(space: TruncatedFockSpace, lo: int, hi: int | None = None) -
 
 
 def _require_invariant(sub: InvariantSubspace, tol: float):
-    if any(math.isnan(r) for r in sub.invariance_residuals):
-        raise WindowError("creation invariance is vacuous: no vector lies below the top level")
-    worst = max(sub.invariance_residuals, default=0.0)
-    if worst > tol:
-        raise InvarianceError("subspace is not invariant under the creation tuple", worst)
+    """The subspace's `creation_invariance` check, judged again at `tol`."""
+    check = replace(sub.checks[0], tolerance=tol)
+    if sub.vacuous:
+        raise WindowError("creation invariance is vacuous: no vector lies below the top level",
+                          (check,))
+    if not check.passed:
+        raise InvarianceError("subspace is not invariant under the creation tuple", (check,))
 
 
 def wandering_subspace(sub: InvariantSubspace, tol: float | None = None) -> np.ndarray:
@@ -353,9 +355,10 @@ def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None 
         raise ValueError("odometer map and subspace live on different spaces")
     w = wmap.operator.csc
     douglas = (_orthogonal_part(sub.basis, w @ sub.basis) if sub.levels is None
-               else _graded_odometer_defect(sub, w, wmap.symbol.support_degree))
-    if douglas > tol:
-        raise InvarianceError("subspace is not invariant under the odometer map", douglas)
+               else _graded_odometer_defect(sub, w))
+    check = Check("odometer_invariance", douglas, tol)
+    if not check.passed:
+        raise InvarianceError("subspace is not invariant under the odometer map", (check,))
 
     fact = factorization if factorization is not None else beurling_factorize(sub, tol)
     domain, phi = fact.domain, fact.phi_csc
@@ -372,9 +375,9 @@ def induced_symbol(sub: InvariantSubspace, wmap: OdometerMap, tol: float | None 
     return InducedSymbolResult((check,), symbol, induced_map, fact_with_symbol, residual, window)
 
 
-def _graded_odometer_defect(sub: InvariantSubspace, w: CSC, support: int) -> float:
+def _graded_odometer_defect(sub: InvariantSubspace, w: CSC) -> float:
     """||(I - Q Q^H) W Q|| on a graded basis from its entries: X - Q (Q^H X) with
-    X = W Q, one sparse matrix. W maps level m into levels m .. m + `support`, and
+    X = W Q, one sparse matrix. W raises level by at most its symbol's degree, and
     the sparse products reach those rows alone, so the degree needs no slicing."""
     q = sub.entries
     x = w @ q

@@ -73,7 +73,6 @@ class ClassificationReport:
     is_constant_symbol: bool
     residuals: dict[str, float]
     window: int
-    columns: tuple[int, ...] | None = None
 
 
 def _column_indices(symbol: Symbol, columns) -> np.ndarray:
@@ -165,16 +164,14 @@ def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray):
     """The isometry check on `cols`, the window of W it read and that window's
     Gram defect W_P^H W_P - I (a `CSC`)."""
     structure, window = structural_isometry(symbol), _window(symbol, cols)
-    iso_res, off_res, gram_res = structure.residuals(cols)
+    structural = structure.checks(cols, tol)
     # each Gram entry is a column norm or an inner product of two columns: what
     # L*L = I, all-ones support and the vanishing shifted correlations assert
     w = window.csc()
     defect = w.H @ w - identity(w.shape[1])
     probe_res = float(np.abs(defect.data).max(initial=0.0))
-    checks = (Check("isometry_gram", iso_res, tol), Check("ones_support", off_res, tol),
-              Check("shifted_correlations", gram_res, tol, structure.window),
-              Check("window_probes", probe_res, tol, window.level))
-    check = IsometryCheck(checks, iso_res, off_res, gram_res, probe_res, structure.window)
+    checks = (*structural, Check("window_probes", probe_res, tol, window.level))
+    check = IsometryCheck(checks, *(c.residual for c in checks), structure.window)
     return check, window, defect
 
 
@@ -252,10 +249,8 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     cols = _column_indices(symbol, columns)
     iso, window, _ = _isometry_check(symbol, tol, cols)
     if not iso.passed:
-        raise NotIsometricError(
-            "Nica covariance is defined for isometric symbols only "
-            f"(gram {iso.isometry_residual:.3e}, correlations {iso.gram_residual:.3e})"
-        )
+        raise NotIsometricError("Nica covariance is defined for isometric symbols only",
+                                iso.checks)
     return _nica(symbol, tol, window, off_vacuum_residual(symbol, cols))
 
 
@@ -304,7 +299,7 @@ def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> Uni
     tol = resolve_tol(tol)
     iso, window, gram = _isometry_check(symbol, tol, _column_indices(symbol, columns))
     if not iso.passed:
-        raise NotIsometricError("unitarity is decided for isometric symbols only")
+        raise NotIsometricError("unitarity is decided for isometric symbols only", iso.checks)
     return _unitary(symbol, tol, window, gram=gram)
 
 
@@ -327,16 +322,12 @@ def classify(symbol: Symbol, tol: float | None = None, columns=None) -> Classifi
         "nica_residual": nica_res,
         "surjectivity_defect": float(defect),
     }
-    selected = None if columns is None else tuple(int(c) for c in cols)
     if not iso.passed:
-        return ClassificationReport(
-            False, False, False, constant.passed, residuals, iso.window, selected
-        )
+        return ClassificationReport(False, False, False, constant.passed, residuals, iso.window)
     nica = _nica(symbol, tol, window, nica_res)
     uni = _unitary(symbol, tol, window, (constant, block, defect), gram)
     residuals["relation_residual"] = nica.relation_residual
     residuals["block_unitary_residual"] = uni.block_unitary_residual
     residuals["level_block_residual"] = uni.level_block_residual
-    return ClassificationReport(
-        True, nica.passed, uni.passed, uni.is_constant_symbol, residuals, iso.window, selected
-    )
+    return ClassificationReport(True, nica.passed, uni.passed, uni.is_constant_symbol,
+                                residuals, iso.window)

@@ -1,14 +1,13 @@
 """Command-line front end emitting machine-readable verdict reports.
 
 Every subcommand loads its documents, calls the library, extends its report
-with the `Check`s the library returns, and writes what it produced; the only
-check it builds is the failing one for an exception it caught. Each check in
-the JSON report gives its name, residual, tolerance, window, passed and error,
-and the report passes when every check does (`Check` holds the one rule). It
-also gives the wall time and the process's peak resident memory. Exit code 0
-means all checks passed, 1 means a check failed (the residuals are in the
-report), 2 means the input was malformed or unusable. The default tolerance is
-1e-10, overridable with --tol.
+with the `Check`s the library returns, or those a refusal it caught carries,
+and writes what it produced. Each check in the JSON report gives its name,
+residual, tolerance, window, passed and error, and the report passes when every
+check does (`Check` holds the one rule). It also gives the wall time and the
+process's peak resident memory. Exit code 0 means all checks passed, 1 means a
+check failed (the residuals are in the report), 2 means the input was malformed
+or unusable. The default tolerance is 1e-10, overridable with --tol.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ class Report:
 
     def extend(self, checks):
         self.checks.extend(checks)
-
-    def fail(self, name: str, exc: Exception, residual=None):
-        """The failing check for an exception the command caught."""
-        self.checks.append(Check(name, residual, None, verdict=False, error=str(exc)))
 
     def finish(self, artifact=None, payload: dict | None = None) -> int:
         """Writes `artifact` and prints the report; exit code 0 if every check passed."""
@@ -160,7 +155,7 @@ def cmd_adjoint(args) -> int:
     try:
         adj = adjoint_isometric(wmap, tol)
     except NotIsometricError as exc:
-        report.fail("adjoint_isometric", exc)
+        report.extend(exc.checks)
         return report.finish()
     report.extend(adjoint_checks(wmap, adj, tol))
     report.parameters.update(**_storage(adj))
@@ -183,7 +178,7 @@ def cmd_check(args) -> int:
     try:
         report.extend(SYMBOL_CHECKS[args.property](obj, tol).checks)
     except NotIsometricError as exc:
-        report.fail(f"{args.property}_requires_isometric", exc)
+        report.extend(exc.checks)
     return report.finish()
 
 
@@ -198,7 +193,7 @@ def cmd_dilate(args) -> int:
         try:
             data = poisson_kernel(pair.t, args.level, tol)
         except DilationInexactError as exc:
-            report.fail("poisson_kernel", exc, exc.residual)
+            report.extend(exc.checks)
         else:
             report.extend(dilation_checks(data, pair.t, tol))
             report.parameters.update(defect_dim=data.defect_dim)
@@ -217,7 +212,7 @@ def cmd_lift(args) -> int:
     try:
         lift = odometer_lift(pair, args.level, tol)
     except DilationInexactError as exc:
-        report.fail("odometer_lift", exc)
+        report.extend(exc.checks)
         return report.finish()
     report.extend(lift.checks)
     bounds = norm_bounds(lift.wmap)
@@ -247,7 +242,7 @@ def cmd_factor(args) -> int:
     try:
         induced = induced_symbol(sub, build_odometer(symbol), tol, fact)
     except InvarianceError as exc:
-        report.fail("odometer_invariance", exc, exc.residual)
+        report.extend(exc.checks)
         return report.finish()
     report.extend(induced.checks)
     report.parameters.update(vacuous=induced.vacuous)
@@ -261,7 +256,7 @@ def cmd_spectrum(args) -> int:
     try:
         spec = spectrum_per_level(symbol, args.level, tol)
     except (NotIsometricError, CertificateError) as exc:
-        report.fail("spectrum", exc)
+        report.extend(exc.checks)
         return report.finish()
     report.extend(spec.checks)
     # each eigenvalue is written as [re, im]

@@ -196,8 +196,10 @@ def poisson_kernel(
     for _ in range(max_level + 1):
         tail = t.cp_map(tail)
     purity_residual = float(np.max(np.diag(tail).real))
-    if purity_residual > tol:
-        raise DilationInexactError(purity_residual, max_level)
+    check = Check("purity_tail", purity_residual, tol)
+    if not check.passed:
+        raise DilationInexactError(f"purity tail at level {max_level + 1} exceeds tolerance; "
+                                   "raise the level or the tolerance", (check,))
     if defect_dim == 0:
         raise ValueError("zero defect space: the row contraction is a coisometry")
 

@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+from dataclasses import replace
+
 
 class OdofockError(Exception):
-    """Base class for all library-specific failures."""
+    """Base class for all library-specific failures. A refused verdict carries the
+    `Check`s that decided it in `checks`, the failing ones with the message as
+    their `error`; `residual` is the first failing check's, None if none fails."""
+
+    def __init__(self, message: str = "", checks=()):
+        super().__init__(message)
+        self.checks = tuple(c if c.passed else replace(c, error=message) for c in checks)
+
+    @property
+    def residual(self) -> float | None:
+        return next((c.residual for c in self.checks if not c.passed), None)
 
 
 class SchemaError(OdofockError):
@@ -28,29 +40,16 @@ class NotIsometricError(OdofockError):
 class DilationInexactError(OdofockError):
     """The purity tail at the requested truncation level exceeds the tolerance."""
 
-    def __init__(self, residual: float, level: int):
-        self.residual = residual
-        self.level = level
-        super().__init__(
-            f"purity tail {residual:.3e} at level {level} exceeds tolerance; "
-            "raise the level or the tolerance"
-        )
-
 
 class WindowError(OdofockError, ValueError):
     """A requested level range violates the exactness window of an operator."""
 
 
 class InvarianceError(OdofockError):
-    """A subspace fails an invariance requirement.
-
-    `residual` carries the measured projection defect.
-    """
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})")
+    """A subspace fails an invariance requirement; `residual` is the projection
+    defect of the invariance check in `checks`."""
 
 
 class CertificateError(OdofockError):
-    """A structural certificate read off an operator does not hold."""
+    """A structural certificate read off an operator does not hold; `checks`
+    holds one failing `level_<m>_certificate` check, with window m."""

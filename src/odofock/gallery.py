@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ClassificationReport, classify, level0_block
+from .classify import ClassificationReport, check_unitary, classify, level0_block
 from .config import Check, Verdict, resolve_tol
 from .csc import CSC
 from .errors import CertificateError, NotIsometricError
@@ -83,13 +83,13 @@ def _level_cycle_spectrum(
 
     The stored entries of W on the level's rows and columns must send each
     column word into exactly one row word, and that word map must be one
-    N = n^m cycle through position 0; otherwise `CertificateError` names the
-    level. Along the cycle x_0 -> x_1 -> ... -> x_{N-1} -> x_0 with d x d
-    blocks B_k, the block is a cyclic block shift up to the order of the
-    words, whose characteristic polynomial is det(lambda^N - P) for
-    P = B_{N-1}...B_0. So the eigenvalues are the N-th roots of those of P,
-    with eigenvector v_j = lambda^(-j) B_{j-1}...B_0 u on x_j for
-    P u = lambda^N u.
+    N = n^m cycle through position 0; otherwise `CertificateError` carries the
+    failing check `level_<m>_certificate`. Along the cycle x_0 -> x_1 -> ...
+    -> x_{N-1} -> x_0 with d x d blocks B_k, the block is a cyclic block shift
+    up to the order of the words, whose characteristic polynomial is
+    det(lambda^N - P) for P = B_{N-1}...B_0. So the eigenvalues are the N-th
+    roots of those of P, with eigenvector v_j = lambda^(-j) B_{j-1}...B_0 u on
+    x_j for P u = lambda^N u.
     """
     d, size = space.coeff_dim, space.n**level
     sl = space.level_slice(level)
@@ -98,15 +98,17 @@ def _level_cycle_spectrum(
     col_word, col_coord = np.divmod(block.entry_cols, d)
     succ = np.full(size, -1, dtype=np.int64)
     succ[col_word] = row_word
+    refused = (Check(f"level_{level}_certificate", None, 0.0, level, verdict=False),)
     if (succ < 0).any() or (succ[col_word] != row_word).any():
-        raise CertificateError(f"level {level}: a column word of W does not map into one row word")
+        raise CertificateError(f"level {level}: a column word of W does not map into one row word",
+                               refused)
     # order[k] = succ^k(0): each pass doubles the known prefix, jumping it 2^i steps
     order, jump = np.zeros(1, dtype=np.int64), succ
     while order.size < size:
         order, jump = np.concatenate([order, jump[order]]), jump[jump]
     order = order[:size]
     if np.unique(order).size != size or succ[order[-1]] != 0:
-        raise CertificateError(f"level {level}: the carry of W is not one {size}-cycle")
+        raise CertificateError(f"level {level}: the carry of W is not one {size}-cycle", refused)
     place = np.empty(size, dtype=np.int64)
     place[order] = np.arange(size)
     blocks = np.zeros((size, d, d), dtype=complex)
@@ -160,8 +162,10 @@ def spectrum_per_level(
         max_level = space.max_level
     if not 0 <= max_level <= space.max_level:
         raise ValueError(f"spectrum level {max_level} outside 0..{space.max_level}")
-    if not classify(symbol, tol).is_unitary:
-        raise NotIsometricError("spectrum prediction requires a constant unitary symbol")
+    unitary = check_unitary(symbol, tol)
+    if not unitary.passed:
+        raise NotIsometricError("spectrum prediction requires a constant unitary symbol",
+                                unitary.checks)
 
     w = build_odometer(symbol).operator.csc
     base_eigs = np.linalg.eigvals(level0_block(symbol))

@@ -20,10 +20,6 @@ from .errors import NotIsometricError
 from .fock import Operator, TruncatedFockSpace, apply_creation, carry_word_map, creation_basis_map
 from .linalg import op_norm
 
-# Fixed threshold for "supported on the all-ones diagonal"; isometric symbols
-# live there, so the closed-form adjoint requires it.
-E1_SUPPORT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Symbol:
@@ -310,16 +306,19 @@ class StructuralIsometry:
     correlations: np.ndarray
     window: int
 
-    def residuals(self, cols: np.ndarray) -> tuple[float, float, float]:
-        """(gram residual of L*L - I, off-diagonal mass, shifted-correlation residual) on `cols`."""
+    def checks(self, cols: np.ndarray, tol: float) -> tuple[Check, Check, Check]:
+        """The residual of L*L - I, the off-diagonal mass and the largest shifted
+        correlation on `cols`, each against `tol`: the isometry decision."""
         iso_res = op_norm(self.gram[np.ix_(cols, cols)] - np.eye(cols.size))
         off_res = frobenius_mass(self.off[:, cols].data)
         corr = self.correlations[:, cols][:, :, cols]
-        return iso_res, off_res, float(np.abs(corr).max()) if corr.size else 0.0
+        corr_res = float(np.abs(corr).max()) if corr.size else 0.0
+        return (Check("isometry_gram", iso_res, tol), Check("ones_support", off_res, tol),
+                Check("shifted_correlations", corr_res, tol, self.window))
 
 
 def structural_isometry(symbol: Symbol) -> StructuralIsometry:
-    """Isometry data of `symbol`, computed once; `residuals` evaluates it on columns."""
+    """Isometry data of `symbol`, computed once; `checks` evaluates it on columns."""
     gram = symbol.csc.gram()
     c, off = e1_coefficient_tensor(symbol)
     window = symbol.space.window(symbol.support_degree)
@@ -334,26 +333,16 @@ def adjoint_isometric(wmap: OdometerMap, tol: float | None = None) -> Operator:
     <= m; elsewhere it undoes the carry. The result never raises level, so
     every column is exact.
 
-    Raises NotIsometricError when the symbol is not supported on the
-    all-ones diagonal or fails the isometry conditions: no closed form is
-    available then, only the approximate conjugate transpose.
+    Raises NotIsometricError, carrying the structural isometry checks of
+    `check_isometric`, when one of them fails: no closed form is available
+    then, only the approximate conjugate transpose.
     """
     space = wmap.space
     space.require_dense()
-    tol = resolve_tol(tol)
     structure = structural_isometry(wmap.symbol)
-    iso_res, off_res, corr_res = structure.residuals(np.arange(space.coeff_dim))
-    if off_res > E1_SUPPORT_TOL:
-        raise NotIsometricError(
-            f"symbol has mass {off_res:.3e} off the all-ones diagonal; "
-            "the closed-form adjoint exists only for isometric symbols"
-        )
-    if iso_res > tol or corr_res > tol:
-        raise NotIsometricError(
-            f"symbol is not isometric (gram residual {iso_res:.3e}, "
-            f"shifted-correlation residual {corr_res:.3e}); the closed-form "
-            "adjoint exists only for isometric symbols"
-        )
+    checks = structure.checks(np.arange(space.coeff_dim), resolve_tol(tol))
+    if not Verdict(checks).passed:
+        raise NotIsometricError("the closed-form adjoint needs an isometric symbol", checks)
 
     c = structure.coeffs
     d = space.coeff_dim

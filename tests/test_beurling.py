@@ -716,7 +716,7 @@ def test_graded_odometer_defect_matches_the_dense_check():
             assert sub.levels is not None
             for symbol in symbols:
                 w = build_odometer(symbol).operator.csc
-                graded = beurling._graded_odometer_defect(sub, w, symbol.support_degree)
+                graded = beurling._graded_odometer_defect(sub, w)
                 dense = beurling._orthogonal_part(sub.basis, w @ sub.basis)
                 assert abs(graded - dense) <= 1e-12 * max(1.0, dense)
                 # levels 1..M are invariant under every odometer map, to the bit

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 from helpers import (
     haar_unitary,
     oracle_operator_document,
@@ -483,3 +484,95 @@ def test_spectrum_payload_contains_level_data(tmp_path, capsys):
     assert [lv["level"] for lv in levels] == [0, 1, 2, 3]
     assert len(levels[3]["eigenvalues"]) == 8
     assert len(levels[3]["predicted"]) == 8
+
+
+def test_lift_and_dilate_report_the_same_purity_tail(tmp_path, capsys):
+    # a09 at level 10 is pure but not yet exact: both commands refuse the kernel
+    # with the tail it measured, against the tolerance
+    ppath = zero_w_pair(tmp_path, "a09.json", unit_row_contraction(0.9))
+    for command in ("dilate", "lift"):
+        code, report = run(capsys, command, "--pair", ppath, "--level", "10")
+        assert code == 1
+        tail = next(c for c in report["checks"] if c["name"] == "purity_tail")
+        assert tail["residual"] == 0.12157665459056936 and tail["tolerance"] == 1e-10
+        assert not tail["passed"] and "purity tail" in tail["error"]
+
+
+def refusal_cases(tmp_path):
+    """The CLI command of each refusal path, with the library call that refuses."""
+    from odofock import (
+        adjoint_isometric,
+        build_odometer,
+        check_nica,
+        check_unitary,
+        induced_symbol,
+        invariant_subspace,
+        odometer_lift,
+        poisson_kernel,
+        spectrum_per_level,
+    )
+
+    space = TruncatedFockSpace(2, 3, 1)
+    half = scalar_symbol(space, [0.5, 0.5])
+    bad = write_symbol(tmp_path, "half.json", half)
+    t09 = unit_row_contraction(0.9)
+    pair = zero_w_pair(tmp_path, "a09.json", t09)
+    # the words ending in 2: invariant under creation, not under the odometer map
+    cols = np.zeros((space.dim, 7), dtype=complex)
+    cols[[2, 4, 6, 8, 10, 12, 14], range(7)] = 1.0
+    spath = str(tmp_path / "sub.json")
+    jsonio.dump_path(jsonio.subspace_to_json(space, cols), spath)
+    const = scalar_symbol(space, [1.0])
+    shift = scalar_symbol(space, [0.0, 1.0])  # isometric, not constant
+    tol = DEFAULT_TOL
+    return {
+        "adjoint": (["adjoint", "--symbol", bad],
+                    lambda: adjoint_isometric(build_odometer(half), tol)),
+        "check nica": (["check", "nica", "--symbol", bad], lambda: check_nica(half, tol)),
+        "check unitary": (["check", "unitary", "--symbol", bad], lambda: check_unitary(half, tol)),
+        "dilate": (["dilate", "--pair", pair, "--level", "10"],
+                   lambda: poisson_kernel(t09, 10, tol)),
+        "lift": (["lift", "--pair", pair, "--level", "10"],
+                 lambda: odometer_lift(ContractivePair(t09, np.zeros((2, 2), dtype=complex)),
+                                       10, tol)),
+        "factor": (["factor", "--subspace", spath,
+                    "--symbol", write_symbol(tmp_path, "const.json", const)],
+                   lambda: induced_symbol(invariant_subspace(space, cols, tol),
+                                          build_odometer(const), tol)),
+        "spectrum": (["spectrum", "--symbol", write_symbol(tmp_path, "shift.json", shift)],
+                     lambda: spectrum_per_level(shift, None, tol)),
+    }
+
+
+@pytest.mark.parametrize("path", ["adjoint", "check nica", "check unitary", "dilate", "lift",
+                                  "factor", "spectrum"])
+def test_a_refusal_reports_the_checks_that_decided_it(tmp_path, capsys, path):
+    from odofock import OdofockError
+
+    argv, refuse = refusal_cases(tmp_path)[path]
+    code, report = run(capsys, *argv)
+    assert code == 1 and not report["passed"]
+    with pytest.raises(OdofockError) as err:
+        refuse()
+    checks = err.value.checks
+    assert checks and not all(c.passed for c in checks)
+    tail = report["checks"][-len(checks):]
+    assert [(c["name"], c["residual"]) for c in tail] == [(c.name, c.residual) for c in checks]
+    for check in report["checks"]:
+        if not check["passed"]:
+            assert check["tolerance"] is not None
+            assert check["residual"] is not None or check["window"] < 0
+            assert check["error"] == str(err.value)
+
+
+def test_adjoint_is_built_for_a_symbol_that_passes_check_isometry(tmp_path, capsys):
+    # mass 1e-11 off the all-ones diagonal is within tol: isometric, so the adjoint is built
+    space = TruncatedFockSpace(2, 3, 1)
+    coeffs = np.zeros((space.dim, 1), dtype=complex)
+    coeffs[0, 0], coeffs[2, 0] = np.sqrt(1.0 - 1e-22), 1e-11
+    path = write_symbol(tmp_path, "near.json", symbol_from_dense(space, coeffs))
+    assert run(capsys, "check", "isometry", "--symbol", path)[0] == 0
+    code, report = run(capsys, "adjoint", "--symbol", path)
+    assert code == 0
+    (check,) = report["checks"]
+    assert check["name"] == "adjoint_times_map_is_identity" and check["residual"] == 1e-11

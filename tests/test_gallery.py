@@ -321,8 +321,10 @@ def test_cycle_certificate_refuses_permuted_carry_rows(d):
     # with d = 1 the cycle splits in two; with d > 1 one coordinate of each
     # column word moves, so the column words reach two row words
     message = "one 4-cycle" if d == 1 else "one row word"
-    with pytest.raises(CertificateError, match=f"level 2: .*{message}"):
+    with pytest.raises(CertificateError, match=f"level 2: .*{message}") as err:
         _level_cycle_spectrum(space, tampered, 2)
+    (check,) = err.value.checks
+    assert (check.name, check.window, check.passed) == ("level_2_certificate", 2, False)
     for m in (0, 1, 3):
         _level_cycle_spectrum(space, tampered, m)
 

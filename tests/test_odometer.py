@@ -10,6 +10,7 @@ from helpers import (
     creation_oracle,
     haar_unitary,
     random_constant_unitary_symbol,
+    random_isometric_symbol,
     random_ones_diagonal_symbol,
     random_symbol,
     reference_adjoint,
@@ -29,6 +30,7 @@ from odofock import (
     TruncatedFockSpace,
     adjoint_isometric,
     build_odometer,
+    check_isometric,
     constant_symbol,
     norm_bounds,
     scalar_symbol,
@@ -214,6 +216,42 @@ def test_adjoint_matches_loop_oracle_property(space, kind, seed):
     if kind == "signed":
         # conjugated real coefficients keep their -0.0 imaginary parts
         assert adjoint.nnz == 0 or np.signbit(adjoint.data.imag).any()
+
+
+def assert_adjoint_built_iff_isometric(symbol):
+    try:
+        adjoint_isometric(build_odometer(symbol))
+    except NotIsometricError as err:
+        assert not check_isometric(symbol).passed
+        assert err.checks and not all(c.passed for c in err.checks)
+    else:
+        assert check_isometric(symbol).passed
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 2), seeds,
+       st.floats(-13.0, -9.0), st.floats(-13.0, -9.0))
+def test_adjoint_is_built_iff_check_isometric_passes(n, max_level, d, seed, gram, mass):
+    # an isometric symbol with a Gram defect and mass off the all-ones diagonal,
+    # each of size 1e-13 to 1e-9, on both sides of the default tolerance 1e-10
+    space = TruncatedFockSpace(n, max_level, d)
+    rng = np.random.default_rng(seed)
+    coeffs = random_isometric_symbol(space, rng).matrix.toarray()
+    q = int(rng.integers(d))
+    coeffs[:, q] *= np.sqrt(1.0 + rng.choice([-1.0, 1.0]) * 10.0**gram)
+    words = np.arange(space.num_words)
+    off = words[words != space.level_offsets()[space.word_levels(words)]]  # none for n = 1
+    if off.size:
+        coeffs[int(rng.choice(off)) * d + int(rng.integers(d)), q] += 10.0**mass
+    assert_adjoint_built_iff_isometric(symbol_from_dense(space, coeffs))
+
+
+def test_adjoint_takes_mass_within_tol_off_the_ones_diagonal():
+    space = TruncatedFockSpace(2, 3, 1)
+    coeffs = np.zeros((space.dim, 1), dtype=complex)
+    coeffs[0, 0], coeffs[2, 0] = np.sqrt(1.0 - 1e-22), 1e-11
+    symbol = symbol_from_dense(space, coeffs)
+    assert_adjoint_built_iff_isometric(symbol)
+    assert check_isometric(symbol).passed
 
 
 def test_build_matches_reference_at_benchmark_size():
