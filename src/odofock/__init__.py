@@ -18,9 +18,7 @@ from .beurling import (
 )
 from .classify import (
     ClassificationReport,
-    IsometryCheck,
-    NicaCheck,
-    UnitaryCheck,
+    WindowVerdict,
     check_isometric,
     check_nica,
     check_unitary,
@@ -54,6 +52,7 @@ from .errors import (
     InvarianceError,
     LevelOverflowError,
     NotIsometricError,
+    NotUnitaryError,
     OdofockError,
     SchemaError,
     WindowError,

@@ -9,10 +9,12 @@ and the vacuum's at least, so no cross-check is empty or skipped. The
 isometry check reads their Gram defect, the Nica check the relation
 S_1* W = W S_n* on them, and the unitary check their level blocks.
 
+Each verdict is a `WindowVerdict`, whose `checks` hold its residuals by name.
 `classify` is a single pass: it computes the structural isometry data of
 the symbol once and decides isometry from it. Only an isometric symbol goes
-on to the Nica and unitary verdicts, which reuse the isometry check's
-window. `check_nica` and `check_unitary` run the same steps for one verdict each.
+on to the Nica and unitary checks, which reuse the isometry check's window;
+any other gets `nica_residual`, `constant_symbol` and `surjectivity_defect`.
+`check_nica` and `check_unitary` run the same steps for one verdict each.
 """
 
 from __future__ import annotations
@@ -39,40 +41,27 @@ WINDOW_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
-class IsometryCheck(Verdict):
-    isometry_residual: float
-    e1_support_residual: float
-    gram_residual: float
-    probe_residual: float
-    window: int
+class WindowVerdict(Verdict):
+    """A verdict and its window: the shifted correlations' for isometry, else the
+    highest level the window of W holds whole."""
 
-
-@dataclass(frozen=True)
-class NicaCheck(Verdict):
-    nica_residual: float
-    relation_residual: float
-    window: int
-
-
-@dataclass(frozen=True)
-class UnitaryCheck(Verdict):
-    is_constant_symbol: bool
-    surjectivity_defect: int
-    block_unitary_residual: float
-    level_block_residual: float
     window: int
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Aggregated verdicts; unitary and Nica imply isometric by construction."""
+    """Aggregated verdicts, decided on `checks` in report order (see `classify`);
+    unitary and Nica imply isometric by construction."""
 
+    checks: tuple[Check, ...]
     is_isometric: bool
     is_nica: bool
     is_unitary: bool
-    is_constant_symbol: bool
-    residuals: dict[str, float]
     window: int
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {check.name: check.residual for check in self.checks}
 
 
 def _column_indices(symbol: Symbol, columns) -> np.ndarray:
@@ -149,11 +138,11 @@ def _window(symbol: Symbol, cols: np.ndarray) -> _Window:
     return _Window(cols, words, level, *_odometer_columns(symbol, basis_cols))
 
 
-def check_isometric(symbol: Symbol, tol: float | None = None, columns=None) -> IsometryCheck:
+def check_isometric(symbol: Symbol, tol: float | None = None, columns=None) -> WindowVerdict:
     """Isometry test: L*L = I, all-ones support, vanishing shifted correlations.
 
     `columns` restricts every test to a subset of coefficient columns (used
-    for symbols whose truncation pads a boundary column). `probe_residual`
+    for symbols whose truncation pads a boundary column). `window_probes`
     cross-checks the verdict on the built W: the largest entry of the Gram
     defect |W_P^H W_P - I| of its window columns P.
     """
@@ -171,8 +160,7 @@ def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray):
     defect = w.H @ w - identity(w.shape[1])
     probe_res = float(np.abs(defect.data).max(initial=0.0))
     checks = (*structural, Check("window_probes", probe_res, tol, window.level))
-    check = IsometryCheck(checks, *(c.residual for c in checks), structure.window)
-    return check, window, defect
+    return WindowVerdict(checks, structure.window), window, defect
 
 
 def off_vacuum_residual(symbol: Symbol, columns=None) -> float:
@@ -190,18 +178,21 @@ def level0_block(symbol: Symbol) -> np.ndarray:
 
 def surjectivity_defect(symbol: Symbol, tol: float | None = None) -> int:
     """Corank of the level-0 block, i.e. the failure of L to cover the vacuum slice."""
-    return _level0(symbol, resolve_tol(tol))[1]
+    return int(_vacuum(symbol, resolve_tol(tol))[0][1].residual)
 
 
-def _level0(symbol: Symbol, tol: float) -> tuple[np.ndarray, int]:
-    """The level-0 block and its corank, from one SVD."""
+def _vacuum(symbol: Symbol, tol: float) -> tuple[tuple[Check, Check], np.ndarray]:
+    """The checks that read no window, constancy on every column and the corank
+    of the level-0 block (one SVD), with that block."""
     block = level0_block(symbol)
-    return block, block.shape[0] - orthonormal_columns(block, tol).shape[1]
+    corank = block.shape[0] - orthonormal_columns(block, tol).shape[1]
+    return (Check("constant_symbol", off_vacuum_residual(symbol), tol),
+            Check("surjectivity_defect", float(corank), 0.0)), block
 
 
-def _nica(symbol: Symbol, tol: float, window: _Window, nica_res: float) -> NicaCheck:
-    """The Nica verdict, with `relation_residual` the norm of S_1* W - W S_n*
-    (S_i for S_i x I) on the window columns.
+def _nica(symbol: Symbol, tol: float, window: _Window, off_vacuum: Check) -> WindowVerdict:
+    """The Nica verdict: the `nica_residual` check `off_vacuum`, then `nica_relation`,
+    the norm of S_1* W - W S_n* (S_i for S_i x I) on the window columns.
 
     S_1* W e_y keeps the rows of W e_y whose word starts with letter 1 and
     strips that letter; W S_n* e_y is W e_y' when y = n y' and 0 otherwise.
@@ -232,18 +223,17 @@ def _nica(symbol: Symbol, tol: float, window: _Window, nica_res: float) -> NicaC
     )
     left = np.arange(both.rows.size) < stripped.size
     relation_res = op_norm((both.csc(left) - both.csc(~left)).H)
-    checks = (Check("nica_residual", nica_res, tol),
-              Check("nica_relation", relation_res, tol, window.level))
-    return NicaCheck(checks, nica_res, relation_res, window.level)
+    checks = (off_vacuum, Check("nica_relation", relation_res, tol, window.level))
+    return WindowVerdict(checks, window.level)
 
 
-def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCheck:
+def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> WindowVerdict:
     """Nica covariance of an isometric symbol: the range sits in the vacuum slice.
 
-    The characterization drives the verdict, and the defining relation
-    S_1* W = W S_n* is validated independently on the window of the
-    isometry check (`relation_residual`; `window` is the highest level it
-    holds whole).
+    The characterization drives the verdict (`nica_residual`), and the defining
+    relation S_1* W = W S_n* is validated independently on the window of the
+    isometry check (`nica_relation`; `window` is the highest level it holds
+    whole).
     """
     tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
@@ -251,26 +241,25 @@ def check_nica(symbol: Symbol, tol: float | None = None, columns=None) -> NicaCh
     if not iso.passed:
         raise NotIsometricError("Nica covariance is defined for isometric symbols only",
                                 iso.checks)
-    return _nica(symbol, tol, window, off_vacuum_residual(symbol, cols))
+    off_vacuum = Check("nica_residual", off_vacuum_residual(symbol, cols), tol)
+    return _nica(symbol, tol, window, off_vacuum)
 
 
-def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None) -> UnitaryCheck:
-    """The unitary verdict, with `level_block_residual` the larger of ||B^H B - I||
+def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None) -> WindowVerdict:
+    """The unitary verdict: `_vacuum`'s checks (`vacuum`, if given), then
+    `level0_block_unitary` and `level_blocks_unitary`, the larger of ||B^H B - I||
     and the square root of the largest off-level mass of one level's columns,
     on a window of every coefficient column (the isometry check's, if it is
     one). B, the level-diagonal part of its entries, is block diagonal, so the
     exact sparse norm of B^H B - I is the largest norm of a level block's
-    defect. `vacuum` is (constancy check, level-0 block, its corank), computed
-    here if not given. `gram` is the isometry check's W_P^H W_P - I on `window`:
-    with no entry off its level, B is W_P and that Gram is not formed again.
+    defect. `gram` is the isometry check's W_P^H W_P - I on `window`: with no
+    entry off its level, B is W_P and that Gram is not formed again.
     """
     space = symbol.space
     d = space.coeff_dim
     if window.cols.size < d:
         window, gram = _window(symbol, np.arange(d)), None
-    if vacuum is None:
-        vacuum = (Check("constant_symbol", off_vacuum_residual(symbol), tol), *_level0(symbol, tol))
-    constant, block, defect = vacuum
+    vacuum_checks, block = vacuum or _vacuum(symbol, tol)
     eye = np.eye(d)
     block_res = max(op_norm(block.conj().T @ block - eye), op_norm(block @ block.conj().T - eye))
     col_level = space.word_levels(window.js // d)
@@ -282,17 +271,16 @@ def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None
     off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
     defect_res = op_norm(gram)
     level_res = max(defect_res, float(np.sqrt(off_mass.max(initial=0.0))))
-    checks = (constant, Check("surjectivity_defect", float(defect), 0.0),
-              Check("level0_block_unitary", block_res, tol),
+    checks = (*vacuum_checks, Check("level0_block_unitary", block_res, tol),
               Check("level_blocks_unitary", level_res, tol, window.level))
-    return UnitaryCheck(checks, constant.passed, defect, block_res, level_res, window.level)
+    return WindowVerdict(checks, window.level)
 
 
-def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> UnitaryCheck:
+def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> WindowVerdict:
     """Unitarity of the odometer map: constant symbol with unitary level-0 block.
 
     Cross-checks that the level blocks of W are unitary with no mass off
-    their level on a window of every coefficient column (`level_block_residual`;
+    their level on a window of every coefficient column (`level_blocks_unitary`;
     `window` is the highest level it holds whole). A non-constant isometric
     symbol fails it on its off-level mass.
     """
@@ -306,28 +294,20 @@ def check_unitary(symbol: Symbol, tol: float | None = None, columns=None) -> Uni
 def classify(symbol: Symbol, tol: float | None = None, columns=None) -> ClassificationReport:
     """Full report; the implication structure (unitary/Nica need isometric) is built in.
 
-    Constancy is judged on every column, whatever `columns` selects.
+    `checks` holds the isometry checks, then those of `check_nica` and
+    `check_unitary` for an isometric symbol, else `nica_residual`,
+    `constant_symbol` and `surjectivity_defect`. Constancy is judged on every
+    column, whatever `columns` selects.
     """
     tol = resolve_tol(tol)
     cols = _column_indices(symbol, columns)
     iso, window, gram = _isometry_check(symbol, tol, cols)
-    nica_res = off_vacuum_residual(symbol, cols)
-    constant = Check("constant_symbol", off_vacuum_residual(symbol), tol)
-    block, defect = _level0(symbol, tol)
-    residuals = {
-        "gram_residual": iso.gram_residual,
-        "e1_support_residual": iso.e1_support_residual,
-        "isometry_residual": iso.isometry_residual,
-        "probe_residual": iso.probe_residual,
-        "nica_residual": nica_res,
-        "surjectivity_defect": float(defect),
-    }
+    off_vacuum = Check("nica_residual", off_vacuum_residual(symbol, cols), tol)
+    vacuum = _vacuum(symbol, tol)
     if not iso.passed:
-        return ClassificationReport(False, False, False, constant.passed, residuals, iso.window)
-    nica = _nica(symbol, tol, window, nica_res)
-    uni = _unitary(symbol, tol, window, (constant, block, defect), gram)
-    residuals["relation_residual"] = nica.relation_residual
-    residuals["block_unitary_residual"] = uni.block_unitary_residual
-    residuals["level_block_residual"] = uni.level_block_residual
-    return ClassificationReport(True, nica.passed, uni.passed, uni.is_constant_symbol,
-                                residuals, iso.window)
+        return ClassificationReport((*iso.checks, off_vacuum, *vacuum[0]), False, False, False,
+                                    iso.window)
+    nica = _nica(symbol, tol, window, off_vacuum)
+    uni = _unitary(symbol, tol, window, vacuum, gram)
+    return ClassificationReport((*iso.checks, *nica.checks, *uni.checks), True, nica.passed,
+                                uni.passed, iso.window)

@@ -35,6 +35,7 @@ from .errors import (
     DimensionLimitError,
     InvarianceError,
     NotIsometricError,
+    NotUnitaryError,
     OdofockError,
     SchemaError,
 )
@@ -255,7 +256,7 @@ def cmd_spectrum(args) -> int:
     report = Report("spectrum", {"symbol": args.symbol, "level": args.level, "tol": tol})
     try:
         spec = spectrum_per_level(symbol, args.level, tol)
-    except (NotIsometricError, CertificateError) as exc:
+    except (NotIsometricError, NotUnitaryError, CertificateError) as exc:
         report.extend(exc.checks)
         return report.finish()
     report.extend(spec.checks)

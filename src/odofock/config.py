@@ -62,6 +62,10 @@ class Verdict:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
+    def residual(self, name: str) -> float | None:
+        """The residual of the check called `name`; KeyError if there is none."""
+        return {check.name: check.residual for check in self.checks}[name]
+
     @property
     def vacuous(self) -> bool:
         return any((c.window is not None and c.window < 0)

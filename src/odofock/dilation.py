@@ -36,6 +36,7 @@ from .linalg import op_norm
 from .odometer import (
     OdometerMap,
     Symbol,
+    _odometer_columns,
     build_odometer,
     symbol_from_dense,
 )
@@ -105,12 +106,12 @@ class ContractivePair:
 class PurityResult(Verdict):
     """Purity verdict with the traces r_m = trace(Phi^m(I)) of each step m.
 
-    `bound` is q >= ||Phi^m(I)|| at the last step m; `level_needed` is the
-    smallest Poisson level M with q^floor((M+1)/m) <= tol, None if not pure.
+    The `purity` check's residual is q >= ||Phi^m(I)|| at the last step m;
+    `level_needed` is the smallest Poisson level M with q^floor((M+1)/m) <= tol,
+    None if not pure.
     """
 
     residuals: tuple[float, ...]
-    bound: float
     level_needed: int | None
 
     pure = Verdict.passed
@@ -137,10 +138,10 @@ def purity_test(t: RowContraction, tol: float | None = None) -> PurityResult:
         bound = op_norm(x)
     check = Check("purity", bound, 1.0 - tol)
     if not check.passed:
-        return PurityResult((check,), tuple(residuals), bound, None)
+        return PurityResult((check,), tuple(residuals), None)
     # the least power k with q^k <= tol; log1p keeps log q accurate near q = 1
     k = 1 if bound <= tol else math.ceil(math.log(tol) / math.log1p(bound - 1.0))
-    return PurityResult((check,), tuple(residuals), bound, k * len(residuals) - 1)
+    return PurityResult((check,), tuple(residuals), k * len(residuals) - 1)
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,8 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
     Levels <= k are co-invariant under the creation tuple and under the
     odometer map, so the compression satisfies the defining relations
     exactly; nilpotency across levels makes it automatically pure. Requires
-    levels <= k to sit inside the exactness window of the odometer map.
+    levels <= k to sit inside the exactness window of the odometer map; only
+    those levels must fit the dense limit, as only their columns of W are built.
     """
     space = symbol.space
     if k < 0:
@@ -273,11 +275,16 @@ def compress_pair(symbol: Symbol, k: int) -> ContractivePair:
             f"levels <= {k} leave the exactness window "
             f"(support degree {symbol.support_degree}, top level {space.max_level})"
         )
-    dim_k = space.dim_upto(k)
-    w = build_odometer(symbol).operator.csc[:dim_k, :dim_k].toarray()
+    levels_k = TruncatedFockSpace(space.n, k, space.coeff_dim)
+    levels_k.require_dense()
+    dim_k = levels_k.dim
+    # levels <= k are co-invariant, so the block is W's columns there less their rows above
+    rows, cols, vals = _odometer_columns(symbol, np.arange(dim_k))
+    keep = rows < dim_k
+    w = np.zeros((dim_k, dim_k), dtype=complex)
+    w[rows[keep], cols[keep]] = vals[keep] + 0.0
     # S_i maps levels < k into levels <= k and level k out of the block, as
     # the creation operators of the level-k truncation do
-    levels_k = TruncatedFockSpace(space.n, k, space.coeff_dim)
     eye = np.eye(dim_k, dtype=complex)
     tuples = tuple(apply_creation(levels_k, i, eye) for i in range(1, space.n + 1))
     return ContractivePair(RowContraction(tuples), w)

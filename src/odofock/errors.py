@@ -37,6 +37,11 @@ class NotIsometricError(OdofockError):
     """
 
 
+class NotUnitaryError(OdofockError):
+    """An operation that requires a unitary odometer map received a symbol that
+    fails `check_unitary`; `checks` holds that check's results."""
+
+
 class DilationInexactError(OdofockError):
     """The purity tail at the requested truncation level exceeds the tolerance."""
 

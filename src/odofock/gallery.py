@@ -21,7 +21,7 @@ import numpy as np
 from .classify import ClassificationReport, check_unitary, classify, level0_block
 from .config import Check, Verdict, resolve_tol
 from .csc import CSC
-from .errors import CertificateError, NotIsometricError
+from .errors import CertificateError, NotUnitaryError
 from .fock import TruncatedFockSpace, apply_annihilation
 from .linalg import max_angular_gap, op_norm
 from .odometer import Symbol, build_odometer, constant_symbol, scalar_symbol, symbol_from_entries
@@ -154,7 +154,8 @@ def spectrum_per_level(
     holds level, eigenvalues, predicted, hausdorff and eigpair_residual; the
     report adds the largest angular gap across all computed eigenvalues and
     the largest distance of one from the unit circle. Levels run
-    0..max_level, which must lie in 0..M.
+    0..max_level, which must lie in 0..M. An isometric symbol that fails
+    `check_unitary` raises `NotUnitaryError` with its checks.
     """
     tol = resolve_tol(tol)
     space = symbol.space
@@ -164,8 +165,8 @@ def spectrum_per_level(
         raise ValueError(f"spectrum level {max_level} outside 0..{space.max_level}")
     unitary = check_unitary(symbol, tol)
     if not unitary.passed:
-        raise NotIsometricError("spectrum prediction requires a constant unitary symbol",
-                                unitary.checks)
+        raise NotUnitaryError("spectrum prediction requires a constant unitary symbol",
+                              unitary.checks)
 
     w = build_odometer(symbol).operator.csc
     base_eigs = np.linalg.eigvals(level0_block(symbol))
@@ -295,7 +296,7 @@ def gallery_weak_bishift(
         expected=expected,
         checks={"witness_residual": witness},
         classification=report,
-        verdicts=(Check("isometric", report.residuals["gram_residual"], tol,
+        verdicts=(Check("isometric", report.residuals["shifted_correlations"], tol,
                         verdict=report.is_isometric),
                   Check("nica_matches_expectation", report.residuals["nica_residual"], tol,
                         verdict=report.is_nica == expected["nica"]),
@@ -386,7 +387,7 @@ def gallery_shift_symbol(
     symbol = constant_symbol(space, np.eye(d, k=-1, dtype=complex))
     interior = tuple(range(d - 1))
     report = classify(symbol, tol, columns=interior)
-    defect = float(report.residuals["surjectivity_defect"])
+    defect = report.residuals["surjectivity_defect"]
     return GalleryEntry(
         name="shift-symbol",
         parameters={"d": d, "n": n, "max_level": max_level, "interior_columns": interior},

@@ -60,9 +60,9 @@ def test_criterion_01_golden_ratio_isometry(tmp_path, capsys):
     # carry columns are exactly orthonormal, and the window overflow columns
     # reduce to the symbol gram and correlation residuals
     window_ok = (
-        iso.isometry_residual <= 1e-10
-        and iso.e1_support_residual <= 1e-10
-        and iso.gram_residual <= 1e-10
+        iso.residual("isometry_gram") <= 1e-10
+        and iso.residual("ones_support") <= 1e-10
+        and iso.residual("shifted_correlations") <= 1e-10
     )
     path = tmp_path / "golden.json"
     jsonio.dump_path(data.symbol, str(path))
@@ -130,10 +130,10 @@ def test_criterion_04_nica_classification(capsys):
     for _ in range(5):
         space = TruncatedFockSpace(2, 3, int(rng.integers(1, 4)))
         nica = check_nica(random_constant_unitary_symbol(space, rng))
-        ok &= nica.passed and nica.relation_residual <= 1e-12
+        ok &= nica.passed and nica.residual("nica_relation") <= 1e-12
     golden = gallery_golden_ratio(60, n=2, max_level=24)
     nica = check_nica(golden.symbol)
-    ok &= (not nica.passed) and nica.nica_residual >= 1e-2
+    ok &= (not nica.passed) and nica.residual("nica_residual") >= 1e-2
     phase = scalar_symbol(TruncatedFockSpace(2, 3, 1), [np.exp(0.9j)])
     report = classify(phase)
     ok &= report.is_isometric and report.is_nica and report.is_unitary

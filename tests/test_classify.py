@@ -21,6 +21,7 @@ from helpers import (
 from scipy import sparse
 
 from odofock import (
+    Check,
     NotIsometricError,
     TruncatedFockSpace,
     build_odometer,
@@ -99,7 +100,7 @@ def test_single_term_symbols_are_isometric():
 def test_golden_symbol_is_isometric():
     report = check_isometric(golden_isometric_fixture().symbol)
     assert report.passed
-    assert report.e1_support_residual == 0.0
+    assert report.residual("ones_support") == 0.0
 
 
 def test_sum_of_two_ones_words_fails_at_shift_one():
@@ -107,7 +108,7 @@ def test_sum_of_two_ones_words_fails_at_shift_one():
     symbol = scalar_symbol(space, [0.0, 2**-0.5, 2**-0.5])
     report = check_isometric(symbol)
     assert not report.passed
-    assert abs(report.gram_residual - 0.5) <= 1e-14
+    assert abs(report.residual("shifted_correlations") - 0.5) <= 1e-14
 
 
 def test_nica_constant_unitary_passes_with_tiny_relation_residual():
@@ -116,15 +117,15 @@ def test_nica_constant_unitary_passes_with_tiny_relation_residual():
     symbol = random_constant_unitary_symbol(space, rng)
     nica = check_nica(symbol)
     assert nica.passed
-    assert nica.relation_residual <= 1e-12
+    assert nica.residual("nica_relation") <= 1e-12
 
 
 def test_nica_rejects_golden_symbol_with_large_residuals():
     gd = golden_isometric_fixture()
     nica = check_nica(gd.symbol)
     assert not nica.passed
-    assert nica.nica_residual >= 1e-2
-    assert nica.relation_residual > 0.05
+    assert nica.residual("nica_residual") >= 1e-2
+    assert nica.residual("nica_relation") > 0.05
 
 
 def test_nica_requires_isometric_input():
@@ -147,8 +148,8 @@ def test_unitary_rotation_block():
     )
     uni = check_unitary(constant_symbol(space, rot))
     assert uni.passed
-    assert uni.surjectivity_defect == 0
-    assert uni.level_block_residual <= 1e-12
+    assert uni.residual("surjectivity_defect") == 0
+    assert uni.residual("level_blocks_unitary") <= 1e-12
 
 
 def test_unitary_needs_surjective_block():
@@ -161,7 +162,7 @@ def test_unitary_needs_surjective_block():
     symbol = constant_symbol(space, block)
     uni = check_unitary(symbol, columns=range(3))
     assert not uni.passed
-    assert uni.surjectivity_defect == 1
+    assert uni.residual("surjectivity_defect") == 1
 
 
 def test_classify_golden_profile():
@@ -169,7 +170,7 @@ def test_classify_golden_profile():
     assert report.is_isometric
     assert not report.is_nica
     assert not report.is_unitary
-    assert not report.is_constant_symbol
+    assert report.residuals["constant_symbol"] > 1e-10
 
 
 def test_classify_zero_symbol_not_isometric():
@@ -202,9 +203,9 @@ def test_gram_verdict_matches_window_column_orthonormality():
             symbol = symbol_from_dense(space, mat)
         report = check_isometric(symbol, tol=1e-8)
         structural = (
-            report.isometry_residual <= 1e-8
-            and report.e1_support_residual <= 1e-8
-            and report.gram_residual <= 1e-8
+            report.residual("isometry_gram") <= 1e-8
+            and report.residual("ones_support") <= 1e-8
+            and report.residual("shifted_correlations") <= 1e-8
         )
         direct = window_column_gram_defect(symbol) <= 1e-8
         assert structural == direct
@@ -273,7 +274,7 @@ def test_columns_restriction_certifies_interior():
     assert not check_isometric(symbol).passed
     assert check_isometric(symbol, columns=(0, 1)).passed
     nica = check_nica(symbol, columns=(0, 1))
-    assert nica.passed and nica.relation_residual <= 1e-12
+    assert nica.passed and nica.residual("nica_relation") <= 1e-12
 
 
 def test_unitary_requires_isometric_input():
@@ -367,10 +368,11 @@ def test_nica_relation_matches_the_dense_adjoint_form(monkeypatch):
                 assert basis_cols.size < symbol.space.dim_upto(symbol.exact_below - 1)
             nica = check_nica(symbol, columns=cols)
             expected = dense_nica_relation(symbol.space, reference_odometer(symbol), basis_cols)
-            assert abs(nica.relation_residual - expected) <= 1e-12 * max(1.0, expected)
-            assert (nica.relation_residual == 0.0) == (expected == 0.0)
+            assert abs(nica.residual("nica_relation") - expected) <= 1e-12 * max(1.0, expected)
+            assert (nica.residual("nica_relation") == 0.0) == (expected == 0.0)
             assert nica.window == symbol.space.word_levels(basis_cols[-1] // len(cols) + 1) - 1
-        assert check_nica(golden_isometric_fixture().symbol).relation_residual == 0.786151377756645
+        golden = check_nica(golden_isometric_fixture().symbol)
+        assert golden.residual("nica_relation") == 0.786151377756645
 
 
 def classify_cases():
@@ -421,32 +423,38 @@ def test_classify_runs_one_isometry_kernel_and_builds_only_windows(monkeypatch):
         assert windows <= 2
 
 
-def test_classify_residuals_equal_single_checks():
-    for symbol, columns, _ in classify_cases():
+def check_bits(checks):
+    """Each check with its residual's hex spelling, so equality is bit for bit."""
+    return [(c.name, float(c.residual).hex(), c.tolerance, c.window, c.passed) for c in checks]
+
+
+def test_classify_checks_are_the_single_checks_bit_for_bit():
+    # an isometric symbol's report lists the checks of check_isometric, check_nica
+    # and check_unitary; any other symbol's the isometry checks and the three
+    # that read no window of W
+    rng = np.random.default_rng(13)
+    cases = [(symbol, columns) for symbol, columns, _ in classify_cases()]
+    cases += nica_cases(rng) + [(symbol, None) for symbol in constant_unitary_cases()]
+    cases += [(random_isometric_symbol(TruncatedFockSpace(2, 4, 2), rng), None),
+              (random_symbol(TruncatedFockSpace(2, 4, 2), 1, rng), None),
+              (scalar_symbol(TruncatedFockSpace(2, 3, 1), [0.0]), None)]
+    for symbol, columns in cases:
         report = classify(symbol, columns=columns)
         iso = check_isometric(symbol, columns=columns)
-        expected = {
-            "gram_residual": iso.gram_residual,
-            "e1_support_residual": iso.e1_support_residual,
-            "isometry_residual": iso.isometry_residual,
-            "probe_residual": iso.probe_residual,
-            "nica_residual": off_vacuum_residual(symbol, columns),
-            "surjectivity_defect": float(surjectivity_defect(symbol)),
-        }
         assert report.is_isometric == iso.passed
+        expected = iso.checks
         if iso.passed:
             nica = check_nica(symbol, columns=columns)
             uni = check_unitary(symbol, columns=columns)
-            expected["relation_residual"] = nica.relation_residual
-            expected["block_unitary_residual"] = uni.block_unitary_residual
-            expected["level_block_residual"] = uni.level_block_residual
             assert (report.is_nica, report.is_unitary) == (nica.passed, uni.passed)
-            assert report.is_constant_symbol == uni.is_constant_symbol
+            expected += nica.checks + uni.checks
+        else:
+            expected += (Check("nica_residual", off_vacuum_residual(symbol, columns), 1e-10),
+                         Check("constant_symbol", off_vacuum_residual(symbol), 1e-10),
+                         Check("surjectivity_defect", float(surjectivity_defect(symbol)), 0.0))
+        assert check_bits(report.checks) == check_bits(expected)
+        assert report.residuals == {c.name: c.residual for c in expected}
         assert all(np.isfinite(v) for v in report.residuals.values())
-        # hex spelling compares bit for bit
-        assert {k: float(v).hex() for k, v in report.residuals.items()} == {
-            k: float(v).hex() for k, v in expected.items()
-        }
 
 
 def test_constant_symbol_flag_ignores_column_selection():
@@ -459,7 +467,7 @@ def test_constant_symbol_flag_ignores_column_selection():
         mat[space.all_ones_index(1) * 2 + 1, 1] = 1.0
         report = classify(symbol_from_dense(space, mat), columns=(0,))
         assert report.is_isometric == accepted
-        assert not report.is_constant_symbol
+        assert report.residuals["constant_symbol"] > 1e-10
 
 
 def constant_unitary_cases():
@@ -475,7 +483,7 @@ def test_level_block_residual_matches_dense_oracle():
         w = build_odometer(symbol).operator.matrix
         expected = reference_level_block_residual(symbol.space, w)
         assert uni.passed
-        assert abs(uni.level_block_residual - expected) <= 1e-15
+        assert abs(uni.residual("level_blocks_unitary") - expected) <= 1e-15
 
 
 def test_classify_forms_one_window_gram_when_no_entry_is_off_level(monkeypatch):
@@ -501,8 +509,8 @@ def test_classify_forms_one_window_gram_when_no_entry_is_off_level(monkeypatch):
             report = classify(symbol)
             assert report.is_isometric and products["sparse"] == grams
         window = _window(symbol, np.arange(symbol.space.coeff_dim))
-        recomputed = _unitary(symbol, 1e-10, window).level_block_residual
-        assert report.residuals["level_block_residual"].hex() == recomputed.hex()
+        recomputed = _unitary(symbol, 1e-10, window).residual("level_blocks_unitary")
+        assert report.residuals["level_blocks_unitary"].hex() == recomputed.hex()
 
 
 def one_wrong_triplet(symbol, rng):
@@ -539,17 +547,18 @@ def test_one_wrong_triplet_fails_the_nica_and_level_block_checks(monkeypatch):
             space = symbol.space
             basis_cols = window_basis_columns(symbol, np.arange(space.coeff_dim), window_columns)
             for wrong, w in one_wrong_triplet(symbol, rng):
-                nica = _nica(symbol, 1e-10, wrong, 0.0)
+                nica = _nica(symbol, 1e-10, wrong, Check("nica_residual", 0.0, 1e-10))
                 expected = dense_nica_relation(space, w, basis_cols)
-                assert abs(nica.relation_residual - expected) <= 1e-12 * max(1.0, expected)
-                assert nica.relation_residual > 1e-4 and not nica.passed
+                assert abs(nica.residual("nica_relation") - expected) <= 1e-12 * max(1.0, expected)
+                assert nica.residual("nica_relation") > 1e-4 and not nica.passed
                 uni = _unitary(symbol, 1e-10, wrong)
                 expected = dense_level_blocks(space, w, basis_cols)
-                assert abs(uni.level_block_residual - expected) <= 1e-12 * max(1.0, expected)
+                level_blocks = uni.residual("level_blocks_unitary")
+                assert abs(level_blocks - expected) <= 1e-12 * max(1.0, expected)
                 if basis_cols.size == space.dim:
                     whole = reference_level_block_residual(space, sparse.csc_array(w))
-                    assert abs(uni.level_block_residual - whole) <= 1e-15
-                assert uni.level_block_residual > 1e-4 and not uni.passed
+                    assert abs(level_blocks - whole) <= 1e-15
+                assert level_blocks > 1e-4 and not uni.passed
     # a vacuum column that leaks to level 2
     space = TruncatedFockSpace(2, 3, 1)
     symbol = scalar_symbol(space, [1.0])
@@ -560,8 +569,9 @@ def test_one_wrong_triplet_fails_the_nica_and_level_block_checks(monkeypatch):
     w = reference_odometer(symbol)
     w[row, 0] = 0.25
     uni = _unitary(symbol, 1e-10, leak)
-    assert uni.level_block_residual == reference_level_block_residual(space, sparse.csc_array(w))
-    assert uni.level_block_residual == 0.25
+    level_blocks = uni.residual("level_blocks_unitary")
+    assert level_blocks == reference_level_block_residual(space, sparse.csc_array(w))
+    assert level_blocks == 0.25
 
 
 def reference_window_defect(symbol, cols, window_columns):
@@ -586,14 +596,15 @@ def test_window_defect_matches_dense_gram_oracle(monkeypatch):
     ]
     for symbol, cols in cases:
         oracle = reference_window_defect(symbol, cols, classify_module.WINDOW_COLUMNS)
-        probe = check_isometric(symbol, columns=cols).probe_residual
+        probe = check_isometric(symbol, columns=cols).residual("window_probes")
         assert abs(probe - oracle) <= 1e-14 * max(1.0, oracle)
 
     # support degree 24 on M = 24: the window is the vacuum column alone, so
     # the defect is | ||L h_0||^2 - 1 |, read off the symbol's entries
     golden = gallery_golden_ratio(60, n=2, max_level=24).symbol
     oracle = abs(float(np.sum(np.abs(golden.csc.data) ** 2)) - 1.0)
-    assert abs(check_isometric(golden).probe_residual - oracle) <= 1e-14 * max(1.0, oracle)
+    probe = check_isometric(golden).residual("window_probes")
+    assert abs(probe - oracle) <= 1e-14 * max(1.0, oracle)
 
     # a cut window: 16 columns keep levels 0..2 (d = 2) or 0..3 (d = 1) whole
     # plus one word of the next level, out of the 31 window words
@@ -608,7 +619,7 @@ def test_window_defect_matches_dense_gram_oracle(monkeypatch):
     for symbol, cols in cut_cases:
         assert symbol.space.level_offset(symbol.space.max_level - symbol.support_degree + 1) > 16
         oracle = reference_window_defect(symbol, cols, 16)
-        probe = check_isometric(symbol, columns=cols).probe_residual
+        probe = check_isometric(symbol, columns=cols).residual("window_probes")
         assert abs(probe - oracle) <= 1e-14 * max(1.0, oracle)
 
 
@@ -617,8 +628,8 @@ def test_window_defect_sees_the_shifted_correlation_on_a_large_window():
     # correlation 0.6 * 0.8 of the all-ones columns is read exactly
     symbol = scalar_symbol(TruncatedFockSpace(2, 14, 1), [0.6, 0.0, 0.8])
     iso = check_isometric(symbol)
-    assert iso.gram_residual == pytest.approx(0.48, abs=1e-15)
-    assert abs(iso.probe_residual - iso.gram_residual) <= 1e-15
+    assert iso.residual("shifted_correlations") == pytest.approx(0.48, abs=1e-15)
+    assert abs(iso.residual("window_probes") - iso.residual("shifted_correlations")) <= 1e-15
     assert not iso.passed
 
 
@@ -670,8 +681,8 @@ def test_cross_checks_read_a_window_above_the_dense_limit(max_level):
     symbol = constant_symbol(TruncatedFockSpace(2, max_level, 2), np.array([[0, 1], [1, 0]]))
     report = classify(symbol)
     assert report.is_nica and report.is_unitary
-    assert report.residuals["relation_residual"] == 0.0
-    assert report.residuals["level_block_residual"] == 0.0
+    assert report.residuals["nica_relation"] == 0.0
+    assert report.residuals["level_blocks_unitary"] == 0.0
     # 4096 columns of d = 2 hold the 2047 words of levels 0..10 whole
     assert check_nica(symbol).window == check_unitary(symbol).window == 10
 
@@ -682,6 +693,6 @@ def test_golden_relation_residual_on_the_vacuum_window():
     symbol = scalar_symbol(TruncatedFockSpace(2, 24, 1), golden_ratio_coeffs(60))
     report = classify(symbol)
     assert report.is_isometric and not report.is_nica
-    assert np.isfinite(report.residuals["relation_residual"])
-    assert report.residuals["relation_residual"] >= 0.05
+    assert np.isfinite(report.residuals["nica_relation"])
+    assert report.residuals["nica_relation"] >= 0.05
     assert check_nica(symbol).window == check_unitary(symbol).window == 0

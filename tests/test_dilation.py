@@ -24,10 +24,12 @@ from helpers import (
 
 from odofock import (
     ContractivePair,
+    MAX_DENSE_DIM,
     DimensionLimitError,
     RowContraction,
     TruncatedFockSpace,
     WindowError,
+    build_odometer,
     compress_pair,
     constant_symbol,
     defect_root,
@@ -38,6 +40,7 @@ from odofock import (
     purity_test,
     row_contraction,
     scalar_symbol,
+    symbol_from_entries,
     verify_pair,
 )
 from odofock.fock import apply_annihilation
@@ -99,7 +102,7 @@ def test_strict_row_contractions_are_pure_after_one_step():
         result = purity_test(random_pure_row_contraction(n, h, rng, row_norm=row_norm))
         assert result.pure and len(result.residuals) == 1
         # the bound is the trace of Phi(I), at most h times its top eigenvalue
-        assert result.bound == result.residuals[0] <= h * row_norm**2
+        assert result.residual("purity") == result.residuals[0] <= h * row_norm**2
 
 
 def test_row_norm_one_contractions_and_weighted_cycles_are_pure():
@@ -143,13 +146,13 @@ def test_purity_matches_the_kernel_chain_oracle():
         verdicts[result.pure] += 1
         if not result.pure:
             assert len(result.residuals) == t.dim + 1 and result.level_needed is None
-            assert result.bound > 1.0 - tol
+            assert result.residual("purity") > 1.0 - tol
             continue
         # the bound holds at every multiple of the stopping step m
         m, level = len(result.residuals), result.level_needed
         for power in (m, 2 * m):
             top = np.linalg.eigvalsh(cp_power_at_identity(t, power))[-1]
-            assert top <= result.bound ** (power // m) + 1e-13
+            assert top <= result.residual("purity") ** (power // m) + 1e-13
         assert np.linalg.eigvalsh(cp_power_at_identity(t, level + 1))[-1] <= tol
     assert verdicts[True] == 180 and verdicts[False] == 60
 
@@ -275,6 +278,28 @@ def test_compress_rejects_window_violation():
     symbol = scalar_symbol(space, [0.0, 0.0, 1.0])
     with pytest.raises(WindowError):
         compress_pair(symbol, 3)
+
+
+def test_compress_builds_only_the_pair_above_the_dense_limit():
+    # the same entries on M = 6 (D = 254) and M = 13 (D = 32766): levels <= 2 of W
+    # are the same, and the M = 6 pair is the block of the whole W, bit for bit,
+    # a -0.0 in the symbol stored as +0.0 there
+    rng = np.random.default_rng(41)
+    mat = random_symbol(TruncatedFockSpace(2, 6, 2), 2, rng).csc
+    entries = [(int(r), int(c), v) for r, c, v in zip(mat.indices, mat.entry_cols, mat.data)]
+    entries[3] = (*entries[3][:2], complex(-0.0, -0.0))
+    small = symbol_from_entries(TruncatedFockSpace(2, 6, 2), entries)
+    large = symbol_from_entries(TruncatedFockSpace(2, 13, 2), entries)
+    assert large.space.dim > MAX_DENSE_DIM
+    dim_k = small.space.dim_upto(2)
+    whole = build_odometer(small).operator.csc[:dim_k, :dim_k].toarray()
+    pairs = [compress_pair(small, 2), compress_pair(large, 2)]
+    for pair in pairs:
+        assert pair.w.shape == (14, 14) and pair.w.tobytes() == whole.tobytes()
+        assert not np.signbit(pair.w[entries[3][:2]].real)
+        assert [t.tobytes() for t in pair.t.tuples] == [t.tobytes() for t in pairs[0].t.tuples]
+    with pytest.raises(DimensionLimitError):
+        compress_pair(constant_symbol(large.space, np.eye(2)), 13)
 
 
 def test_compress_golden_prefix_pair_verifies():

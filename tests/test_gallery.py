@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from odofock import (
     CertificateError,
     NotIsometricError,
+    NotUnitaryError,
     TruncatedFockSpace,
     build_odometer,
     constant_symbol,
@@ -103,7 +104,7 @@ def test_weak_bishift_blockwise_correlations_vanish():
                     if t is not None:
                         shifted[t * 3 + s] = dense[idx, b]
                 assert abs(np.vdot(shifted, dense[:, a])) <= 1e-14
-    assert entry.classification.residuals["gram_residual"] <= 1e-14
+    assert entry.classification.residuals["shifted_correlations"] <= 1e-14
 
 
 def test_weak_bishift_requires_room():
@@ -252,9 +253,12 @@ def test_level_blocks_power_down_to_base_block():
 
 
 def test_spectrum_requires_unitary_symbol():
+    # z is isometric and not unitary; 0.5 is not isometric
     space = TruncatedFockSpace(2, 3, 1)
-    with pytest.raises(NotIsometricError):
+    with pytest.raises(NotUnitaryError):
         spectrum_per_level(scalar_symbol(space, [0.0, 1.0]))
+    with pytest.raises(NotIsometricError):
+        spectrum_per_level(scalar_symbol(space, [0.5]))
 
 
 def test_gallery_builds_w_only_for_the_spectrum(monkeypatch):

@@ -1,5 +1,7 @@
-"""The README's CLI session runs as written, in an empty directory, and loads no scipy."""
+"""The README's CLI session runs as written, in an empty directory, and loads no
+scipy; its library example runs and gives what its comments say."""
 
+import ast
 import contextlib
 import io
 import json
@@ -74,6 +76,34 @@ def test_readme_factor_writes_the_same_bytes_on_both_beurling_paths(tmp_path, mo
         run_session()
         written.append((work / "induced.json").read_bytes())
     assert written[0] == written[1]
+
+
+def library_example() -> tuple[dict, dict]:
+    """Runs the README's library example, line by line; returns its namespace and
+    the value of each bare expression line under the text of its comment."""
+    source = re.search(r"^## Library example\n+```python\n(.*?)^```", README.read_text(),
+                       re.S | re.M).group(1)
+    lines, namespace, values = source.splitlines(), {}, {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            comment = lines[node.lineno - 1].partition("#")[2].strip()
+            values[comment] = eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                                   namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_readme_library_example_gives_what_its_comments_say():
+    namespace, values = library_example()
+    report = values["isometric, not Nica, not unitary"]
+    assert (report.is_isometric, report.is_nica, report.is_unitary) == (True, False, False)
+    representation = values["recovers the symbol"]
+    assert representation.is_representation
+    recovered, symbol = representation.symbol.matrix, namespace["symbol"].matrix
+    assert (recovered != symbol).nnz == 0
+    assert values["lift it back to the dilation space"].passed
+    assert values["its subrepresentation symbol"].passed
 
 
 def fresh_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
