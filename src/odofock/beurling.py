@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import Check, Verdict, resolve_tol
-from .csc import CSC, identity
+from .csc import CSC
 from .errors import InvarianceError, WindowError
 from .fock import TruncatedFockSpace, apply_annihilation, apply_creation, creation_basis_map
 from .linalg import _certified_kernel, canonical_basis, op_norm, orthonormal_columns
@@ -296,7 +296,7 @@ def beurling_factorize(sub: InvariantSubspace, tol: float | None = None,
         )
     domain = TruncatedFockSpace(space.n, budget, wdim)
     phi = _place_phi(space, domain, entries)
-    inner_residual = op_norm(phi.H @ phi - identity(domain.dim))
+    inner_residual = op_norm(phi.gram_defect())
     # Phi (S_i x I) - (S_i x I) Phi on the domain columns below the budget level
     low = np.arange(domain.dim_upto(domain.window(1)))
     ma_residual = max(op_norm(phi[:, creation_basis_map(domain, i, low)]

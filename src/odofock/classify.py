@@ -7,7 +7,9 @@ limit. Each verdict is cross-checked, at any size, on a window of W: at most
 `WINDOW_COLUMNS` of its columns, on the lowest words of the exactness window
 and the vacuum's at least, so no cross-check is empty or skipped. The
 isometry check reads their Gram defect, the Nica check the relation
-S_1* W = W S_n* on them, and the unitary check their level blocks.
+S_1* W = W S_n* on them, and the unitary check their level blocks. The
+window's Gram defect W_P^H W_P - I is one matrix (`CSC.gram_defect`), and so
+is the Nica difference S_1* W - W S_n*, built from the triplets of both sides.
 
 Each verdict is a `WindowVerdict`, whose `checks` hold its residuals by name.
 `classify` is a single pass: it computes the structural isometry data of
@@ -25,8 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Check, Verdict, resolve_tol
-from .csc import CSC, identity
+from .csc import CSC
 from .errors import NotIsometricError
+from .fock import TruncatedFockSpace
 from .linalg import _rank_split, op_norm, orthonormal_columns
 from .odometer import (
     Symbol,
@@ -115,10 +118,14 @@ class _Window(NamedTuple):
     js: np.ndarray
     vals: np.ndarray
 
-    def csc(self, on=slice(None)) -> CSC:
-        """The entries `on`; all rows are renumbered in order, so no index array spans the space."""
+    def csc(self, on=slice(None), split: int | None = None) -> CSC:
+        """The entries `on`, or given `split` the first `split` entries less the rest
+        (`CSC.from_difference`); all rows are renumbered in order, so no index
+        array spans the space."""
         _, rows = np.unique(self.rows, return_inverse=True)
         shape = (rows.max(initial=0) + 1, self.words * self.cols.size)
+        if split is not None:
+            return CSC.from_difference(rows, self.js, self.vals, split, shape)
         return CSC.from_triplets(rows[on], self.js[on], self.vals[on], shape)
 
 
@@ -156,8 +163,7 @@ def _isometry_check(symbol: Symbol, tol: float, cols: np.ndarray):
     structural = structure.checks(cols, tol)
     # each Gram entry is a column norm or an inner product of two columns: what
     # L*L = I, all-ones support and the vanishing shifted correlations assert
-    w = window.csc()
-    defect = w.H @ w - identity(w.shape[1])
+    defect = window.csc().gram_defect()
     probe_res = float(np.abs(defect.data).max(initial=0.0))
     checks = (*structural, Check("window_probes", probe_res, tol, window.level))
     return WindowVerdict(checks, structure.window), window, defect
@@ -190,17 +196,15 @@ def _vacuum(symbol: Symbol, tol: float) -> tuple[tuple[Check, Check], np.ndarray
             Check("surjectivity_defect", float(corank), 0.0)), block
 
 
-def _nica(symbol: Symbol, tol: float, window: _Window, off_vacuum: Check) -> WindowVerdict:
-    """The Nica verdict: the `nica_residual` check `off_vacuum`, then `nica_relation`,
-    the norm of S_1* W - W S_n* (S_i for S_i x I) on the window columns.
+def _nica_sides(space: TruncatedFockSpace, window: _Window) -> tuple[_Window, int]:
+    """The triplets of S_1* W and then of W S_n* (S_i for S_i x I) on the window
+    columns, with the number of the first; neither side repeats a coordinate.
 
     S_1* W e_y keeps the rows of W e_y whose word starts with letter 1 and
     strips that letter; W S_n* e_y is W e_y' when y = n y' and 0 otherwise.
     y' lies one whole level below y, so it is in the window, and both sides
-    are exact there. This is the adjoint of W*(S_1 x I) = (S_n x I)W*, and
-    the difference is normed in that relation's orientation.
+    are exact there.
     """
-    space = symbol.space
     c, d = window.cols.size, space.coeff_dim
     offsets = space.level_offsets()
     powers = np.diff(offsets)  # n^level
@@ -217,12 +221,22 @@ def _nica(symbol: Symbol, tol: float, window: _Window, off_vacuum: Check) -> Win
     target = source[window.js // c]
     moved = target >= 0
     both = window._replace(
-        rows=np.r_[stripped, window.rows[moved]],
-        js=np.r_[window.js[ones], target[moved] * c + window.js[moved] % c],
-        vals=np.r_[window.vals[ones], window.vals[moved]],
+        rows=np.concatenate((stripped, window.rows[moved])),
+        js=np.concatenate((window.js[ones], target[moved] * c + window.js[moved] % c)),
+        vals=np.concatenate((window.vals[ones], window.vals[moved])),
     )
-    left = np.arange(both.rows.size) < stripped.size
-    relation_res = op_norm((both.csc(left) - both.csc(~left)).H)
+    return both, stripped.size
+
+
+def _nica(symbol: Symbol, tol: float, window: _Window, off_vacuum: Check) -> WindowVerdict:
+    """The Nica verdict: the `nica_residual` check `off_vacuum`, then `nica_relation`,
+    the norm of S_1* W - W S_n* on the window columns, one matrix built from the
+    triplets of both sides (`_nica_sides`). This is the adjoint of
+    W*(S_1 x I) = (S_n x I)W*, and the difference is normed in that relation's
+    orientation.
+    """
+    both, split = _nica_sides(symbol.space, window)
+    relation_res = op_norm(both.csc(split=split).H)
     checks = (off_vacuum, Check("nica_relation", relation_res, tol, window.level))
     return WindowVerdict(checks, window.level)
 
@@ -265,8 +279,7 @@ def _unitary(symbol: Symbol, tol: float, window: _Window, vacuum=None, gram=None
     col_level = space.word_levels(window.js // d)
     on = space.word_levels(window.rows // d) == col_level
     if gram is None or not on.all():
-        b = window.csc(on)
-        gram = b.H @ b - identity(b.shape[1])
+        gram = window.csc(on).gram_defect()
     off = window.vals[~on]
     off_mass = np.bincount(col_level[~on], weights=off.real**2 + off.imag**2)
     defect_res = op_norm(gram)

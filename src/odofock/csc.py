@@ -14,8 +14,14 @@ call per step, which is the arithmetic of scipy's sparse loops (numpy's own
 complex multiply may fuse it). Sums start from +0.0 and take their terms in
 CSC entry order, as those loops add into zeros: by `np.bincount` for sparse
 products, Gram matrices and products with vectors, and one layer of distinct
-output rows at a time for products with dense matrices. Sparse products and differences drop the
-entries that come out exactly zero, as scipy does.
+output rows at a time for products with dense matrices. Sparse products and
+differences drop the entries that come out exactly zero, as scipy does.
+
+`gram_defect` gives A^H A - I, which is `A.H @ A - identity(n)`, from one sort
+of the products of entry pairs that share a row and of the diagonal: each
+entry adds its shared rows ascending, as scipy's product adds them, and then
+-1 on the diagonal. `from_difference` gives P - Q from the triplets of both
+in one sort, as `__sub__` does for two matrices.
 """
 
 from __future__ import annotations
@@ -54,12 +60,49 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sum_products(keys: np.ndarray, a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
     """out[k] = +0.0 plus the products a[i] * b[i] whose key is k, added in index order."""
     terms = _product(a, b)
+    if not keys.size:  # np.bincount counts no weights as integers
+        return np.zeros(size, dtype=terms.dtype)
     if not np.iscomplexobj(terms):
         return np.bincount(keys, weights=terms, minlength=size)
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(keys, weights=terms.real, minlength=size)
     out.imag = np.bincount(keys, weights=terms.imag, minlength=size)
     return out
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True at each element of a sorted array that differs from the one before it."""
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_inverse=True)` by a stable sort, which merges the
+    sorted runs that pair and product keys come in rather than partitioning them."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = _run_starts(ordered)
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _difference(keys: np.ndarray, vals: np.ndarray, split: int, shape, *index_arrays) -> CSC:
+    """P - Q from the keys col * m + row of P's entries and then, from `split` on, Q's,
+    neither repeating a key. A key on both sides reads a - b, on one side a - 0.0 or
+    0.0 - b, as zero-filled operands give them; exact zeros are dropped. The index
+    dtype is the one for the union of keys and `index_arrays`."""
+    order = np.argsort(keys, kind="stable")  # P's entry of a shared key comes first
+    keys, vals = keys[order], vals[order]
+    lone = _run_starts(keys)
+    diff = np.where(order < split, vals, 0.0 - vals)
+    twin = np.flatnonzero(~lone[1:])
+    diff[twin] = vals[twin] - vals[twin + 1]
+    keys, diff = keys[lone], diff[lone]
+    live = diff != 0
+    idx = _index_dtype(shape, keys.size, *index_arrays)
+    return CSC._from_keys(keys[live], diff[live], shape, idx)
 
 
 def column_entries(indptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +142,7 @@ class CSC:
         keys = cols * m + rows
         order = np.argsort(keys, kind="stable")
         keys, vals = keys[order], vals[order]
-        first = np.r_[True, keys[1:] != keys[:-1]]
+        first = _run_starts(keys)
         if not first.all():
             group = np.cumsum(first) - 1
             rank = np.arange(keys.size) - np.flatnonzero(first)[group]
@@ -115,10 +158,19 @@ class CSC:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError(f"a dense matrix must be 2-D, got shape {arr.shape}")
-        # a C-ordered mask of the transpose scans in one pass, in the same order
-        cols, rows = np.nonzero((arr != 0).T.copy())
+        # the flat scan of the transposed mask is column-major: one pass, in CSC order
+        cols, rows = np.divmod(np.flatnonzero((arr != 0).T), max(arr.shape[0], 1))
         idx = _index_dtype(arr.shape, rows.size)
         return cls._sorted(rows, cols, arr[rows, cols], arr.shape, idx)
+
+    @classmethod
+    def from_difference(cls, rows, cols, vals, split: int, shape) -> CSC:
+        """P - Q, where P holds the first `split` triplets and Q the rest, neither
+        repeating a coordinate: `from_triplets` of each, subtracted, bit for bit."""
+        m, n = (int(s) for s in shape)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        keys = cols.astype(np.int64) * m + rows
+        return _difference(keys, np.asarray(vals), split, (m, n), rows, cols)
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, vals: np.ndarray, shape, idx: type) -> CSC:
@@ -209,9 +261,9 @@ class CSC:
         """The entry groups of A @ x, keyed by row (see `_layers`)."""
         order = np.argsort(self.indices, kind="stable")
         rows = self.indices[order]
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        starts = np.flatnonzero(_run_starts(rows))
         rank = np.empty(rows.size, dtype=np.int64)
-        rank[order] = np.arange(rows.size) - np.repeat(starts, np.diff(np.r_[starts, rows.size]))
+        rank[order] = np.arange(rows.size) - np.repeat(starts, np.diff(starts, append=rows.size))
         return self._layers(rank, self.indices, self.entry_cols)
 
     @cached_property
@@ -266,7 +318,7 @@ class CSC:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not align")
         entry, owner = column_entries(self.indptr, other.indices)
         keys = other.entry_cols[owner] * m + self.indices[entry]
-        keys, inverse = np.unique(keys, return_inverse=True)
+        keys, inverse = _unique_inverse(keys)
         vals = _sum_products(inverse, other.data[owner], self.data[entry], keys.size)
         live = vals != 0
         shape = (m, other.shape[1])
@@ -281,17 +333,9 @@ class CSC:
         if other.shape != self.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} differ")
         m = self.shape[0]
-        ka = self.entry_cols * m + self.indices
-        kb = other.entry_cols * m + other.indices
-        keys = np.union1d(ka, kb)
-        a = np.zeros(keys.size, dtype=np.result_type(self.data, other.data))
-        b = np.zeros_like(a)
-        a[np.searchsorted(keys, ka)] = self.data
-        b[np.searchsorted(keys, kb)] = other.data
-        vals = a - b
-        live = vals != 0
-        idx = _index_dtype(self.shape, keys.size, self.indices, other.indices)
-        return CSC._from_keys(keys[live], vals[live], self.shape, idx)
+        keys = [a.entry_cols * m + a.indices for a in (self, other)]
+        return _difference(np.concatenate(keys), np.concatenate((self.data, other.data)),
+                           self.nnz, self.shape, self.indices, other.indices)
 
     def toarray(self) -> np.ndarray:
         """Dense copy; entries are added into zeros, so a stored -0.0 reads +0.0."""
@@ -301,20 +345,26 @@ class CSC:
 
     def row_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the stored entries, by row and then column."""
-        cols = self.entry_cols
-        order = np.lexsort((cols, self.indices))
-        return self.indices[order], cols[order], self.data[order]
+        # entries are stored by column, so a stable sort by row is row-major
+        order = np.argsort(self.indices, kind="stable")
+        return self.indices[order], self.entry_cols[order], self.data[order]
 
     def _row_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, conj(A[r, a]), A[r, b]) for every ordered pair of entries in one
-        row r, rows ascending: the terms of A^H A. Their number is the sum of the
-        squared row counts, never the number of rows."""
-        rows, cols, vals = self.row_major()
+        row r, by entry (b, r) in storage order and then a ascending: the terms of
+        A^H A as its product expands them, so the keys of one column b come
+        in ascending runs. Their number is the sum of the squared row counts,
+        never the number of rows."""
+        order = np.argsort(self.indices, kind="stable")  # row-major, as `row_major`
+        rows = self.indices[order]
         # the row-major entries grouped by row, like columns under an indptr
-        ptr = np.r_[np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]), rows.size]
-        group = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-        right, left = column_entries(ptr, group)
-        return cols[left], cols[right], np.conj(vals[left]), vals[right]
+        ptr = np.append(np.flatnonzero(_run_starts(rows)), rows.size)
+        group = np.empty(rows.size, dtype=np.int64)
+        group[order] = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        partner, owner = column_entries(ptr, group)
+        partner = order[partner]
+        cols = self.entry_cols
+        return cols[partner], cols[owner], np.conj(self.data[partner]), self.data[owner]
 
     def gram(self) -> np.ndarray:
         """Dense A^H A from the stored entries, without the transpose's indptr.
@@ -325,6 +375,40 @@ class CSC:
         n = self.shape[1]
         a, b, left, right = self._row_pairs()
         return _sum_products(a * n + b, left, right, n * n).reshape(n, n)
+
+    def _gram_entries(self, labels: np.ndarray | None = None,
+                      less_identity: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(keys b * n + a ascending, values) of the entries (a, b) of G = A^H A that
+        some row gives, none dropped; with `labels`, only those between two columns
+        of one label. Each sums its shared rows ascending from +0.0. `less_identity`
+        gives G - I: every diagonal key, each then less 1 + 0j, as the difference
+        takes it from the product's entry or from a missing +0.0."""
+        n = self.shape[1]
+        a, b, left, right = self._row_pairs()
+        if labels is not None:
+            same = labels[a] == labels[b]
+            a, b, left, right = a[same], b[same], left[same], right[same]
+        keys = b * n + a
+        if less_identity:
+            keys = np.concatenate((keys, np.arange(n) * (n + 1)))
+        keys, inverse = _unique_inverse(keys)
+        sums = _sum_products(inverse[: a.size], left, right, keys.size)
+        if less_identity:
+            sums = sums.astype(complex, copy=False)
+            sums[inverse[a.size :]] -= 1.0
+        return keys, sums
+
+    def gram_defect(self) -> CSC:
+        """A^H A - I as `A.H @ A - identity(n)` gives it, bit for bit, from one sort of
+        the pair terms and the diagonal. The product's zeros, which it drops, are
+        dropped here after the -1: off the diagonal they read 0, and a diagonal sum of
+        squares is never -0.0. The index dtype is the difference's for every matrix
+        of under 2^31 entries."""
+        n = self.shape[1]
+        keys, vals = self._gram_entries(less_identity=True)
+        live = vals != 0
+        idx = _index_dtype((n, n), keys.size, *((self.indices,) if self.nnz else ()))
+        return CSC._from_keys(keys[live], vals[live], (n, n), idx)
 
     def gram_gaps(self, labels: np.ndarray | None = None) -> np.ndarray:
         """||G_g - I||_F for each label g = 0, 1, ..., where G_g is the block of
@@ -337,11 +421,8 @@ class CSC:
         n = self.shape[1]
         labels = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels)
         size = int(labels.max(initial=0)) + 1
-        a, b, left, right = self._row_pairs()
-        same = labels[a] == labels[b]
-        keys, inverse = np.unique(a[same] * n + b[same], return_inverse=True)
-        gram = _sum_products(inverse, left[same], right[same], keys.size)
-        a, b = np.divmod(keys, max(n, 1))
+        keys, gram = self._gram_entries(labels)
+        b, a = np.divmod(keys, max(n, 1))
         gram[a == b] -= 1.0
         squares = np.bincount(labels[a], gram.real**2 + gram.imag**2, minlength=size)
         return np.sqrt(squares + np.bincount(labels[np.diff(self.indptr) == 0], minlength=size))

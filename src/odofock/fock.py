@@ -13,6 +13,7 @@ gathers and scatters through their maps, never as matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,15 @@ class TruncatedFockSpace:
         return int(self.word_levels(index))
 
     def level_offsets(self) -> np.ndarray:
-        """Word-index offsets of levels 0..M+1; the last one is num_words."""
-        return np.array([self.level_offset(m) for m in range(self.max_level + 2)], dtype=np.int64)
+        """Word-index offsets of levels 0..M+1; the last one is num_words (read-only)."""
+        return self._level_offsets
+
+    @cached_property
+    def _level_offsets(self) -> np.ndarray:
+        offsets = np.array([self.level_offset(m) for m in range(self.max_level + 2)],
+                           dtype=np.int64)
+        offsets.flags.writeable = False
+        return offsets
 
     def word_levels(self, indices: np.ndarray) -> np.ndarray:
         """Levels of an array of word indices, by one search over the level offsets."""

@@ -22,6 +22,7 @@ from odofock import (
     symbol_from_dense,
     symbol_from_entries,
 )
+from odofock.classify import _nica_sides
 from odofock.csc import _CHUNK, CSC
 from odofock.errors import LevelOverflowError, SchemaError
 from odofock.linalg import _rank_split
@@ -563,6 +564,16 @@ def same_csc(a, b) -> bool:
         and np.array_equal(a.indices, b.indices)
         and same_bits(a.data, b.data)
     )
+
+
+def reference_nica_difference(space: TruncatedFockSpace, window) -> sparse.csc_array:
+    """Oracle: S_1* W - W S_n* on a classification window as two matrices, one per
+    side of `_nica_sides`, subtracted by scipy, which reads a missing entry as 0."""
+    both, split = _nica_sides(space, window)
+    left = np.arange(both.rows.size) < split
+    difference = both.csc(left).scipy_view() - both.csc(~left).scipy_view()
+    difference.sort_indices()
+    return difference
 
 
 def reference_level_block_residual(space: TruncatedFockSpace, w) -> float:

@@ -14,9 +14,12 @@ from helpers import (
     random_ones_diagonal_symbol,
     random_symbol,
     reference_level_block_residual,
+    reference_nica_difference,
     reference_odometer,
     reference_shifted_columns,
+    same_csc,
     shift_word_index,
+    symbol_of_kind,
 )
 from scipy import sparse
 
@@ -33,12 +36,13 @@ from odofock import (
     constant_symbol,
     gallery_golden_ratio,
     off_vacuum_residual,
+    op_norm,
     scalar_symbol,
     surjectivity_defect,
     symbol_from_dense,
 )
-from odofock.classify import _nica, _unitary, _window
-from odofock.csc import CSC
+from odofock.classify import _nica, _nica_sides, _unitary, _window
+from odofock.csc import CSC, as_csc
 from odofock.gallery import golden_ratio_coeffs
 
 
@@ -375,6 +379,32 @@ def test_nica_relation_matches_the_dense_adjoint_form(monkeypatch):
         assert golden.residual("nica_relation") == 0.786151377756645
 
 
+def nica_windows():
+    """Windows of every coefficient column: the Nica cases, each kind of random
+    symbol ("signed" ones hold -0.0) and the one-triplet faults of `one_wrong_triplet`."""
+    rng = np.random.default_rng(41)
+    symbols = [symbol for symbol, _ in nica_cases(rng)]
+    for n, max_level, d in [(1, 6, 2), (2, 4, 2), (3, 3, 1)]:
+        space = TruncatedFockSpace(n, max_level, d)
+        symbols += [symbol_of_kind(space, kind, rng) for kind in ("dense", "isometric", "signed")]
+    for symbol in symbols:
+        yield symbol, _window(symbol, np.arange(symbol.space.coeff_dim))
+    for symbol in constant_unitary_cases():
+        for wrong, _ in one_wrong_triplet(symbol, rng):
+            yield symbol, wrong
+
+
+def test_nica_relation_is_the_two_matrix_difference_bit_for_bit():
+    # one matrix from both sides' triplets, against a matrix per side subtracted
+    for symbol, window in nica_windows():
+        expected = reference_nica_difference(symbol.space, window)
+        both, split = _nica_sides(symbol.space, window)
+        relation = both.csc(split=split).scipy_view()
+        assert same_csc(relation, expected)
+        nica = _nica(symbol, 1e-10, window, Check("nica_residual", 0.0, 1e-10))
+        assert nica.residual("nica_relation").hex() == op_norm(as_csc(expected).H).hex()
+
+
 def classify_cases():
     rng = np.random.default_rng(12)
     space = TruncatedFockSpace(2, 4, 2)
@@ -491,12 +521,12 @@ def test_classify_forms_one_window_gram_when_no_entry_is_off_level(monkeypatch):
     # unitary check reads the isometry check's Gram W_P^H W_P - I; a symbol with
     # level-raising entries forms B^H B itself. Either way the residual is the
     # one B^H B gives, bit for bit
-    products = Counter()
-    matmul = CSC._matmul_csc
+    grams_formed = Counter()
+    gram_defect = CSC.gram_defect
 
-    def counting(self, other):
-        products["sparse"] += 1
-        return matmul(self, other)
+    def counting(self):
+        grams_formed["gram_defect"] += 1
+        return gram_defect(self)
 
     rng = np.random.default_rng(33)
     cases = [(symbol, 1) for symbol in constant_unitary_cases()]
@@ -504,10 +534,10 @@ def test_classify_forms_one_window_gram_when_no_entry_is_off_level(monkeypatch):
               for d in (1, 2, 3)]
     for symbol, grams in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(CSC, "_matmul_csc", counting)
-            products.clear()
+            patch.setattr(CSC, "gram_defect", counting)
+            grams_formed.clear()
             report = classify(symbol)
-            assert report.is_isometric and products["sparse"] == grams
+            assert report.is_isometric and grams_formed["gram_defect"] == grams
         window = _window(symbol, np.arange(symbol.space.coeff_dim))
         recomputed = _unitary(symbol, 1e-10, window).residual("level_blocks_unitary")
         assert report.residuals["level_blocks_unitary"].hex() == recomputed.hex()

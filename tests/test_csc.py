@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from odofock import TruncatedFockSpace, build_odometer, jsonio, symbol_from_dense
-from odofock.csc import CSC, as_csc
+from odofock.csc import CSC, as_csc, identity
 
 seeds = st.integers(0, 2**32 - 1)
 shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
@@ -151,6 +151,27 @@ def test_sparse_products_and_differences_match_scipy(dims, seed, density):
     assert same(a - a, a_sp - a_sp)
 
 
+@given(shapes, seeds, densities, st.sampled_from([np.int32, np.int64]), st.booleans())
+def test_gram_defect_and_triplet_differences_match_products_and_differences(
+        shape, seed, density, dtype, real):
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = random_triplets(shape, density, rng)
+    a = CSC.from_triplets(rows.astype(dtype), cols.astype(dtype),
+                          vals.real.copy() if real else vals, shape)
+    defect = a.gram_defect()
+    assert same(defect, (a.H @ a - identity(shape[1])).scipy_view())
+    theirs = a.scipy_view()
+    assert same(defect, theirs.conj().T @ theirs - sparse.eye_array(shape[1], dtype=complex))
+    # a coordinate held by both sides, by one only, or by neither
+    other_rows, other_cols, other_vals = random_triplets(shape, density, rng)
+    split = rows.size
+    difference = CSC.from_difference(np.r_[rows, other_rows], np.r_[cols, other_cols],
+                                     np.r_[vals, other_vals], split, shape)
+    expected = (CSC.from_triplets(rows, cols, vals, shape)
+                - CSC.from_triplets(other_rows, other_cols, other_vals, shape))
+    assert same(difference, expected.scipy_view())
+
+
 @given(shapes, seeds, densities)
 def test_dense_copies_gram_and_row_order_match_scipy(shape, seed, density):
     ours, theirs = pair(shape, density, np.random.default_rng(seed))
@@ -218,3 +239,10 @@ def test_gram_gaps_match_the_dense_gram(shape, seed, density, groups):
         block = deviation[np.ix_(labels == g, labels == g)]
         assert abs(gaps[g] - np.linalg.norm(block)) <= 1e-12 * max(1.0, gaps[g])
     assert abs(ours.gram_gaps()[0] - np.linalg.norm(deviation)) <= 1e-12 * max(1.0, gaps.max())
+
+
+def test_a_real_matrix_with_no_entries_has_real_zero_gram():
+    # no pair of entries: every sum is +0.0 in the values' dtype, not an integer
+    empty = CSC.from_triplets([], [], np.zeros(0), (2, 3))
+    assert empty.gram().dtype == np.float64 and not empty.gram().any()
+    assert same_bits(empty.gram_gaps(np.array([0, 1, 1])), np.sqrt([1.0, 2.0]))

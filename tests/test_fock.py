@@ -162,6 +162,16 @@ def test_a_negative_level_has_no_offset(n):
     assert space.level_offset(0) == 0 and space.dim_upto(0) == 2
 
 
+def test_level_offsets_are_built_once_per_space_and_read_only():
+    space = TruncatedFockSpace(3, 4, 2)
+    offsets = space.level_offsets()
+    assert offsets is space.level_offsets() and not offsets.flags.writeable
+    assert offsets.tolist() == [space.level_offset(m) for m in range(space.max_level + 2)]
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0] = 1
+    # the cache is no field: equal spaces stay equal and hash alike
+    assert space == TruncatedFockSpace(3, 4, 2) and hash(space) == hash(TruncatedFockSpace(3, 4, 2))
+
 def test_a_space_just_inside_int64_keeps_exact_indices():
     # n = 2, M = 61: 2^62 - 1 words; the offsets and the carry stay in int64 range
     space = TruncatedFockSpace(2, 61, 1)
